@@ -22,7 +22,7 @@ from .core_stats import (
     inverse,
     log_determinant,
 )
-from .errors import CannotReachThreshold, SampleTooSmall
+from .errors import CannotReachThreshold, NotPositiveDefinite, SampleTooSmall
 from .ingest import AnalysisView
 
 MIN_ITEMS_AFTER_PRUNE = 3
@@ -99,11 +99,19 @@ def kmo(R: SymMatrix, items: list[str] | None = None
     is q_ij = -S_ij / sqrt(S_ii * S_jj). KMO compares squared raw against
     squared partial correlations: sum r^2 / (sum r^2 + sum q^2) over
     off-diagonal entries, overall and restricted to each item's row.
+    Raises NotPositiveDefinite when a diagonal entry of R^-1 is not
+    positive, which only an indefinite R allows.
     """
     p = R.dim
     names = list(items) if items is not None else [f"item{j + 1}" for j in range(p)]
     s = inverse(R).values
-    d = 1.0 / np.sqrt(np.diag(s))
+    s_diag = np.diag(s)
+    if np.any(s_diag <= 0.0):
+        raise NotPositiveDefinite(
+            "matrix is indefinite: its inverse has diagonal entry "
+            f"{float(s_diag.min()):.3e}"
+        )
+    d = 1.0 / np.sqrt(s_diag)
     q = -s * np.outer(d, d)
     np.fill_diagonal(q, 1.0)
     anti_image = SymMatrix(q)

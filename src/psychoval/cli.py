@@ -337,6 +337,8 @@ def _cmd_kmo(args) -> bytes:
 
 
 def _cmd_bartlett(args) -> bytes:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"alpha {args.alpha:g} must lie in (0, 1)")
     ds = _load(args)
     view, R = _view_matrix(args, ds)
     chi2, df, p = bartlett_sphericity(R, view.effective_n)

@@ -2,7 +2,7 @@
 
 Everything downstream (reliability, adequacy checks, factor extraction)
 rests on the handful of primitives in this module: Pearson correlation,
-correlation matrices with per-pair missing handling, a cyclic Jacobi
+correlation matrices with per-pair missing handling, a round-robin Jacobi
 eigensolver, eigen-based inversion / log-determinant, and the chi-square
 upper-tail probability via the regularized incomplete gamma function.
 
@@ -12,6 +12,7 @@ All functions are pure; all variance-like quantities use the n-1
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -170,63 +171,170 @@ def correlation_matrix(
     return SymMatrix(r)
 
 
-def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,
-              max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+@functools.lru_cache(maxsize=None)
+def _round_robin(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Brent-Luk round-robin ordering of one Jacobi sweep over p indices.
 
-    Sweeps over all upper-triangle pairs, annihilating each off-diagonal
-    entry with a plane rotation, until the largest off-diagonal magnitude
-    drops below ``tol``. Deterministic: fixed sweep order, no pivoting
-    heuristics, and a fixed sign convention on the eigenvectors.
+    The n - 1 rounds of a round-robin tournament on n = p indices, or on
+    n = p + 1 for odd p, where index p is padding. Each round holds n/2
+    disjoint pairs (i, j), i < j, sorted; over a sweep every pair meets
+    exactly once. Round 0 is (0, 1), (2, 3), ...
     """
-    a = np.array(A.values, dtype=float)
+    n = p + (p & 1)
+    # circle method: seat 0 stays, the others move one seat per round;
+    # labels are renamed so that round 0 pairs neighbours
+    label = [0] * n
+    for k in range(n // 2):
+        label[k], label[n - 1 - k] = 2 * k, 2 * k + 1
+    ring = list(range(1, n))
+    rounds = []
+    for r in range(n - 1):
+        seats = [0] + ring[r:] + ring[:r]
+        rounds.append(tuple(sorted(
+            (min(label[x], label[y]), max(label[x], label[y]))
+            for x, y in zip(seats[: n // 2], reversed(seats[n // 2:]))
+        )))
+    return tuple(rounds)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_moves(p: int) -> tuple[np.ndarray, ...]:
+    """Flat gather indices that carry the Jacobi work array between rounds.
+
+    The work array stacks the padded n x n matrix on top of the p x n
+    eigenvector matrix. During round r the pairs of ``_round_robin(p)[r]``
+    sit in neighbouring positions (2m, 2m + 1). Move r permutes rows 0..n-1
+    and all columns into the order of round r + 1; the last move returns
+    to round 0, whose order is the natural one.
+    """
+    n = p + (p & 1)
+    orders = [[x for pair in pairs for x in pair] for pairs in _round_robin(p)]
+    moves = []
+    for r, order in enumerate(orders):
+        position = {x: k for k, x in enumerate(order)}
+        perm = np.array([position[x] for x in orders[(r + 1) % len(orders)]],
+                        dtype=np.intp)
+        rows = np.concatenate((perm, np.arange(n, n + p, dtype=np.intp)))
+        move = (rows[:, None] * n + perm).reshape(-1)
+        move.flags.writeable = False
+        moves.append(move)
+    return tuple(moves)
+
+
+def _off_diagonal_max(a: np.ndarray) -> float:
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
+
+
+def _pair_views(work: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of a Jacobi work array at the pair positions (2m, 2m + 1).
+
+    Returns the flat array; the entries a_ij, a_ji, a_ii and a_jj of every
+    pair; rows i and rows j of the matrix; columns i and columns j of the
+    matrix and the eigenvectors together.
+    """
+    flat = work[:n].reshape(-1)
+    step = 2 * (n + 1)
+    return (
+        work.reshape(-1),
+        flat[1::step], flat[n::step], flat[0::step], flat[n + 1::step],
+        work[0:n:2], work[1:n:2],
+        work[:, 0::2], work[:, 1::2],
+    )
+
+
+def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
+    """Rotate a to diagonal form in round-robin sweeps, accumulating v.
+
+    Each round applies its disjoint rotations at once: rows of a first,
+    then columns of a and v together, then the annihilated entries are set
+    to zero. Only elementwise ufuncs touch the numbers, so every rotation
+    is bit-reproducible. A round's pairs sit at positions (2m, 2m + 1), so
+    its rows and columns i and j are strided views, which is cheaper than
+    gathering them by index arrays in every round. The rounds work on two
+    buffers in turn, each move gathering the next round's order from one
+    into the other.
+    """
     p = a.shape[0]
-    v = np.eye(p)
-
-    if p > 1:
+    n = p + (p & 1)
+    buffers = (np.zeros((n + p, n)), np.empty((n + p, n)))
+    buffers[0][:p, :p] = a
+    buffers[0][n:, :p] = v
+    views = [_pair_views(work, n) for work in buffers]
+    cur = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_sweeps):
-            off = np.max(np.abs(a - np.diag(np.diag(a))))
-            if off < tol:
+            if _off_diagonal_max(buffers[cur][:n]) < tol:
                 break
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    aij = a[i, j]
-                    if aij == 0.0:
-                        continue
-                    # rotation angle from the classic two-sided formula;
-                    # for huge theta the sqrt would overflow and t ~ 1/(2 theta)
-                    theta = (a[j, j] - a[i, i]) / (2.0 * aij)
-                    if abs(theta) > 1e150:
-                        t = 0.5 / theta
-                    else:
-                        t = math.copysign(1.0, theta) / (
-                            abs(theta) + math.sqrt(theta * theta + 1.0)
-                        )
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-
-                    row_i = a[i, :].copy()
-                    row_j = a[j, :].copy()
-                    a[i, :] = c * row_i - s * row_j
-                    a[j, :] = s * row_i + c * row_j
-                    col_i = a[:, i].copy()
-                    col_j = a[:, j].copy()
-                    a[:, i] = c * col_i - s * col_j
-                    a[:, j] = s * col_i + c * col_j
-                    a[i, j] = a[j, i] = 0.0
-
-                    vc_i = v[:, i].copy()
-                    vc_j = v[:, j].copy()
-                    v[:, i] = c * vc_i - s * vc_j
-                    v[:, j] = s * vc_i + c * vc_j
+            for move in _sweep_moves(p):
+                flat, aij, aji, aii, ajj, row_i, row_j, col_i, col_j = views[cur]
+                # rotation angles from the classic two-sided formula,
+                # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)); for huge
+                # theta the square would overflow and t ~ 1/(2 theta)
+                theta = (ajj - aii) / (2.0 * aij)
+                t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
+                t = np.where(np.abs(theta) > 1e150, 0.5 / theta, t)
+                # a zero pivot, and any pair with the padding index, gets
+                # the identity rotation
+                t = np.where(aij == 0.0, 0.0, t)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                # row/column i takes c*i - s*j, row/column j takes s*i + c*j
+                cr, sr = c[:, None], s[:, None]
+                new_i = cr * row_i - sr * row_j
+                row_j[...] = sr * row_i + cr * row_j
+                row_i[...] = new_i
+                new_i = col_i * c - col_j * s
+                col_j[...] = col_i * s + col_j * c
+                col_i[...] = new_i
+                aij[...] = 0.0
+                aji[...] = 0.0
+                cur = 1 - cur
+                np.take(flat, move, out=views[cur][0])
         else:
             # budget exhausted: the final sweep may still have converged
-            off = np.max(np.abs(a - np.diag(np.diag(a))))
+            off = _off_diagonal_max(buffers[cur][:n])
             if off >= tol:
                 raise NoConvergence(
                     f"Jacobi sweeps exhausted (off-diagonal max {off:.3e})",
-                    residual=float(off),
+                    residual=off,
                 )
+    work = buffers[cur]
+    return work[:p, :p], work[n:, :p]
+
+
+def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,
+              max_sweeps: int = JACOBI_MAX_SWEEPS,
+              basis: np.ndarray | None = None) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Each sweep visits every off-diagonal pair once, in Brent-Luk
+    round-robin order: a round holds floor(p/2) disjoint pairs, whose plane
+    rotations are applied together by elementwise updates (no BLAS inside
+    the sweep, so each rotation is bit-reproducible). Sweeps repeat until
+    the largest off-diagonal magnitude drops below ``tol``. Deterministic:
+    fixed sweep order, no pivoting heuristics, and a fixed sign convention
+    on the eigenvectors.
+
+    ``basis``, an orthogonal p x p matrix, warm-starts the sweeps from
+    basis.T @ A @ basis; a basis close to A's eigenvectors (say, those of
+    a matrix differing from A only on the diagonal) leaves a nearly
+    diagonal start and few sweeps.
+    """
+    p = A.dim
+    if basis is None:
+        a = np.array(A.values, dtype=float)
+        v = np.eye(p)
+    else:
+        v = np.array(basis, dtype=float)
+        if v.shape != (p, p):
+            raise ValueError(f"basis shape {v.shape} does not match dimension {p}")
+        a = v.T @ A.values @ v
+        a = (a + a.T) / 2.0
+
+    if p > 1:
+        a, v = _jacobi_sweeps(a, v, tol, max_sweeps)
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(-eigenvalues, kind="stable")
@@ -234,11 +342,9 @@ def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,
     vectors = v[:, order]
 
     # sign convention: largest-|entry| of each column made positive
-    for k in range(p):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, k] = -col
+    if p:
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors *= np.where(vectors[lead, np.arange(p)] < 0.0, -1.0, 1.0)
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)

@@ -170,9 +170,13 @@ def extract_paf(
     loadings = np.zeros((p, m))
     delta = math.inf
     iterations = 0
+    basis = None
     for iterations in range(1, max_iter + 1):
         np.fill_diagonal(reduced, h2)
-        eig = sym_eigen(SymMatrix(reduced))
+        # only the diagonal changed, so the last eigenvectors nearly
+        # diagonalize the new reduced matrix
+        eig = sym_eigen(SymMatrix(reduced), basis=basis)
+        basis = eig.eigenvectors
         lam = np.clip(eig.eigenvalues[:m], 0.0, None)
         loadings = eig.eigenvectors[:, :m] * np.sqrt(lam)
         new_h2 = (loadings**2).sum(axis=1)

@@ -38,6 +38,12 @@ class DuplicateId(PsychovalError):
         super().__init__(f"duplicate {kind} id {ident!r}")
 
 
+class UnknownItem(PsychovalError):
+    def __init__(self, scale, items):
+        self.scale, self.items = scale, tuple(items)
+        super().__init__(f"scale {scale!r} references unknown items {list(self.items)}")
+
+
 class MissingDataError(PsychovalError):
     """Missing cells encountered under the strict policy."""
 

@@ -25,6 +25,8 @@ from .errors import (
     MissingDataError,
     ParseError,
     RangeError,
+    TooFewItems,
+    UnknownItem,
 )
 
 POLICIES = ("listwise", "pairwise", "strict")
@@ -100,7 +102,7 @@ class ScaleDefinition:
 
     def __post_init__(self):
         if not self.item_ids:
-            raise ValueError(f"scale {self.name!r} has no items")
+            raise TooFewItems(f"scale {self.name!r} has no items")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise DuplicateId("scale item", _first_duplicate(self.item_ids))
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
@@ -108,7 +110,7 @@ class ScaleDefinition:
     def check_against(self, ds: SurveyDataset) -> None:
         unknown = [it for it in self.item_ids if it not in ds.items]
         if unknown:
-            raise ValueError(f"scale {self.name!r} references unknown items {unknown}")
+            raise UnknownItem(self.name, unknown)
 
 
 @dataclass(frozen=True)

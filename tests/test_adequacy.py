@@ -18,7 +18,7 @@ from psychoval import (
     msa_prune,
     sample_adequacy_advice,
 )
-from psychoval.errors import CannotReachThreshold, SampleTooSmall
+from psychoval.errors import CannotReachThreshold, NotPositiveDefinite, SampleTooSmall
 from tests import oracles
 from tests.frozen import PRUNE_SEED
 
@@ -100,6 +100,12 @@ class TestKmo:
         A = anti.values
         assert np.allclose(np.diag(A), 1.0, atol=1e-12)
         assert np.allclose(A, A.T, atol=1e-12)
+
+    def test_indefinite_matrix_raises(self):
+        # eigenvalues 1.9, 1.9, -0.8; every diagonal entry of R^-1 is -5/76
+        R = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            kmo(SymMatrix(R), list("ABC"))
 
     def test_noise_item_has_lowest_msa(self):
         view = prune_fixture_view()

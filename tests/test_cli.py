@@ -62,6 +62,19 @@ class TestExitCodes:
         assert code == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["5", "0", "1", "-0.1", "nan"])
+    def test_bartlett_alpha_outside_unit_interval(self, capsys, noise_csv, alpha):
+        code, out, err = run(capsys, "bartlett", "-i", noise_csv, "--alpha", alpha)
+        assert code == 1
+        assert err.startswith("ConfigError: ") and err.count("\n") == 1
+        assert out == ""
+
+    def test_unknown_scale_item_is_one_line(self, capsys, demo_csv):
+        code, out, err = run(capsys, "alpha", "-i", demo_csv, "--items", "A,Z")
+        assert code == 1
+        assert err == "UnknownItem: scale 'scale' references unknown items ['Z']\n"
+        assert out == ""
+
     def test_failed_stage_named_on_stderr(self, capsys, noise_csv):
         code, out, err = run(capsys, "validate", "-i", noise_csv)
         assert code == 1

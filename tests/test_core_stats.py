@@ -8,6 +8,7 @@ never from the code under test.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from psychoval import (
     regularized_gamma_q,
     sym_eigen,
 )
+from psychoval.core_stats import JACOBI_TOL, _round_robin, _sweep_moves
 from psychoval.errors import (
     DomainError,
     InsufficientRows,
     LengthMismatch,
+    NoConvergence,
     NotPositiveDefinite,
     SingularMatrix,
     ZeroVariance,
@@ -194,6 +197,117 @@ class TestSymEigen:
             )
             V = dec.eigenvectors
             assert np.max(np.abs(V.T @ V - np.eye(5))) < 1e-10
+
+
+# the sizes the kernel runs at: item counts of real instruments and prune steps
+KERNEL_SIZES = (1, 2, 3, 5, 6, 20, 41, 80, 120)
+KERNEL_KINDS = ("random", "correlation", "equicorrelated", "diagonal", "block", "scaled")
+
+
+def kernel_matrix(kind: str, p: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_symmetric(rng, p)
+    if kind == "correlation":
+        M = rng.uniform(-1.0, 1.0, size=(p, p + 2))
+        cov = M @ M.T + 0.5 * np.eye(p)
+        sd = np.sqrt(np.diag(cov))
+        return cov / np.outer(sd, sd)
+    if kind == "equicorrelated":
+        # eigenvalue 0.6 repeated p - 1 times
+        R = np.full((p, p), 0.4)
+        np.fill_diagonal(R, 1.0)
+        return R
+    if kind == "diagonal":
+        # every pivot is zero from the start
+        return np.diag(rng.uniform(-2.0, 2.0, size=p))
+    if kind == "block":
+        # pairs across the two blocks stay zero pivots with equal diagonals
+        R = np.zeros((p, p))
+        for block in (slice(0, p // 2), slice(p // 2, p)):
+            R[block, block] = kernel_matrix("correlation", block.stop - block.start, seed)
+        return R
+    return 1e6 * random_symmetric(rng, p)
+
+
+class TestSymEigenAtScale:
+    """Jacobi against numpy.linalg.eigh at the sizes the pipeline uses.
+
+    Eigenvalues and the reconstruction are compared relative to
+    max(1, |lambda|max), so the 1e6-scaled matrices face the same bound.
+    """
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("p", KERNEL_SIZES)
+    def test_matches_eigh(self, p, kind):
+        A = kernel_matrix(kind, p, seed=1000 + p)
+        dec = sym_eigen(SymMatrix(A))
+        lam, V = dec.eigenvalues, dec.eigenvectors
+        expected = np.linalg.eigh(A)[0][::-1]
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(lam - expected)) <= 1e-10 * scale
+        assert np.max(np.abs(dec.reconstruct() - A)) < 1e-10 * scale
+        assert np.max(np.abs(V.T @ V - np.eye(p))) < 1e-10
+        assert np.all(np.diff(lam) <= 0.0)
+        lead = np.argmax(np.abs(V), axis=0)
+        assert np.all(V[lead, np.arange(p)] > 0.0)
+
+    @pytest.mark.parametrize("p", (2, 6, 20, 41))
+    def test_warm_start_matches_cold_start(self, p):
+        rng = np.random.default_rng(77 + p)
+        A = random_symmetric(rng, p)
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        cold = sym_eigen(SymMatrix(A))
+        for basis in (Q, cold.eigenvectors):
+            warm = sym_eigen(SymMatrix(A), basis=basis)
+            assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) < 1e-12
+            assert np.max(np.abs(warm.eigenvectors - cold.eigenvectors)) < 1e-9
+
+    def test_warm_start_after_diagonal_change(self):
+        # the PAF pattern: only the diagonal moves between decompositions
+        R = kernel_matrix("correlation", 20, seed=5)
+        prev = sym_eigen(SymMatrix(R))
+        reduced = R.copy()
+        np.fill_diagonal(reduced, np.linspace(0.3, 0.8, 20))
+        cold = sym_eigen(SymMatrix(reduced))
+        warm = sym_eigen(SymMatrix(reduced), basis=prev.eigenvectors)
+        assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) < 1e-12
+        assert np.max(np.abs(warm.reconstruct() - reduced)) < 1e-10
+
+    def test_basis_shape_checked(self):
+        with pytest.raises(ValueError):
+            sym_eigen(SymMatrix(np.eye(3)), basis=np.eye(2))
+
+    def test_sweep_budget_exhausted(self):
+        A = random_symmetric(np.random.default_rng(8), 20)
+        with pytest.raises(NoConvergence) as info:
+            sym_eigen(SymMatrix(A), max_sweeps=1)
+        assert math.isfinite(info.value.residual)
+        assert info.value.residual >= JACOBI_TOL
+
+    @pytest.mark.parametrize("p", KERNEL_SIZES)
+    def test_round_robin_schedule(self, p):
+        n = p + p % 2
+        rounds = _round_robin(p)
+        assert len(rounds) == n - 1
+        for pairs in rounds:
+            members = [x for pair in pairs for x in pair]
+            assert sorted(members) == list(range(n))  # disjoint, all seated
+            assert all(i < j for i, j in pairs)
+        real = [pair for pairs in rounds for pair in pairs if pair[1] < p]
+        assert sorted(real) == list(combinations(range(p), 2))
+
+    @pytest.mark.parametrize("p", KERNEL_SIZES)
+    def test_sweep_moves_follow_schedule(self, p):
+        # round r works on the pairs at positions (2m, 2m + 1); a sweep
+        # ends in the natural order
+        n = p + p % 2
+        order = list(range(n))
+        for pairs, move in zip(_round_robin(p), _sweep_moves(p)):
+            assert [tuple(order[k:k + 2]) for k in range(0, n, 2)] == list(pairs)
+            perm = move[:n] % n
+            order = [order[k] for k in perm]
+        assert order == list(range(n))
 
 
 class TestInverse:

@@ -24,6 +24,8 @@ from psychoval.errors import (
     MissingDataError,
     ParseError,
     RangeError,
+    TooFewItems,
+    UnknownItem,
 )
 
 CSV_10 = (
@@ -188,8 +190,13 @@ class TestScales:
 
     def test_check_against_unknown_item(self):
         ds = loads_csv("id,A,B\nr1,1,2\nr2,3,4\nr3,5,6\n", 1, 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownItem) as info:
             ScaleDefinition("s", ("A", "Z")).check_against(ds)
+        assert (info.value.scale, info.value.items) == ("s", ("Z",))
+
+    def test_empty_scale(self):
+        with pytest.raises(TooFewItems):
+            ScaleDefinition("s", ())
 
     def test_subset_preserves_order_and_values(self):
         ds = loads_csv(CSV_10, 1, 7)

@@ -100,9 +100,9 @@ class EigenDecomposition:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation of two equal-length vectors (n >= 3).
 
-    Raises LengthMismatch for unequal or too-short input and ZeroVariance
-    when either vector is constant. The result is clipped to [-1, 1] to
-    absorb last-bit rounding.
+    Raises LengthMismatch for unequal or too-short input and ZeroVariance,
+    with ``position`` 0 or 1, when either vector is constant. The result is
+    clipped to [-1, 1] to absorb last-bit rounding.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -115,9 +115,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0:
-        raise ZeroVariance("first vector")
+        raise ZeroVariance("first vector", position=0)
     if syy == 0.0:
-        raise ZeroVariance("second vector")
+        raise ZeroVariance("second vector", position=1)
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -132,7 +132,20 @@ def correlation_matrix(
     Missing cells are NaN; each pair (i, j) is computed over the rows where
     both columns are present (pairwise deletion), which reduces to the plain
     formula when the table is complete. Each item must have at least
-    ``min_rows`` observations and nonzero variance on its complete cases.
+    ``min_rows`` observations and nonzero variance on its complete cases;
+    each pair must have ``min_rows`` joint rows and nonzero variance on both
+    sides, else the first failing pair in row-major order is reported.
+
+    All pairs come from four masked Gram products of the presence mask W and
+    the shifted data Y = a - c (zero where missing), with c the rounded
+    available-case mean of each column: per pair, the joint count WᵀW, the
+    sums YᵀW and (Y∘Y)ᵀW and the cross products YᵀY, combined as
+    cov = n Σxy - Σx Σy and var = n Σx² - (Σx)². On integer responses with
+    an integer shift every one of these is an exact integer (far below 2⁵³
+    for Likert data), so R does not depend on summation order or memory
+    layout, and the R of a column subset is bit-identical to slicing R. On
+    other data the shift keeps the one-pass sums accurate (Chan, Golub and
+    LeVeque 1983).
     """
     a = np.asarray(data, dtype=float)
     if a.ndim != 2:
@@ -143,31 +156,43 @@ def correlation_matrix(
         raise ValueError("item-name count does not match column count")
 
     present = ~np.isnan(a)
-    for j in range(p):
-        col = a[present[:, j], j]
-        if col.size < min_rows:
+    w = present.astype(float)
+    cnt = w.T @ w
+    count = np.diag(cnt)
+    # fmin/fmax skip NaN; an all-NaN column gives inf != -inf
+    constant = (np.fmin.reduce(a, axis=0, initial=np.inf)
+                == np.fmax.reduce(a, axis=0, initial=-np.inf))
+    for j in np.flatnonzero((count < min_rows) | constant):
+        if count[j] < min_rows:
             raise InsufficientRows(
-                f"item {names[j]!r} has {col.size} observations, need {min_rows}"
+                f"item {names[j]!r} has {int(count[j])} observations, need {min_rows}"
             )
-        if col.size and np.all(col == col[0]):
-            raise ZeroVariance(f"item {names[j]!r}")
+        raise ZeroVariance(f"item {names[j]!r}")
 
-    r = np.eye(p)
-    for i in range(p):
-        for j in range(i + 1, p):
-            both = present[:, i] & present[:, j]
-            if int(both.sum()) < min_rows:
-                raise InsufficientRows(
-                    f"pair ({names[i]!r}, {names[j]!r}) has {int(both.sum())} "
-                    f"complete rows, need {min_rows}"
-                )
-            try:
-                r[i, j] = r[j, i] = pearson(a[both, i], a[both, j])
-            except ZeroVariance as exc:
-                which = names[i] if "first" in str(exc) else names[j]
-                raise ZeroVariance(
-                    f"item {which!r} within pair ({names[i]!r}, {names[j]!r})"
-                ) from None
+    a0 = np.where(present, a, 0.0)
+    shift = np.round(a0.sum(axis=0) / np.maximum(count, 1.0))
+    y = a0 - shift * w
+    sx = y.T @ w  # sx[i, j]: sum of item i over the rows shared with item j
+    var = cnt * ((y * y).T @ w) - sx * sx
+    cov = cnt * (y.T @ y) - sx * sx.T
+
+    # below 3 joint rows a pair has no correlation, whatever min_rows says
+    bad = np.triu((cnt < max(min_rows, 3)) | (var <= 0.0) | (var.T <= 0.0), 1)
+    for i, j in np.argwhere(bad)[:1]:
+        pair = f"pair ({names[i]!r}, {names[j]!r})"
+        joint = int(cnt[i, j])
+        if joint < min_rows:
+            raise InsufficientRows(f"{pair} has {joint} complete rows, need {min_rows}")
+        if joint < 3:
+            raise LengthMismatch(f"need at least 3 observations, got {joint}")
+        which = names[i] if var[i, j] <= 0.0 else names[j]
+        raise ZeroVariance(f"item {which!r} within {pair}")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # every off-diagonal var is positive by now; the diagonal is reset
+        sd = np.sqrt(var)
+        r = np.clip(cov / (sd * sd.T), -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
     return SymMatrix(r)
 
 
@@ -321,18 +346,36 @@ def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,
     basis.T @ A @ basis; a basis close to A's eigenvectors (say, those of
     a matrix differing from A only on the diagonal) leaves a nearly
     diagonal start and few sweeps.
+
+    Calls without ``basis`` keep their last result: asked for the same
+    matrix, tolerance and sweep budget again, they return the same
+    (read-only) arrays without sweeping. The validation pipeline asks for
+    each decomposition several times in a row, so one entry is enough.
     """
     p = A.dim
     if basis is None:
-        a = np.array(A.values, dtype=float)
-        v = np.eye(p)
-    else:
-        v = np.array(basis, dtype=float)
-        if v.shape != (p, p):
-            raise ValueError(f"basis shape {v.shape} does not match dimension {p}")
-        a = v.T @ A.values @ v
-        a = (a + a.T) / 2.0
+        return _cold_eigen(A.values.tobytes(), p, tol, max_sweeps)
+    v = np.array(basis, dtype=float)
+    if v.shape != (p, p):
+        raise ValueError(f"basis shape {v.shape} does not match dimension {p}")
+    a = v.T @ A.values @ v
+    return _diagonalize((a + a.T) / 2.0, v, tol, max_sweeps)
 
+
+@functools.lru_cache(maxsize=1)
+def _cold_eigen(values: bytes, p: int, tol: float, max_sweeps: int) -> EigenDecomposition:
+    """sym_eigen started from the identity, memoised on the matrix bytes.
+
+    The key is the exact bytes, not SymMatrix equality, which takes -0.0
+    for 0.0. Exceptions are not cached.
+    """
+    return _diagonalize(np.frombuffer(values).reshape(p, p), np.eye(p), tol, max_sweeps)
+
+
+def _diagonalize(a: np.ndarray, v: np.ndarray, tol: float,
+                 max_sweeps: int) -> EigenDecomposition:
+    """Sweep a to diagonal form, accumulating v; sort and sign the eigenpairs."""
+    p = a.shape[0]
     if p > 1:
         a, v = _jacobi_sweeps(a, v, tol, max_sweeps)
 

@@ -27,6 +27,12 @@ class ParseError(PsychovalError):
 
 
 class RangeError(PsychovalError):
+    """A response outside the Likert bounds.
+
+    ``row`` is the CSV line number when parsing, or the respondent id when
+    a dataset is built from an array.
+    """
+
     def __init__(self, row, item, value):
         self.row, self.item, self.value = row, item, value
         super().__init__(f"row {row}, item {item!r}: value {value} outside Likert bounds")
@@ -63,8 +69,14 @@ class LengthMismatch(PsychovalError):
 
 
 class ZeroVariance(PsychovalError):
-    def __init__(self, what):
-        self.what = what
+    """A constant vector where variation is required.
+
+    ``position`` is 0 or 1 when the vector is the first or second argument
+    of a two-vector statistic (``pearson``), else None.
+    """
+
+    def __init__(self, what, position=None):
+        self.what, self.position = what, position
         super().__init__(f"{what} has zero variance")
 
 

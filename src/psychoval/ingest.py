@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DuplicateId,
     EmptyAfterDeletion,
     EmptyDataset,
@@ -48,22 +49,21 @@ class SurveyDataset:
 
     def __post_init__(self):
         if self.likert_min >= self.likert_max:
-            raise ValueError("likert_min must be strictly below likert_max")
+            raise ConfigError("likert_min must be strictly below likert_max")
         if len(set(self.items)) != len(self.items):
             raise DuplicateId("item", _first_duplicate(self.items))
         if len(set(self.respondents)) != len(self.respondents):
             raise DuplicateId("respondent", _first_duplicate(self.respondents))
         a = np.asarray(self.values, dtype=float)
         if a.shape != (len(self.respondents), len(self.items)):
-            raise ValueError(
+            raise ConfigError(
                 f"values shape {a.shape} does not match "
                 f"{len(self.respondents)} respondents x {len(self.items)} items"
             )
-        finite = a[~np.isnan(a)]
-        if finite.size and (
-            np.any(finite < self.likert_min) or np.any(finite > self.likert_max)
-        ):
-            raise ValueError("responses outside Likert bounds")
+        outside = (a < self.likert_min) | (a > self.likert_max)
+        if outside.any():
+            i, j = map(int, np.argwhere(outside)[0])
+            raise RangeError(self.respondents[i], self.items[j], a[i, j])
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "values", a)
@@ -180,7 +180,7 @@ def loads_csv(
 
 
 def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> SurveyDataset:
-    reader = csv.reader(fh)
+    reader = _records(csv.reader(fh))
     try:
         header = next(reader)
     except StopIteration:
@@ -192,7 +192,7 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
         raise DuplicateId("item", _first_duplicate(items))
     unknown_reversed = [r for r in reverse_coded if r not in items]
     if unknown_reversed:
-        raise ValueError(f"reverse-coded items not in header: {unknown_reversed}")
+        raise ConfigError(f"reverse-coded items not in header: {unknown_reversed}")
     reflect = {items.index(r) for r in reverse_coded}
 
     respondents: list[str] = []
@@ -235,6 +235,14 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
     )
 
 
+def _records(reader):
+    """The rows of a csv.reader; a malformed line raises ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, "", str(exc)) from None
+
+
 def to_csv(ds: SurveyDataset, id_column: str = "respondent",
            missing_token: str = "NA") -> str:
     """Serialize a dataset back to the CSV dialect read by load_csv.
@@ -260,7 +268,7 @@ def complete_cases(ds: SurveyDataset, policy: str = "listwise") -> AnalysisView:
     exclusion to each item pair, strict raises on any missing value.
     """
     if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+        raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     missing = np.isnan(ds.values)
     if policy == "strict":
         if missing.any():

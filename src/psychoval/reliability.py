@@ -18,6 +18,9 @@ from .core_stats import pearson
 from .errors import InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
 
+# pearson's ZeroVariance.position, named as the occasion it stands for
+_OCCASIONS = ("first", "second")
+
 
 @dataclass(frozen=True)
 class AlphaReport:
@@ -192,12 +195,12 @@ def test_retest(
         try:
             item_r[item] = pearson(a[:, j], b[:, j])
         except ZeroVariance as exc:
-            occasion = "first" if "first" in str(exc) else "second"
+            occasion = _OCCASIONS[exc.position]
             raise ZeroVariance(f"item {item!r} at the {occasion} occasion") from None
     try:
         total_r = pearson(a.sum(axis=1), b.sum(axis=1))
     except ZeroVariance as exc:
-        occasion = "first" if "first" in str(exc) else "second"
+        occasion = _OCCASIONS[exc.position]
         raise ZeroVariance(f"total score at the {occasion} occasion") from None
 
     return RetestReport(

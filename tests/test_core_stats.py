@@ -26,7 +26,7 @@ from psychoval import (
     regularized_gamma_q,
     sym_eigen,
 )
-from psychoval.core_stats import JACOBI_TOL, _round_robin, _sweep_moves
+from psychoval.core_stats import JACOBI_TOL, _cold_eigen, _round_robin, _sweep_moves
 from psychoval.errors import (
     DomainError,
     InsufficientRows,
@@ -79,10 +79,12 @@ class TestPearson:
             pearson([1, 2], [1, 2])
 
     def test_zero_variance(self):
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(ZeroVariance, match="^first vector has zero variance$") as info:
             pearson([3, 3, 3, 3], [1, 2, 3, 4])
-        with pytest.raises(ZeroVariance):
+        assert info.value.position == 0
+        with pytest.raises(ZeroVariance, match="^second vector has zero variance$") as info:
             pearson([1, 2, 3, 4], [5, 5, 5, 5])
+        assert info.value.position == 1
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -149,6 +151,112 @@ class TestCorrelationMatrix:
         data = np.column_stack([np.full(10, 4.0), np.arange(10.0)])
         with pytest.raises(ZeroVariance):
             correlation_matrix(data, ["A", "B"])
+
+
+def likert_table(rng: np.random.Generator, n: int = 600, p: int = 20,
+                 missing: float = 0.10) -> np.ndarray:
+    """Integer 1..7 responses on two correlated factors, a share of cells NaN."""
+    loadings = np.zeros((p, 2))
+    loadings[np.arange(p), np.arange(p) % 2] = rng.uniform(0.3, 0.8, size=p)
+    latent = rng.standard_normal((n, 2)) @ loadings.T + rng.standard_normal((n, p))
+    data = np.clip(np.round(4.0 + 1.5 * latent), 1, 7)
+    data[rng.random((n, p)) < missing] = np.nan
+    return data
+
+
+def joint_oracle(data: np.ndarray, i: int, j: int) -> float:
+    both = ~np.isnan(data[:, i]) & ~np.isnan(data[:, j])
+    return oracles.pearson_definitional(data[both, i], data[both, j])
+
+
+class TestCorrelationMatrixAtScale:
+    """The masked-Gram kernel on a 600 x 20 Likert table with 10 % NA."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        data = likert_table(np.random.default_rng(2024))
+        return data, correlation_matrix(data).values
+
+    def test_matches_oracle_on_jointly_present_rows(self, table):
+        data, R = table
+        assert np.all(np.isfinite(R))
+        assert np.array_equal(np.diag(R), np.ones(20))
+        assert np.array_equal(R, R.T)
+        for i, j in combinations(range(20), 2):
+            assert R[i, j] == pytest.approx(joint_oracle(data, i, j), abs=1e-12)
+
+    def test_column_subset_is_bit_identical_slice(self, table):
+        data, R = table
+        idx = [0, 3, 4, 7, 11, 12, 15, 19]
+        sub = correlation_matrix(data[:, idx]).values
+        assert sub.tobytes() == R[np.ix_(idx, idx)].tobytes()
+
+    def test_column_permutation_is_bit_identical(self, table):
+        data, R = table
+        perm = np.random.default_rng(3).permutation(20)
+        moved = correlation_matrix(data[:, perm]).values
+        assert moved.tobytes() == R[np.ix_(perm, perm)].tobytes()
+
+    def test_memory_layout_is_irrelevant(self, table):
+        data, R = table
+        assert correlation_matrix(np.asfortranarray(data)).values.tobytes() == R.tobytes()
+
+    def test_float_data_far_from_zero(self):
+        rng = np.random.default_rng(11)
+        common = rng.standard_normal((600, 1))
+        data = 1e6 + common + rng.standard_normal((600, 20))
+        data[rng.random(data.shape) < 0.10] = np.nan
+        R = correlation_matrix(data).values
+        for i, j in combinations(range(20), 2):
+            assert R[i, j] == pytest.approx(joint_oracle(data, i, j), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_rows(self):
+        with pytest.raises(InsufficientRows, match="item 'item1' has 0 observations, need 3"):
+            correlation_matrix(np.empty((0, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_missing_column(self):
+        data = likert_table(np.random.default_rng(4), n=50, p=4)
+        data[:, 2] = np.nan
+        with pytest.raises(InsufficientRows, match="item 'C' has 0 observations, need 3"):
+            correlation_matrix(data, ["A", "B", "C", "D"])
+
+    def test_first_short_pair_in_row_major_order(self):
+        data = likert_table(np.random.default_rng(5), n=10, p=4, missing=0.0)
+        data[:6, 1] = np.nan   # B present on rows 6..9
+        data[6:, 2] = np.nan   # C present on rows 0..5: (B, C) share none
+        data[4:, 3] = np.nan   # D present on rows 0..3: (B, D) share none
+        with pytest.raises(InsufficientRows) as info:
+            correlation_matrix(data, ["A", "B", "C", "D"])
+        assert str(info.value) == "pair ('B', 'C') has 0 complete rows, need 3"
+
+    @pytest.mark.parametrize("constant, named", ((1, "B"), (0, "A")))
+    def test_constant_within_pair_names_the_item(self, constant, named):
+        # the constant item varies only on rows where the other is missing
+        data = np.array([[1, 4], [2, 4], [3, 4], [4, 4], [5, 4],
+                         [np.nan, 1], [np.nan, 7]], dtype=float)
+        if constant == 0:
+            data = data[:, ::-1]
+        with pytest.raises(ZeroVariance) as info:
+            correlation_matrix(data, ["A", "B"])
+        assert str(info.value) == (
+            f"item {named!r} within pair ('A', 'B') has zero variance"
+        )
+
+    def test_first_failing_pair_wins_across_kinds(self):
+        # (A, B): B constant on the shared rows; (B, C): too few shared rows
+        data = np.array([[1, 4, np.nan], [2, 4, np.nan], [3, 4, np.nan],
+                         [np.nan, 1, 2], [np.nan, 6, 5], [1, np.nan, 3],
+                         [5, np.nan, 6], [6, np.nan, 1]], dtype=float)
+        with pytest.raises(ZeroVariance) as info:
+            correlation_matrix(data, ["A", "B", "C"])
+        assert str(info.value) == "item 'B' within pair ('A', 'B') has zero variance"
+
+    def test_pair_below_three_rows_with_low_min_rows(self):
+        data = np.array([[1, 2], [2, 1], [3, np.nan], [np.nan, 3]], dtype=float)
+        with pytest.raises(LengthMismatch, match="need at least 3 observations, got 2"):
+            correlation_matrix(data, min_rows=2)
 
 
 class TestSymEigen:
@@ -308,6 +416,45 @@ class TestSymEigenAtScale:
             perm = move[:n] % n
             order = [order[k] for k in perm]
         assert order == list(range(n))
+
+
+class TestSymEigenMemo:
+    """Cold calls keep their last result; warm calls and failures do not."""
+
+    def test_repeated_cold_call_returns_the_same_arrays(self):
+        A = kernel_matrix("correlation", 20, seed=21)
+        first = sym_eigen(SymMatrix(A))
+        again = sym_eigen(SymMatrix(A.copy()))
+        assert again.eigenvalues is first.eigenvalues
+        assert again.eigenvectors is first.eigenvectors
+        assert not again.eigenvectors.flags.writeable
+
+    def test_sweep_budget_is_part_of_the_key(self):
+        A = random_symmetric(np.random.default_rng(8), 20)
+        sym_eigen(SymMatrix(A))
+        for _ in range(2):  # a failure is never remembered
+            with pytest.raises(NoConvergence):
+                sym_eigen(SymMatrix(A), max_sweeps=1)
+
+    def test_warm_call_bypasses_the_memo(self):
+        A = kernel_matrix("correlation", 6, seed=22)
+        cold = sym_eigen(SymMatrix(A))
+        before = _cold_eigen.cache_info()
+        warm = sym_eigen(SymMatrix(A), basis=cold.eigenvectors)
+        assert _cold_eigen.cache_info() == before
+        assert warm.eigenvectors is not cold.eigenvectors
+        assert sym_eigen(SymMatrix(A)) is cold
+
+    def test_key_is_the_exact_bytes(self):
+        # SymMatrix equality takes -0.0 for 0.0; the memo does not
+        A = np.diag([2.0, 1.0])
+        B = A.copy()
+        B[0, 1] = B[1, 0] = -0.0
+        assert SymMatrix(A) == SymMatrix(B)
+        sym_eigen(SymMatrix(A))
+        misses = _cold_eigen.cache_info().misses
+        sym_eigen(SymMatrix(B))
+        assert _cold_eigen.cache_info().misses == misses + 1
 
 
 class TestInverse:

@@ -9,6 +9,7 @@ import pytest
 
 from psychoval import (
     ScaleDefinition,
+    SurveyDataset,
     complete_cases,
     describe,
     load_csv,
@@ -18,6 +19,7 @@ from psychoval import (
     to_csv,
 )
 from psychoval.errors import (
+    ConfigError,
     DuplicateId,
     EmptyAfterDeletion,
     EmptyDataset,
@@ -81,6 +83,10 @@ class TestParsing:
         with pytest.raises(RangeError):
             loads_csv("id,A\nr1,0\nr2,3\nr3,3\n", 1, 7)
 
+    def test_unknown_reverse_coded_item(self):
+        with pytest.raises(ConfigError, match=r"reverse-coded items not in header: \['Z'\]"):
+            loads_csv(CSV_10, 1, 7, reverse_coded=["Z"])
+
     def test_unparseable_cell(self):
         with pytest.raises(ParseError):
             loads_csv("id,A\nr1,x\n", 1, 7)
@@ -110,6 +116,22 @@ class TestParsing:
         assert not np.isnan(ds.values).any()
 
 
+class TestDatasetConstruction:
+    def test_likert_bounds_must_be_ordered(self):
+        with pytest.raises(ConfigError, match="likert_min must be strictly below"):
+            SurveyDataset(("A",), ("r1",), np.array([[3.0]]), 7, 7)
+
+    def test_shape_must_match_labels(self):
+        with pytest.raises(ConfigError, match=r"values shape \(1, 2\) does not match"):
+            SurveyDataset(("A",), ("r1",), np.array([[3.0, 4.0]]), 1, 7)
+
+    def test_first_response_outside_bounds(self):
+        values = np.array([[3.0, np.nan], [9.0, 0.0]])
+        with pytest.raises(RangeError) as info:
+            SurveyDataset(("A", "B"), ("r1", "r2"), values, 1, 7)
+        assert (info.value.row, info.value.item, info.value.value) == ("r2", "A", 9.0)
+
+
 class TestCompleteCases:
     def test_listwise_drops_incomplete_rows(self):
         ds = loads_csv(CSV_10, 1, 7)
@@ -136,6 +158,10 @@ class TestCompleteCases:
     def test_strict_passes_complete_data(self):
         ds = loads_csv("id,A,B\nr1,1,2\nr2,3,4\nr3,5,6\n", 1, 7)
         assert complete_cases(ds, "strict").effective_n == 3
+
+    def test_unknown_policy(self):
+        with pytest.raises(ConfigError, match="unknown policy 'bogus'"):
+            complete_cases(loads_csv(CSV_10, 1, 7), "bogus")
 
     def test_listwise_empty_after_deletion(self):
         ds = loads_csv("id,A,B\nr1,NA,2\nr2,3,NA\nr3,NA,NA\n", 1, 7)

@@ -184,6 +184,17 @@ class TestRetest:
         expected = oracles.pearson_definitional(d1.sum(axis=1), d2.sum(axis=1))
         assert rep.total_r == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("first, second, message", (
+        (["4,1", "4,2", "4,3"], ["1,1", "2,2", "3,3"], "item 'A' at the first occasion"),
+        (["1,1", "2,2", "3,3"], ["1,4", "2,4", "3,4"], "item 'B' at the second occasion"),
+        (["1,4", "2,3", "3,2"], ["1,1", "2,3", "3,2"], "total score at the first occasion"),
+        (["1,1", "2,3", "3,2"], ["2,4", "3,3", "4,2"], "total score at the second occasion"),
+    ))
+    def test_constant_scores_name_the_occasion(self, first, second, message):
+        with pytest.raises(ZeroVariance) as info:
+            retest(self.csv(first), self.csv(second), ScaleDefinition("s", ("A", "B")))
+        assert str(info.value) == f"{message} has zero variance"
+
     def test_no_overlap(self):
         ds1 = self.csv(["1,2", "3,4", "5,6"])
         ds2_raw = self.csv(["1,2", "3,4", "5,6"])

@@ -38,6 +38,7 @@ from .efa import (
     assign_items,
     extract_paf,
     extract_pca,
+    fit_efa,
     retain_kaiser,
     rotate_oblimin,
     rotate_varimax,
@@ -121,6 +122,7 @@ __all__ = [
     "expected_item_means",
     "extract_paf",
     "extract_pca",
+    "fit_efa",
     "generate",
     "inverse",
     "kmo",

@@ -15,16 +15,9 @@ import sys
 from pathlib import Path
 
 from .adequacy import bartlett_sphericity, kmo
-from .core_stats import correlation_matrix, sym_eigen
-from .efa import (
-    extract_paf,
-    extract_pca,
-    retain_kaiser,
-    rotate_oblimin,
-    rotate_varimax,
-    sort_and_sign,
-)
-from .errors import AssumptionsNotMet, BadFactorCount, ConfigError, PsychovalError
+from .core_stats import correlation_matrix
+from .efa import EXTRACTIONS, ROTATIONS, fit_efa
+from .errors import AssumptionsNotMet, ConfigError, PsychovalError
 from .ingest import (
     POLICIES,
     ScaleDefinition,
@@ -35,10 +28,9 @@ from .ingest import (
     to_csv,
 )
 from .pipeline import (
-    EXTRACTIONS,
-    ROTATIONS,
     PipelineConfig,
     _num,
+    _record,
     render_report,
     run_validation,
     solution_to_dict,
@@ -223,20 +215,9 @@ def _cmd_validate(args) -> bytes:
 def _cmd_efa(args) -> bytes:
     ds = _load(args)
     view, R = _view_matrix(args, ds)
-    fixed = PipelineConfig(retention=args.retention).retention_count()
-    if fixed is None:
-        m = retain_kaiser(sym_eigen(R).eigenvalues)
-    elif fixed > ds.p:
-        raise BadFactorCount(f"fixed retention {fixed} exceeds {ds.p} items")
-    else:
-        m = fixed
-    extract = extract_paf if args.extraction == "paf" else extract_pca
-    solution = extract(R, m, items=list(view.items))
-    if args.rotation == "varimax":
-        solution = rotate_varimax(solution)
-    elif args.rotation == "oblimin":
-        solution = rotate_oblimin(solution, gamma=args.gamma)
-    solution = sort_and_sign(solution)
+    solution = fit_efa(
+        R, view.items, args.extraction, args.retention, args.rotation, args.gamma
+    )
     d = solution_to_dict(solution)
     if args.format == "json":
         return _json_bytes(d)
@@ -257,24 +238,7 @@ def _cmd_alpha(args) -> bytes:
     ds = _load(args)
     reports = [cronbach_alpha(ds, sd) for sd in _scale_definitions(args)]
     if args.format == "json":
-        return _json_bytes(
-            [
-                {
-                    "scale": r.scale,
-                    "k": r.k,
-                    "n": r.n,
-                    "alpha_raw": _num(r.alpha_raw),
-                    "alpha_standardized": _num(r.alpha_standardized),
-                    "item_total_correlations": {
-                        k: _num(v) for k, v in r.item_total_correlations.items()
-                    },
-                    "alpha_if_deleted": {
-                        k: _num(v) for k, v in r.alpha_if_deleted.items()
-                    },
-                }
-                for r in reports
-            ]
-        )
+        return _json_bytes([_record(r) for r in reports])
     lines = []
     for r in reports:
         lines.append(
@@ -297,19 +261,7 @@ def _cmd_retest(args) -> bytes:
     ds2 = load_csv(args.t2, lo, hi, missing_token=args.missing)
     reports = [test_retest(ds1, ds2, sd) for sd in _scale_definitions(args)]
     if args.format == "json":
-        return _json_bytes(
-            [
-                {
-                    "scale": r.scale,
-                    "matched_n": r.matched_n,
-                    "dropped_first": r.dropped_first,
-                    "dropped_second": r.dropped_second,
-                    "item_r": {k: _num(v) for k, v in r.item_r.items()},
-                    "total_r": _num(r.total_r),
-                }
-                for r in reports
-            ]
-        )
+        return _json_bytes([_record(r) for r in reports])
     lines = []
     for r in reports:
         lines.append(

@@ -65,14 +65,6 @@ class SymMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def is_correlation(self, atol: float = 1e-8) -> bool:
-        """Unit diagonal and off-diagonals within [-1, 1]."""
-        v = self.values
-        return bool(
-            np.allclose(np.diag(v), 1.0, atol=atol)
-            and np.all(np.abs(v) <= 1.0 + atol)
-        )
-
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and np.array_equal(self.values, other.values)
 

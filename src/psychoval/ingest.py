@@ -176,7 +176,8 @@ def loads_csv(
     reverse_coded: Sequence[str] = (),
 ) -> SurveyDataset:
     """Same as load_csv but from an in-memory string."""
-    return _parse_csv(io.StringIO(text), likert_min, likert_max, missing_token, reverse_coded)
+    fh = io.StringIO(text, newline="")  # untranslated line ends, as in load_csv
+    return _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded)
 
 
 def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> SurveyDataset:

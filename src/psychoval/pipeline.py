@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,29 +25,20 @@ from .adequacy import (
     msa_prune,
     sample_adequacy_advice,
 )
-from .core_stats import correlation_matrix, sym_eigen
+# sym_eigen is unused here but stays bound: perfbench's tracer tests wrap it
+from .core_stats import correlation_matrix, sym_eigen  # noqa: F401
 from .efa import (
+    EXTRACTIONS,
+    ROTATIONS,
     FactorSolution,
     assign_items,
-    extract_paf,
-    extract_pca,
-    retain_kaiser,
-    rotate_oblimin,
-    rotate_varimax,
-    sort_and_sign,
+    fit_efa,
+    fixed_count,
 )
-from .errors import (
-    AssumptionsNotMet,
-    BadFactorCount,
-    CannotReachThreshold,
-    ConfigError,
-    PsychovalError,
-)
+from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
 from .ingest import POLICIES, ScaleDefinition, SurveyDataset, complete_cases
 from .reliability import cronbach_alpha
 
-EXTRACTIONS = ("paf", "pca")
-ROTATIONS = ("oblimin", "varimax", "none")
 STAGES = (
     "policy",
     "correlation",
@@ -92,24 +82,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown rotation {self.rotation!r}")
         if not 0.0 < self.loading_cutoff < 1.0:
             raise ConfigError("loading_cutoff must lie in (0, 1)")
-        self.retention_count()
-
-    def retention_count(self) -> int | None:
-        """None for the eigenvalue rule, k for a fixed factor count."""
-        if self.retention == "kaiser":
-            return None
-        head, sep, tail = self.retention.partition(":")
-        if head == "fixed" and sep:
-            try:
-                k = int(tail)
-            except ValueError:
-                raise ConfigError(
-                    f"retention {self.retention!r} needs an integer count"
-                ) from None
-            if k < 1:
-                raise ConfigError("fixed retention count must be at least 1")
-            return k
-        raise ConfigError(f"unknown retention rule {self.retention!r}")
+        fixed_count(self.retention)
 
     def to_dict(self) -> dict:
         return {
@@ -163,10 +136,7 @@ class ValidationReport:
                 "kmo_overall": _num(self.adequacy.kmo_overall),
                 "msa": {k: _num(v) for k, v in self.adequacy.msa_per_item.items()},
             },
-            "prune_trail": [
-                {"item": s.item, "msa": _num(s.msa), "kmo_after": _num(s.kmo_after)}
-                for s in self.prune_steps
-            ],
+            "prune_trail": [_record(s) for s in self.prune_steps],
             "solution": solution_to_dict(sol),
             "scales": [
                 {
@@ -180,14 +150,7 @@ class ValidationReport:
                 }
                 for s in self.scales
             ],
-            "advice": {
-                "mean_communality": _num(self.advice.mean_communality),
-                "communality_band": self.advice.communality_band,
-                "items_per_factor": _num(self.advice.items_per_factor),
-                "n": self.advice.n,
-                "caution": self.advice.caution,
-                "note": self.advice.note,
-            },
+            "advice": _record(self.advice),
             "warnings": list(self.warnings),
             "config": self.config.to_dict(),
             "stages": list(self.stages),
@@ -226,18 +189,21 @@ def _num(value) -> float | int | None:
     return None if math.isnan(value) else value
 
 
+def _record(obj) -> dict:
+    """A dataclass as a JSON object: its fields in order, numbers through _num."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, dict):
+            value = {k: _num(v) for k, v in value.items()}
+        elif not isinstance(value, (str, bool)):
+            value = _num(value)
+        out[f.name] = value
+    return out
+
+
 def _matrix(a: np.ndarray) -> list[list[float]]:
     return [[_num(v) for v in row] for row in np.atleast_2d(a)]
-
-
-@contextmanager
-def _stage(name: str):
-    """Tag any domain error with the stage that raised it."""
-    try:
-        yield
-    except PsychovalError as exc:
-        exc.stage = name
-        raise
 
 
 def run_validation(
@@ -261,14 +227,14 @@ def run_validation(
         if message not in warnings:
             warnings.append(message)
 
-    with _stage("policy"):
+    with stage("policy"):
         view = complete_cases(ds, cfg.policy)
     n_eff = view.effective_n
 
-    with _stage("correlation"):
+    with stage("correlation"):
         R = correlation_matrix(view.data, list(view.items))
 
-    with _stage("bartlett"):
+    with stage("bartlett"):
         chi2, df, pval = bartlett_sphericity(R, n_eff)
         if pval > cfg.bartlett_alpha:
             message = (
@@ -279,7 +245,7 @@ def run_validation(
                 raise AssumptionsNotMet(message)
             warn(f"AssumptionsNotMet: {message}; continuing because force is set")
 
-    with _stage("kmo"):
+    with stage("kmo"):
         kmo_overall, msa, _ = kmo(R, list(view.items))
     adequacy = AdequacyReport(
         n=n_eff,
@@ -291,7 +257,7 @@ def run_validation(
         msa_per_item=msa,
     )
 
-    with _stage("prune"):
+    with stage("prune"):
         try:
             trail = msa_prune(view, cfg.msa_threshold)
         except CannotReachThreshold as exc:
@@ -308,36 +274,16 @@ def run_validation(
             idx = [list(view.items).index(it) for it in retained]
             R_work = correlation_matrix(view.data[:, idx], retained)
 
-    with _stage("retention"):
-        spectrum = sym_eigen(R_work).eigenvalues
-        fixed = cfg.retention_count()
-        if fixed is None:
-            m = retain_kaiser(spectrum)
-            if not np.any(spectrum > 1.0):
-                warn("ForcedRetention: no eigenvalue exceeds 1; retaining one factor")
-        else:
-            if fixed > len(retained):
-                raise BadFactorCount(
-                    f"fixed retention {fixed} exceeds {len(retained)} items"
-                )
-            m = fixed
+    # tags its own errors: retention, extraction, rotation
+    solution = fit_efa(
+        R_work, retained, cfg.extraction, cfg.retention, cfg.rotation, cfg.gamma
+    )
+    if cfg.retention == "kaiser" and not np.any(solution.eigenvalues > 1.0):
+        warn("ForcedRetention: no eigenvalue exceeds 1; retaining one factor")
+    if solution.heywood:
+        warn("HeywoodCase: a communality reached 1 during factoring and was clamped")
 
-    with _stage("extraction"):
-        extract = extract_paf if cfg.extraction == "paf" else extract_pca
-        solution = extract(R_work, m, items=retained)
-        if solution.heywood:
-            warn("HeywoodCase: a communality reached 1 during factoring and was clamped")
-
-    with _stage("rotation"):
-        if cfg.rotation == "varimax":
-            solution = rotate_varimax(solution)
-        elif cfg.rotation == "oblimin":
-            solution = rotate_oblimin(solution, gamma=cfg.gamma)
-
-    with _stage("canonicalize"):
-        solution = sort_and_sign(solution)
-
-    with _stage("assignment"):
+    with stage("assignment"):
         assignments = assign_items(solution, cfg.loading_cutoff)
         cross = [a.item for a in assignments.values() if a.status == "cross_loaded"]
         loose = [a.item for a in assignments.values() if a.status == "unassigned"]
@@ -349,7 +295,7 @@ def run_validation(
                 + ", ".join(loose)
             )
 
-    with _stage("reliability"):
+    with stage("reliability"):
         scales: list[FactorScale] = []
         for k in range(solution.m):
             name = f"F{k + 1}"
@@ -378,7 +324,7 @@ def run_validation(
                 )
             )
 
-    with _stage("advice"):
+    with stage("advice"):
         advice = sample_adequacy_advice(solution, n_eff)
         if advice.caution:
             warn("SampleSizeCaution: " + advice.note)

@@ -103,6 +103,9 @@ class FactorModelSpec:
         phi = np.eye(m) if self.phi is None else np.asarray(self.phi, dtype=float)
         if phi.shape != (m, m):
             raise ConfigError("phi shape does not match the factor count")
+        for name, a in (("loadings", L), ("phi", phi)):
+            if not np.isfinite(a).all():
+                raise ConfigError(f"{name} must be finite")
         if np.max(np.abs(phi - phi.T)) > 1e-8:
             raise ConfigError("phi must be symmetric")
         if np.max(np.abs(np.diag(phi) - 1.0)) > 1e-8:

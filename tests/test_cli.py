@@ -116,6 +116,33 @@ class TestValidate:
         assert doc["config"]["rotation"] == "varimax"
 
 
+class TestEfaMatchesValidate:
+    """efa and validate share one EFA path, so their solutions agree exactly."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--rotation", "varimax"],
+            ["--extraction", "pca", "--rotation", "none"],
+            ["--retention", "fixed:3", "--gamma", "0.5"],
+        ],
+    )
+    def test_efa_json_is_validate_solution(self, capsys, demo_csv, flags):
+        code, efa_out, _ = run(capsys, "efa", "-i", demo_csv, "-f", "json", *flags)
+        assert code == 0
+        code, validate_out, _ = run(capsys, "validate", "-i", demo_csv,
+                                    "-f", "json", *flags)
+        assert code == 0
+        assert json.loads(efa_out) == json.loads(validate_out)["solution"]
+
+    def test_efa_fixed_count_above_items_is_one_line(self, capsys, demo_csv):
+        code, out, err = run(capsys, "efa", "-i", demo_csv, "--retention", "fixed:9")
+        assert code == 1
+        assert err == "BadFactorCount: fixed retention 9 exceeds 6 items [stage: retention]\n"
+        assert out == ""
+
+
 class TestSimulate:
     MODEL = "demo_model.txt"
 

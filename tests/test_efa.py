@@ -20,14 +20,17 @@ from psychoval import (
     correlation_matrix,
     extract_paf,
     extract_pca,
+    fit_efa,
     generate,
     retain_kaiser,
     rotate_oblimin,
     rotate_varimax,
     sort_and_sign,
+    sym_eigen,
     varimax_criterion,
 )
-from psychoval.errors import BadFactorCount
+from psychoval.efa import fixed_count
+from psychoval.errors import BadFactorCount, ConfigError
 from tests import oracles
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import ATTENUATED_PHI, ROUND_TRIP_SEED
@@ -215,6 +218,50 @@ class TestRetention:
 
     def test_all_below_one_keeps_one(self):
         assert retain_kaiser([0.9, 0.6, 0.5]) == 1
+
+
+class TestFitEfa:
+    R = population_matrix(two_block_loadings(), np.array([[1.0, 0.3], [0.3, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "rotation, gamma",
+        [("oblimin", 0.0), ("oblimin", 0.5), ("varimax", 0.0), ("none", 0.0)],
+    )
+    def test_matches_manual_composition(self, rotation, gamma):
+        R = self.R
+        m = retain_kaiser(sym_eigen(R).eigenvalues)
+        manual = extract_paf(R, m, items=ITEMS6)
+        if rotation == "varimax":
+            manual = rotate_varimax(manual)
+        elif rotation == "oblimin":
+            manual = rotate_oblimin(manual, gamma=gamma)
+        manual = sort_and_sign(manual)
+        sol = fit_efa(R, ITEMS6, rotation=rotation, gamma=gamma)
+        assert sol.m == 2
+        assert sol.rotation == manual.rotation
+        assert np.array_equal(sol.loadings, manual.loadings)
+        assert np.array_equal(sol.phi, manual.phi)
+        assert np.array_equal(sol.eigenvalues, sym_eigen(R).eigenvalues)
+
+    def test_fixed_count_keeps_full_spectrum(self):
+        sol = fit_efa(self.R, ITEMS6, extraction="pca", retention="fixed:3",
+                      rotation="none")
+        assert sol.m == 3
+        assert sol.eigenvalues.shape == (6,)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"extraction": "ml"}, {"rotation": "promax"}, {"retention": "parallel"}],
+    )
+    def test_unknown_method_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            fit_efa(self.R, ITEMS6, **kwargs)
+
+    def test_fixed_count_parser(self):
+        assert fixed_count("kaiser") is None
+        assert fixed_count("fixed:3") == 3
+        with pytest.raises(ConfigError):
+            fixed_count("fixed")  # rule name without a count
 
 
 class TestVarimax:

@@ -109,6 +109,17 @@ class TestParsing:
         ds = load_csv(path, 1, 7)
         assert ds.n == 10
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_string_and_file_agree_on_line_ends(self, tmp_path, end):
+        text = end.join(["id,A,B", "r1,1,2", "r2,NA,7", "r3,4,4"]) + end
+        path = tmp_path / "survey.csv"
+        path.write_bytes(text.encode("utf-8"))
+        from_text = loads_csv(text, 1, 7)
+        from_file = load_csv(path, 1, 7)
+        assert from_text.items == from_file.items == ("A", "B")
+        assert from_text.respondents == from_file.respondents == ("r1", "r2", "r3")
+        assert np.array_equal(from_text.values, from_file.values, equal_nan=True)
+
     def test_committed_demo_fixture_loads(self, data_dir):
         ds = load_csv(data_dir / "demo_survey.csv", 1, 7)
         assert ds.items == tuple("ABCDEF")

@@ -10,6 +10,7 @@ import pytest
 from psychoval import (
     FactorModelSpec,
     PipelineConfig,
+    SurveyDataset,
     assign_items,
     complete_cases,
     correlation_matrix,
@@ -22,7 +23,13 @@ from psychoval import (
     run_validation,
     sort_and_sign,
 )
-from psychoval.errors import AssumptionsNotMet, ConfigError
+from psychoval import efa
+from psychoval.errors import (
+    AssumptionsNotMet,
+    BadFactorCount,
+    ConfigError,
+    NoConvergence,
+)
 from psychoval.pipeline import STAGES
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import PRUNE_SEED
@@ -94,6 +101,31 @@ class TestSphericityGate:
                              rotation="none", retention="fixed:1")
         report = run_validation(noise_dataset, cfg)
         assert report.adequacy.bartlett_p > 0.99
+
+
+class TestStageTags:
+    def test_retention_error_tagged(self, two_factor_dataset):
+        with pytest.raises(BadFactorCount) as exc_info:
+            run_validation(two_factor_dataset, PipelineConfig(retention="fixed:9"))
+        assert exc_info.value.stage == "retention"
+
+    @pytest.mark.parametrize(
+        "target, cfg, stage",
+        [
+            ("extract_paf", PipelineConfig(), "extraction"),
+            ("rotate_varimax", PipelineConfig(rotation="varimax"), "rotation"),
+            ("rotate_oblimin", PipelineConfig(), "rotation"),
+        ],
+    )
+    def test_no_convergence_tagged(self, monkeypatch, two_factor_dataset,
+                                   target, cfg, stage):
+        def stuck(*args, **kwargs):
+            raise NoConvergence(f"{target}: stuck", residual=1.0)
+
+        monkeypatch.setattr(efa, target, stuck)
+        with pytest.raises(NoConvergence) as exc_info:
+            run_validation(two_factor_dataset, cfg)
+        assert exc_info.value.stage == stage
 
 
 class TestConfigPassThrough:
@@ -273,3 +305,87 @@ class TestConfigValidation:
         assert cfg.rotation == "oblimin"
         assert cfg.retention == "kaiser"
         assert cfg.bartlett_alpha == 0.05
+
+
+def _with_missing(ds: SurveyDataset, share: float, seed: int) -> SurveyDataset:
+    values = ds.values.copy()
+    values[np.random.default_rng(seed).random(values.shape) < share] = np.nan
+    return SurveyDataset(ds.items, ds.respondents, values, ds.likert_min, ds.likert_max)
+
+
+def _assert_close(a, b, path="report"):
+    """Equal structure and non-float leaves; floats within 1e-10."""
+    if isinstance(a, dict):
+        assert list(a) == list(b), path
+        for k in a:
+            _assert_close(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= 1e-10, path
+    else:
+        assert a == b, path
+
+
+class TestInvariance:
+    """Relabeling items or shifting the Likert scale changes no statistic."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("listwise", "oblimin", None),
+            ("pairwise", "varimax", 0.1),
+        ],
+        ids=["listwise-oblimin", "pairwise-varimax-missing"],
+    )
+    def case(self, request):
+        policy, rotation, missing = request.param
+        L = np.zeros((7, 2))
+        L[:3, 0] = 0.8
+        L[3:6, 1] = 0.8
+        spec = FactorModelSpec(loadings=L, n=400, seed=PRUNE_SEED,
+                               items=tuple("ABCDEFG"))
+        ds = generate(spec)
+        if missing:
+            ds = _with_missing(ds, missing, seed=5)
+        cfg = PipelineConfig(policy=policy, rotation=rotation)
+        return ds, cfg, run_validation(ds, cfg)
+
+    def test_item_permutation(self, case):
+        ds, cfg, base = case
+        perm = [4, 6, 0, 2, 5, 1, 3]
+        permuted = SurveyDataset(
+            tuple(ds.items[j] for j in perm), ds.respondents,
+            ds.values[:, perm], ds.likert_min, ds.likert_max,
+        )
+        report = run_validation(permuted, cfg)
+        assert [s.item for s in report.prune_steps] == [s.item for s in base.prune_steps]
+        for item, value in base.adequacy.msa_per_item.items():
+            assert abs(report.adequacy.msa_per_item[item] - value) <= 1e-10
+        assert np.max(np.abs(report.solution.eigenvalues - base.solution.eigenvalues)) <= 1e-10
+        sol, ref = report.solution, base.solution
+        assert set(sol.items) == set(ref.items) and sol.items != ref.items
+        rows = [sol.items.index(it) for it in ref.items]
+        assert np.max(np.abs(sol.loadings[rows] - ref.loadings)) <= 1e-10
+        assert np.max(np.abs(sol.communalities[rows] - ref.communalities)) <= 1e-10
+        assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-10
+        for got, want in zip(report.scales, base.scales):
+            assert got.name == want.name and set(got.items) == set(want.items)
+            assert abs(got.alpha_raw - want.alpha_raw) <= 1e-10
+            assert abs(got.alpha_standardized - want.alpha_standardized) <= 1e-10
+
+    @pytest.mark.parametrize("shift", [-1, 3])
+    def test_likert_shift(self, case, shift):
+        ds, cfg, base = case
+        shifted = SurveyDataset(ds.items, ds.respondents, ds.values + shift,
+                                ds.likert_min + shift, ds.likert_max + shift)
+        view, shifted_view = complete_cases(ds, cfg.policy), complete_cases(shifted, cfg.policy)
+        items = list(view.items)
+        R = correlation_matrix(view.data, items)
+        assert np.array_equal(correlation_matrix(shifted_view.data, items).values, R.values)
+        got, want = run_validation(shifted, cfg).to_dict(), base.to_dict()
+        for key in ("likert_min", "likert_max"):
+            assert got["dataset"].pop(key) == want["dataset"].pop(key) + shift
+        _assert_close(got, want)

@@ -153,6 +153,19 @@ class TestSpecValidation:
             FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
                             items=("A", "B"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["loadings", "phi"])
+    def test_non_finite_entry_rejected(self, block, value):
+        loadings = "  0.6 0.2\n  0.1 0.5\n"
+        phi = "  1 0.3\n  0.3 1\n"
+        if block == "loadings":
+            loadings = loadings.replace("0.6", value)
+        else:
+            phi = phi.replace("0.3", value)
+        text = f"n: 5\nloadings:\n{loadings}phi:\n{phi}"
+        with pytest.raises(ConfigError, match=f"{block} must be finite"):
+            parse_model(text)
+
 
 class TestThresholds:
     def test_equal_probability_cuts_are_symmetric_quantiles(self):

@@ -1,0 +1,162 @@
+"""Digest of the CLI's output over a fixed list of invocations on data/.
+
+Runs every invocation in INVOCATIONS in-process through psychoval.cli.main
+and prints one line per run:
+
+    <exit code> <sha256(stdout)[:16]> <last stderr line> | <argv>
+
+A run whose main raises instead of returning prints ``raise`` as its exit
+code and the exception as its stderr line. Output is byte-stable, so a
+before/after check of a change to the CLI or the report encoders is the
+diff of two runs:
+
+    python3 scripts/cli_digest.py > after.txt
+
+Run it from any directory; paths are relative to the repository root.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEMO = "data/demo_survey.csv"
+NOISE = "data/noise_survey.csv"
+ONE = "data/one_item_survey.csv"
+SCALES = "data/demo_scales.txt"
+
+# model flag sets run through both validate and efa, in text and JSON
+MODEL_FLAGS = (
+    (),
+    ("--rotation", "varimax"),
+    ("--rotation", "none"),
+    ("--gamma", "0.5"),
+    ("--extraction", "pca"),
+    ("--extraction", "pca", "--rotation", "varimax"),
+    ("--extraction", "pca", "--rotation", "none"),
+    ("--retention", "fixed:1"),
+    ("--retention", "fixed:3"),
+    ("--retention", "fixed:3", "--gamma", "0.5"),
+    ("--policy", "pairwise"),
+    ("--policy", "pairwise", "--rotation", "varimax", "--retention", "fixed:2"),
+)
+
+# inputs every subcommand must refuse with one line (or a usage error)
+BAD_MODEL_FLAGS = (
+    ("--retention", "bogus"),
+    ("--retention", "fixed:0"),
+    ("--retention", "fixed:9"),
+    ("--retention", "fixed:x"),
+    ("--gamma", "nan"),
+    ("--gamma", "inf"),
+    ("--gamma=-inf",),
+    ("--gamma", "nan", "--rotation", "varimax"),
+)
+
+
+def _invocations() -> list[tuple[str, ...]]:
+    runs: list[tuple[str, ...]] = []
+    for command in ("validate", "efa"):
+        for flags in MODEL_FLAGS:
+            for fmt in ("text", "json"):
+                runs.append((command, "-i", DEMO, *flags, "-f", fmt))
+        for flags in BAD_MODEL_FLAGS:
+            for fmt in ("text", "json"):
+                runs.append((command, "-i", DEMO, *flags, "-f", fmt))
+        for fmt in ("text", "json"):
+            runs.append((command, "-i", ONE, "-f", fmt))
+    for flags in (
+        (),
+        ("--force",),
+        ("--force", "--rotation", "varimax"),
+        ("--force", "--extraction", "pca"),
+        ("--force", "--msa-threshold", "0", "--retention", "fixed:1"),
+    ):
+        for fmt in ("text", "json"):
+            runs.append(("validate", "-i", NOISE, *flags, "-f", fmt))
+    for fmt in ("text", "json"):
+        runs.append(("efa", "-i", NOISE, "-f", fmt))
+        runs.append(("alpha", "-i", DEMO, "--scales", SCALES, "-f", fmt))
+        runs.append(("alpha", "-i", DEMO, "--items", "A,B", "--name", "pair",
+                     "-f", fmt))
+        runs.append(("retest", "--t1", DEMO, "--t2", DEMO, "--scales", SCALES,
+                     "-f", fmt))
+        runs.append(("retest", "--t1", DEMO, "--t2", NOISE, "--items", "A,B,C",
+                     "-f", fmt))
+        for path in (DEMO, NOISE, ONE):
+            runs.append(("kmo", "-i", path, "-f", fmt))
+            runs.append(("bartlett", "-i", path, "-f", fmt))
+            runs.append(("describe", "-i", path, "-f", fmt))
+        runs.append(("kmo", "-i", NOISE, "--policy", "pairwise", "-f", fmt))
+        runs.append(("bartlett", "-i", DEMO, "--alpha", "5", "-f", fmt))
+    runs += [
+        ("alpha", "-i", DEMO, "--items", "A,Z"),
+        ("alpha", "-i", ONE, "--items", "A"),
+        ("describe", "-i", "data/no_such_file.csv"),
+        ("validate", "-i", DEMO, "--likert", "1:3"),
+        ("validate", "-i", DEMO, "--likert", "17"),
+        ("validate", "-i", DEMO, "--alpha", "2"),
+        ("validate", "-i", DEMO, "--cutoff", "nan"),
+        ("validate", "-i", DEMO, "--msa-threshold", "1"),
+        ("efa", "-i", DEMO, "--rotation", "promax"),
+        ("simulate", "--spec", "data/demo_model.txt", "-n", "50", "-s", "3"),
+        ("simulate", "--spec", "data/noise_model.txt", "-n", "20"),
+        ("frobnicate",),
+        (),
+    ]
+    return runs
+
+
+INVOCATIONS = _invocations()
+
+
+def run(argv) -> tuple[int | str, bytes, str]:
+    """One in-process CLI run: (exit code or "raise", stdout bytes, stderr)."""
+    from psychoval.cli import main
+
+    out = io.BytesIO()
+    err = io.StringIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        try:
+            code: int | str = main(list(argv))
+        except Exception as exc:  # the digest records what escapes main
+            code = "raise"
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        stdout.flush()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest_line(argv) -> str:
+    code, out, err = run(argv)
+    lines = err.splitlines()
+    last = lines[-1] if lines else "-"
+    return f"{code} {hashlib.sha256(out).hexdigest()[:16]} {last} | {' '.join(argv)}"
+
+
+def _show_warning(message, category, *_args, **_kwargs) -> None:
+    # one line without the source path, so digests from two checkouts diff
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
+    os.environ.pop("PSYCHOVAL_SEED", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # every run reports its own warnings
+        warnings.showwarning = _show_warning
+        for argv in INVOCATIONS:
+            print(digest_line(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,9 @@ from .core_stats import (
     inverse,
     log_determinant,
 )
-from .errors import CannotReachThreshold, NotPositiveDefinite, SampleTooSmall
+from .errors import (
+    CannotReachThreshold, NotPositiveDefinite, SampleTooSmall, TooFewItems,
+)
 from .ingest import AnalysisView
 
 MIN_ITEMS_AFTER_PRUNE = 3
@@ -79,9 +81,12 @@ def bartlett_sphericity(R: SymMatrix, n: int) -> tuple[float, int, float]:
 
     chi2 = -(n - 1 - (2p + 5)/6) * ln|R| with df = p(p-1)/2. An identity
     matrix gives chi2 = 0, p-value 1; any correlation structure pushes the
-    determinant below 1 and the statistic up.
+    determinant below 1 and the statistic up. Below 2 items there is no
+    correlation to test (df = 0), so it raises TooFewItems.
     """
     p = R.dim
+    if p < 2:
+        raise TooFewItems(f"bartlett needs >= 2 items, got {p}")
     if n <= p:
         raise SampleTooSmall(f"n = {n} must exceed the item count p = {p}")
     log_det = log_determinant(R)
@@ -99,10 +104,13 @@ def kmo(R: SymMatrix, items: list[str] | None = None
     is q_ij = -S_ij / sqrt(S_ii * S_jj). KMO compares squared raw against
     squared partial correlations: sum r^2 / (sum r^2 + sum q^2) over
     off-diagonal entries, overall and restricted to each item's row.
-    Raises NotPositiveDefinite when a diagonal entry of R^-1 is not
-    positive, which only an indefinite R allows.
+    Raises TooFewItems below 2 items (no off-diagonal entries) and
+    NotPositiveDefinite when a diagonal entry of R^-1 is not positive,
+    which only an indefinite R allows.
     """
     p = R.dim
+    if p < 2:
+        raise TooFewItems(f"kmo needs >= 2 items, got {p}")
     names = list(items) if items is not None else [f"item{j + 1}" for j in range(p)]
     s = inverse(R).values
     s_diag = np.diag(s)

@@ -9,7 +9,6 @@ default simulation seed; an explicit --seed wins.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,8 +28,8 @@ from .ingest import (
 )
 from .pipeline import (
     PipelineConfig,
-    _num,
     _record,
+    json_bytes,
     render_report,
     run_validation,
     solution_to_dict,
@@ -191,10 +190,6 @@ def _scale_definitions(args) -> list[ScaleDefinition]:
     return [ScaleDefinition(args.name, items)]
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8")
-
-
 def _cmd_validate(args) -> bytes:
     ds = _load(args)
     cfg = PipelineConfig(
@@ -220,7 +215,7 @@ def _cmd_efa(args) -> bytes:
     )
     d = solution_to_dict(solution)
     if args.format == "json":
-        return _json_bytes(d)
+        return json_bytes(d)
     lines = [f"extraction={d['extraction']} rotation={d['rotation']} m={d['m']}"]
     lines.append("eigenvalues: " + " ".join(f"{v:.4f}" for v in d["eigenvalues"]))
     width = max(len(i) for i in solution.items)
@@ -238,7 +233,7 @@ def _cmd_alpha(args) -> bytes:
     ds = _load(args)
     reports = [cronbach_alpha(ds, sd) for sd in _scale_definitions(args)]
     if args.format == "json":
-        return _json_bytes([_record(r) for r in reports])
+        return json_bytes(_record(reports))
     lines = []
     for r in reports:
         lines.append(
@@ -261,7 +256,7 @@ def _cmd_retest(args) -> bytes:
     ds2 = load_csv(args.t2, lo, hi, missing_token=args.missing)
     reports = [test_retest(ds1, ds2, sd) for sd in _scale_definitions(args)]
     if args.format == "json":
-        return _json_bytes([_record(r) for r in reports])
+        return json_bytes(_record(reports))
     lines = []
     for r in reports:
         lines.append(
@@ -278,9 +273,7 @@ def _cmd_kmo(args) -> bytes:
     view, R = _view_matrix(args, ds)
     overall, msa, _ = kmo(R, list(view.items))
     if args.format == "json":
-        return _json_bytes(
-            {"kmo_overall": _num(overall), "msa": {k: _num(v) for k, v in msa.items()}}
-        )
+        return json_bytes(_record({"kmo_overall": overall, "msa": msa}))
     lines = [f"kmo overall: {overall:.4f}"]
     width = max(len(i) for i in msa)
     for item, value in msa.items():
@@ -299,7 +292,7 @@ def _cmd_bartlett(args) -> bytes:
             f"sphericity not significant (p = {p:.6g} > alpha = {args.alpha:g})"
         )
     if args.format == "json":
-        return _json_bytes({"chi2": _num(chi2), "df": df, "p": _num(p)})
+        return json_bytes(_record({"chi2": chi2, "df": df, "p": p}))
     return f"bartlett: chi2({df}) = {chi2:.4f}, p = {p:.6g}\n".encode("utf-8")
 
 
@@ -319,20 +312,7 @@ def _cmd_describe(args) -> bytes:
     ds = _load(args)
     summaries = describe(ds)
     if args.format == "json":
-        return _json_bytes(
-            [
-                {
-                    "item": s.item,
-                    "n": s.n,
-                    "missing": s.missing,
-                    "mean": _num(s.mean),
-                    "sd": _num(s.sd),
-                    "min": _num(s.min),
-                    "max": _num(s.max),
-                }
-                for s in summaries
-            ]
-        )
+        return json_bytes(_record(summaries))
     width = max(len(s.item) for s in summaries)
     lines = [f"  {'item':<{width}} {'n':>6} {'miss':>5} {'mean':>8} {'sd':>8} "
              f"{'min':>5} {'max':>5}"]

@@ -242,16 +242,19 @@ def fit_efa(
 ) -> FactorSolution:
     """Retention, extraction, rotation and canonical form on one matrix.
 
-    Domain errors carry the stage that raised them ("retention",
-    "extraction" or "rotation"). The solution's eigenvalues are the full
-    spectrum of R that the retention rule saw.
+    Bad names and values raise an untagged ConfigError; domain errors
+    carry the stage that raised them ("retention", "extraction" or
+    "rotation"). The solution's eigenvalues are the full spectrum of R
+    that the retention rule saw.
     """
     if extraction not in EXTRACTIONS:
         raise ConfigError(f"unknown extraction {extraction!r}")
     if rotation not in ROTATIONS:
         raise ConfigError(f"unknown rotation {rotation!r}")
+    if not math.isfinite(gamma):
+        raise ConfigError("gamma must be finite")
+    fixed = fixed_count(retention)
     with stage("retention"):
-        fixed = fixed_count(retention)
         # decomposed under fixed:k too, so the per-run sym_eigen call count
         # that perfbench checks does not depend on the rule
         spectrum = sym_eigen(R).eigenvalues

@@ -294,15 +294,15 @@ def complete_cases(ds: SurveyDataset, policy: str = "listwise") -> AnalysisView:
 class ItemSummary:
     item: str
     n: int
+    missing: int
     mean: float
     sd: float
     min: float
     max: float
-    missing: int
 
 
 def describe(ds: SurveyDataset) -> list[ItemSummary]:
-    """Per-item summary (n, mean, sd with n-1 denominator, min, max, missing)."""
+    """Per-item summary (n, missing, mean, sd with n-1 denominator, min, max)."""
     if ds.n == 0 or ds.p == 0:
         raise EmptyDataset("dataset has no rows or no items")
     out = []
@@ -311,18 +311,18 @@ def describe(ds: SurveyDataset) -> list[ItemSummary]:
         obs = col[~np.isnan(col)]
         n = int(obs.size)
         if n == 0:
-            out.append(ItemSummary(item, 0, math.nan, math.nan, math.nan, math.nan, ds.n))
+            out.append(ItemSummary(item, 0, ds.n, math.nan, math.nan, math.nan, math.nan))
             continue
         sd = float(np.std(obs, ddof=1)) if n > 1 else math.nan
         out.append(
             ItemSummary(
                 item=item,
                 n=n,
+                missing=ds.n - n,
                 mean=float(np.mean(obs)),
                 sd=sd,
                 min=float(np.min(obs)),
                 max=float(np.max(obs)),
-                missing=ds.n - n,
             )
         )
     return out

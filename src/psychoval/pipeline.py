@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -80,22 +80,14 @@ class PipelineConfig:
             raise ConfigError(f"unknown extraction {self.extraction!r}")
         if self.rotation not in ROTATIONS:
             raise ConfigError(f"unknown rotation {self.rotation!r}")
+        if not math.isfinite(self.gamma):
+            raise ConfigError("gamma must be finite")
         if not 0.0 < self.loading_cutoff < 1.0:
             raise ConfigError("loading_cutoff must lie in (0, 1)")
         fixed_count(self.retention)
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "bartlett_alpha": self.bartlett_alpha,
-            "msa_threshold": self.msa_threshold,
-            "extraction": self.extraction,
-            "retention": self.retention,
-            "rotation": self.rotation,
-            "gamma": self.gamma,
-            "loading_cutoff": self.loading_cutoff,
-            "force": self.force,
-        }
+        return _record(self)
 
 
 @dataclass(frozen=True)
@@ -124,37 +116,24 @@ class ValidationReport:
     stages: tuple[str, ...] = STAGES
 
     def to_dict(self) -> dict:
-        sol = self.solution
-        return {
-            "dataset": dict(self.dataset),
+        ade = self.adequacy
+        # adequacy is laid out apart from AdequacyReport's fields
+        bartlett = {"chi2": ade.bartlett_chi2, "df": ade.bartlett_df, "p": ade.bartlett_p}
+        return _record({
+            "dataset": self.dataset,
             "adequacy": {
-                "bartlett": {
-                    "chi2": _num(self.adequacy.bartlett_chi2),
-                    "df": self.adequacy.bartlett_df,
-                    "p": _num(self.adequacy.bartlett_p),
-                },
-                "kmo_overall": _num(self.adequacy.kmo_overall),
-                "msa": {k: _num(v) for k, v in self.adequacy.msa_per_item.items()},
+                "bartlett": bartlett,
+                "kmo_overall": ade.kmo_overall,
+                "msa": ade.msa_per_item,
             },
-            "prune_trail": [_record(s) for s in self.prune_steps],
-            "solution": solution_to_dict(sol),
-            "scales": [
-                {
-                    "name": s.name,
-                    "items": list(s.items),
-                    "alpha_raw": _num(s.alpha_raw),
-                    "alpha_standardized": _num(s.alpha_standardized),
-                    "alpha_if_deleted": {
-                        k: _num(v) for k, v in s.alpha_if_deleted.items()
-                    },
-                }
-                for s in self.scales
-            ],
-            "advice": _record(self.advice),
-            "warnings": list(self.warnings),
-            "config": self.config.to_dict(),
-            "stages": list(self.stages),
-        }
+            "prune_trail": self.prune_steps,
+            "solution": _solution_layout(self.solution),
+            "scales": self.scales,
+            "advice": self.advice,
+            "warnings": self.warnings,
+            "config": self.config,
+            "stages": self.stages,
+        })
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValidationReport):
@@ -164,46 +143,57 @@ class ValidationReport:
 
 def solution_to_dict(sol: FactorSolution) -> dict:
     """The stable JSON form of a factor solution (row-major matrices)."""
+    return _record(_solution_layout(sol))
+
+
+def _solution_layout(sol: FactorSolution) -> dict:
     return {
         "extraction": sol.extraction,
         "rotation": sol.rotation,
         "m": sol.m,
-        "eigenvalues": [_num(v) for v in sol.eigenvalues],
-        "loadings": _matrix(sol.loadings),
-        "structure": _matrix(sol.structure),
-        "phi": _matrix(sol.phi),
-        "communalities": {
-            item: _num(v) for item, v in zip(sol.items, sol.communalities)
-        },
-        "variance_explained": [_num(v) for v in sol.variance_explained],
+        "eigenvalues": sol.eigenvalues,
+        "loadings": sol.loadings,
+        "structure": sol.structure,
+        "phi": sol.phi,
+        "communalities": dict(zip(sol.items, sol.communalities.tolist())),
+        "variance_explained": sol.variance_explained,
     }
 
 
-def _num(value) -> float | int | None:
-    """JSON-safe number: numpy scalars to Python, NaN to None."""
-    if value is None:
-        return None
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+_AS_IS = frozenset({str, bool, int, type(None)})
+
+
+def _record(value):
+    """The JSON form of a result, walked once.
+
+    Floats become Python floats, NaN becomes None; None, strings, bools and
+    ints stay as they are; arrays, lists and tuples become lists; dicts keep
+    their keys; a dataclass becomes its fields in order; numpy integers
+    become ints. Floats are tested first because matrices are mostly floats.
+    """
+    if isinstance(value, float):
+        return None if value != value else float(value)
+    kind = type(value)
+    if kind in _AS_IS:
+        return value
+    if kind is np.ndarray:
+        out = value.tolist()
+        # a NaN anywhere makes the sum NaN; only then walk the elements
+        return _record(out) if math.isnan(value.sum()) else out
+    if isinstance(value, dict):
+        return {k: _record(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_record(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _record(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (int, np.integer)):
         return int(value)
-    value = float(value)
-    return None if math.isnan(value) else value
+    return _record(float(value))
 
 
-def _record(obj) -> dict:
-    """A dataclass as a JSON object: its fields in order, numbers through _num."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, dict):
-            value = {k: _num(v) for k, v in value.items()}
-        elif not isinstance(value, (str, bool)):
-            value = _num(value)
-        out[f.name] = value
-    return out
-
-
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[_num(v) for v in row] for row in np.atleast_2d(a)]
+def json_bytes(record) -> bytes:
+    """A walked record as indented UTF-8 JSON ending in a newline."""
+    return (json.dumps(record, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def run_validation(
@@ -316,11 +306,8 @@ def run_validation(
                 warn(f"NegativeAlpha: {name} alpha_raw = {rep.alpha_raw:.4f}")
             scales.append(
                 FactorScale(
-                    name,
-                    members,
-                    _num(rep.alpha_raw),
-                    _num(rep.alpha_standardized),
-                    {it: _num(v) for it, v in rep.alpha_if_deleted.items()},
+                    name, members, rep.alpha_raw, rep.alpha_standardized,
+                    rep.alpha_if_deleted,
                 )
             )
 
@@ -354,9 +341,7 @@ def run_validation(
 def render_report(report: ValidationReport, format: str = "text") -> bytes:
     """Serialize a report to bytes, JSON or aligned plain text."""
     if format == "json":
-        return (json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n").encode(
-            "utf-8"
-        )
+        return json_bytes(report.to_dict())
     if format == "text":
         return _render_text(report).encode("utf-8")
     raise ConfigError(f"unknown report format {format!r}")
@@ -388,19 +373,11 @@ def report_from_json(payload: str | bytes) -> ValidationReport:
     return ValidationReport(
         dataset=dict(d["dataset"]),
         adequacy=adequacy,
-        prune_steps=tuple(
-            PruneStep(s["item"], s["msa"], s["kmo_after"]) for s in d["prune_trail"]
-        ),
+        prune_steps=tuple(PruneStep(**s) for s in d["prune_trail"]),
         solution=solution,
+        # report keys are field names, because _record wrote them
         scales=tuple(
-            FactorScale(
-                s["name"],
-                tuple(s["items"]),
-                s["alpha_raw"],
-                s["alpha_standardized"],
-                dict(s["alpha_if_deleted"]),
-            )
-            for s in d["scales"]
+            FactorScale(**{**s, "items": tuple(s["items"])}) for s in d["scales"]
         ),
         advice=SampleAdequacyAdvice(**d["advice"]),
         warnings=tuple(d["warnings"]),

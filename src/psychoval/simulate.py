@@ -155,6 +155,8 @@ class FactorModelSpec:
                 raise ConfigError(
                     f"item {j}: expected {need} thresholds, got {len(row)}"
                 )
+            if not all(math.isfinite(t) for t in row):
+                raise ConfigError(f"item {j}: thresholds must be finite")
             if any(b <= a for a, b in zip(row, row[1:])):
                 raise ConfigError(f"item {j}: thresholds must strictly increase")
         return tuple(per_item)

@@ -18,7 +18,12 @@ from psychoval import (
     msa_prune,
     sample_adequacy_advice,
 )
-from psychoval.errors import CannotReachThreshold, NotPositiveDefinite, SampleTooSmall
+from psychoval.errors import (
+    CannotReachThreshold,
+    NotPositiveDefinite,
+    SampleTooSmall,
+    TooFewItems,
+)
 from tests import oracles
 from tests.frozen import PRUNE_SEED
 
@@ -68,6 +73,10 @@ class TestBartlett:
         with pytest.raises(SampleTooSmall):
             bartlett_sphericity(SymMatrix(equicorrelated(4, 0.3)), 4)
 
+    def test_one_item_is_too_few(self):
+        with pytest.raises(TooFewItems, match="^bartlett needs >= 2 items, got 1$"):
+            bartlett_sphericity(SymMatrix(np.eye(1)), 100)
+
 
 class TestKmo:
     def test_equicorrelated_closed_form(self):
@@ -106,6 +115,16 @@ class TestKmo:
         R = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             kmo(SymMatrix(R), list("ABC"))
+
+    def test_one_item_is_too_few(self):
+        with pytest.raises(TooFewItems, match="^kmo needs >= 2 items, got 1$"):
+            kmo(SymMatrix(np.eye(1)), ["A"])
+
+    def test_two_items_is_enough(self):
+        overall, msa, _ = kmo(SymMatrix(equicorrelated(2, 0.5)), ["A", "B"])
+        # p=2: the partial correlation equals -r, so every KMO value is 1/2
+        assert overall == pytest.approx(0.5, abs=1e-12)
+        assert list(msa.values()) == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_noise_item_has_lowest_msa(self):
         view = prune_fixture_view()

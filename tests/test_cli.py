@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from psychoval.cli import SEED_ENV, main
 from tests.frozen import NOISE_SEED
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_digest():
+    spec = importlib.util.spec_from_file_location(
+        "cli_digest", ROOT / "scripts" / "cli_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIGEST = _load_digest()
 
 
 @pytest.fixture(autouse=True)
@@ -272,3 +289,90 @@ class TestNoiseFixtureProvenance:
         assert f"seed: {NOISE_SEED}" in (
             (data_dir / "noise_model.txt").read_text(encoding="utf-8")
         )
+
+
+class TestContractSweep:
+    """Every digest invocation exits 0, 1 or 2; an exit of 1 prints one line."""
+
+    @pytest.mark.parametrize(
+        "argv", DIGEST.INVOCATIONS, ids=["_".join(a) or "<none>" for a in DIGEST.INVOCATIONS]
+    )
+    def test_invocation(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(ROOT)  # the invocations use repository-relative paths
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert re.fullmatch(r"[A-Z]\w*: [^\n]+\n", err), err
+            assert out == ""
+        if code == 0:
+            assert err == ""
+
+
+class TestBadInputMessages:
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "--gamma=-inf"])
+    @pytest.mark.parametrize("command", ["validate", "efa"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_finite_gamma(self, capsys, demo_csv, command, gamma, fmt):
+        flags = [gamma] if gamma.startswith("--") else ["--gamma", gamma]
+        code, out, err = run(capsys, command, "-i", demo_csv, *flags,
+                             "--rotation", "varimax", "-f", fmt)
+        assert code == 1
+        assert err == "ConfigError: gamma must be finite\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("retention, message", [
+        ("bogus", "unknown retention rule 'bogus'"),
+        ("fixed:0", "fixed retention count must be at least 1"),
+        ("fixed:x", "retention 'fixed:x' needs an integer count"),
+    ], ids=["bogus", "fixed:0", "fixed:x"])
+    def test_bad_retention_same_in_validate_and_efa(self, capsys, demo_csv,
+                                                    retention, message):
+        errs = [run(capsys, command, "-i", demo_csv, "--retention", retention)
+                for command in ("validate", "efa")]
+        assert errs[0] == errs[1] == (1, "", f"ConfigError: {message}\n")
+
+    @pytest.mark.parametrize("command, line", [
+        ("kmo", "TooFewItems: kmo needs >= 2 items, got 1"),
+        ("bartlett", "TooFewItems: bartlett needs >= 2 items, got 1"),
+        ("validate", "TooFewItems: bartlett needs >= 2 items, got 1 [stage: bartlett]"),
+    ], ids=["kmo", "bartlett", "validate"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_item_file(self, capsys, data_dir, command, line, fmt):
+        code, out, err = run(capsys, command, "-i",
+                             str(data_dir / "one_item_survey.csv"), "-f", fmt)
+        assert (code, out, err) == (1, "", line + "\n")
+
+
+class TestJsonKeyOrder:
+    def test_describe(self, capsys, demo_csv):
+        code, out, _ = run(capsys, "describe", "-i", demo_csv, "-f", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [row["item"] for row in doc] == list("ABCDEF")
+        for row in doc:
+            assert list(row) == ["item", "n", "missing", "mean", "sd", "min", "max"]
+            assert row["missing"] == 0 and isinstance(row["min"], float)
+
+    def test_describe_empty_column_is_null(self, capsys, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("id,A,B\nr1,NA,2\nr2,NA,3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "describe", "-i", str(path), "-f", "json")
+        assert code == 0
+        first, second = json.loads(out)
+        assert first == {"item": "A", "n": 0, "missing": 2, "mean": None,
+                         "sd": None, "min": None, "max": None}
+        assert list(second) == list(first) and second["sd"] > 0
+
+    def test_kmo(self, capsys, demo_csv):
+        code, out, _ = run(capsys, "kmo", "-i", demo_csv, "-f", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["kmo_overall", "msa"]
+        assert list(doc["msa"]) == list("ABCDEF")
+
+    def test_bartlett(self, capsys, demo_csv):
+        code, out, _ = run(capsys, "bartlett", "-i", demo_csv, "-f", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["chi2", "df", "p"]
+        assert doc["df"] == 15 and isinstance(doc["df"], int)

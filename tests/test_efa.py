@@ -257,6 +257,24 @@ class TestFitEfa:
         with pytest.raises(ConfigError):
             fit_efa(self.R, ITEMS6, **kwargs)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rotation", ["oblimin", "varimax"])
+    def test_non_finite_gamma_rejected(self, gamma, rotation):
+        with pytest.raises(ConfigError, match="^gamma must be finite$") as exc_info:
+            fit_efa(self.R, ITEMS6, rotation=rotation, gamma=gamma)
+        assert getattr(exc_info.value, "stage", None) is None
+
+    @pytest.mark.parametrize("retention", ["bogus", "fixed:0", "fixed:x"])
+    def test_bad_retention_rule_is_untagged(self, retention):
+        with pytest.raises(ConfigError) as exc_info:
+            fit_efa(self.R, ITEMS6, retention=retention)
+        assert getattr(exc_info.value, "stage", None) is None
+
+    def test_too_many_factors_stays_tagged(self):
+        with pytest.raises(BadFactorCount) as exc_info:
+            fit_efa(self.R, ITEMS6, retention="fixed:7")
+        assert exc_info.value.stage == "retention"
+
     def test_fixed_count_parser(self):
         assert fixed_count("kaiser") is None
         assert fixed_count("fixed:3") == 3

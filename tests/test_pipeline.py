@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from psychoval.errors import (
     ConfigError,
     NoConvergence,
 )
-from psychoval.pipeline import STAGES
+from psychoval.pipeline import STAGES, _record, json_bytes
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import PRUNE_SEED
 
@@ -298,6 +300,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rotation", ["oblimin", "varimax", "none"])
+    def test_non_finite_gamma_rejected(self, gamma, rotation):
+        with pytest.raises(ConfigError, match="^gamma must be finite$"):
+            PipelineConfig(gamma=gamma, rotation=rotation)
+
+    def test_to_dict_is_fields_in_order(self):
+        cfg = PipelineConfig(retention="fixed:2", gamma=0.5, force=True)
+        assert list(cfg.to_dict()) == [
+            "policy", "bartlett_alpha", "msa_threshold", "extraction",
+            "retention", "rotation", "gamma", "loading_cutoff", "force",
+        ]
+        assert PipelineConfig(**cfg.to_dict()) == cfg
+
     def test_defaults_echoed(self, small_round_trip):
         cfg = small_round_trip.config
         assert cfg.policy == "listwise"
@@ -389,3 +405,68 @@ class TestInvariance:
         for key in ("likert_min", "likert_max"):
             assert got["dataset"].pop(key) == want["dataset"].pop(key) + shift
         _assert_close(got, want)
+
+
+@dataclass(frozen=True)
+class _Inner:
+    label: str
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    inner: _Inner
+    pair: tuple
+    score: float
+    count: int
+    flag: bool
+    note: None = None
+
+
+class TestRecord:
+    """The one JSON walker behind every -f json output."""
+
+    def test_nan_becomes_null(self):
+        assert _record(math.nan) is None
+        assert _record(np.float64("nan")) is None
+        assert _record({"a": math.nan, "b": [1.5, math.nan]}) == {"a": None, "b": [1.5, None]}
+
+    def test_numpy_scalars_become_python(self):
+        for value, want in ((np.float64(0.25), 0.25), (np.int64(3), 3),
+                            (np.float32(0.5), 0.5), (np.int32(-2), -2)):
+            got = _record(value)
+            assert got == want and type(got) is type(want)
+
+    def test_ndarray_becomes_nested_lists(self):
+        assert _record(np.array([[1.0, -0.0], [0.5, 2.0]])) == [[1.0, -0.0], [0.5, 2.0]]
+        assert _record(np.array([3, 4])) == [3, 4]
+        assert _record(np.array([[1.0, np.nan]])) == [[1.0, None]]
+        assert _record(np.zeros((0, 2))) == []
+
+    def test_nested_dataclass_and_tuple(self):
+        value = _Outer("x", _Inner("w", np.array([0.5, np.nan])), (1, "two", 3.0),
+                       math.nan, np.int64(7), True)
+        got = _record(value)
+        assert got == {
+            "name": "x",
+            "inner": {"label": "w", "weights": [0.5, None]},
+            "pair": [1, "two", 3.0],
+            "score": None,
+            "count": 7,
+            "flag": True,
+            "note": None,
+        }
+        assert list(got) == ["name", "inner", "pair", "score", "count", "flag", "note"]
+        assert type(got["count"]) is int and got["flag"] is True
+
+    def test_json_bytes_encoding(self):
+        payload = json_bytes(_record({"b": [1, 2.5], "a": math.nan, "s": "µ"}))
+        assert payload == '{\n  "b": [\n    1,\n    2.5\n  ],\n  "a": null,\n  "s": "\\u00b5"\n}\n'.encode()
+
+    def test_json_bytes_refuses_unwalked_nan(self):
+        with pytest.raises(ValueError):
+            json_bytes({"a": math.nan})
+
+    def test_report_json_is_the_walked_record(self, small_round_trip):
+        assert render_report(small_round_trip, "json") == json_bytes(small_round_trip.to_dict())

@@ -167,6 +167,30 @@ class TestSpecValidation:
             parse_model(text)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_shared_threshold_rejected(self, value, position):
+        cuts = ["-0.5", "0.5"]
+        cuts[position] = value
+        text = ("n: 200\nlikert: 1:3\nloadings:\n  0.6\n  0.5\n  0.7\n"
+                f"thresholds:\n  {' '.join(cuts)}\n")
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_per_item_threshold_rejected(self, value):
+        rows = [(-0.5, 0.5), (-0.5, value), (-0.2, 0.4)]
+        with pytest.raises(ConfigError, match="^item 1: thresholds must be finite$"):
+            FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
+                            likert_min=1, likert_max=3, thresholds=rows)
+
+    def test_per_item_rows_in_model_file(self):
+        text = ("n: 20\nlikert: 1:3\nloadings:\n  0.6\n  0.5\n"
+                "thresholds:\n  -0.5 0.5\n  nan 0.5\n")
+        with pytest.raises(ConfigError, match="^item 1: thresholds must be finite$"):
+            parse_model(text)
+
+
 class TestThresholds:
     def test_equal_probability_cuts_are_symmetric_quantiles(self):
         cuts = equal_probability_thresholds(1, 7)

@@ -108,6 +108,9 @@ def _invocations() -> list[tuple[str, ...]]:
         ("efa", "-i", DEMO, "--rotation", "promax"),
         ("simulate", "--spec", "data/demo_model.txt", "-n", "50", "-s", "3"),
         ("simulate", "--spec", "data/noise_model.txt", "-n", "20"),
+        # large and odd-length streams that cross the simulator's block boundaries
+        ("simulate", "--spec", "data/noise_model.txt", "-n", "4001", "-s", "9"),
+        ("simulate", "--spec", "data/demo_model.txt", "-n", "5000", "-s", "7"),
         ("frobnicate",),
         (),
     ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_stats import SymMatrix, inverse, sym_eigen
-from .errors import BadFactorCount, ConfigError, NoConvergence, stage
+from .errors import BadFactorCount, ConfigError, NoConvergence, TooFewItems, stage
 
 EXTRACTIONS = ("paf", "pca")
 ROTATIONS = ("oblimin", "varimax", "none")
@@ -244,8 +244,9 @@ def fit_efa(
 
     Bad names and values raise an untagged ConfigError; domain errors
     carry the stage that raised them ("retention", "extraction" or
-    "rotation"). The solution's eigenvalues are the full spectrum of R
-    that the retention rule saw.
+    "rotation"). Below 2 items there is no factor structure to fit, so it
+    raises TooFewItems (tagged "retention"). The solution's eigenvalues
+    are the full spectrum of R that the retention rule saw.
     """
     if extraction not in EXTRACTIONS:
         raise ConfigError(f"unknown extraction {extraction!r}")
@@ -255,6 +256,8 @@ def fit_efa(
         raise ConfigError("gamma must be finite")
     fixed = fixed_count(retention)
     with stage("retention"):
+        if R.dim < 2:
+            raise TooFewItems(f"efa needs >= 2 items, got {R.dim}")
         # decomposed under fixed:k too, so the per-run sym_eigen call count
         # that perfbench checks does not depend on the rule
         spectrum = sym_eigen(R).eigenvalues

@@ -254,12 +254,25 @@ def to_csv(ds: SurveyDataset, id_column: str = "respondent",
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([id_column, *ds.items])
-    for i, rid in enumerate(ds.respondents):
-        cells = [
-            missing_token if math.isnan(v) else str(int(v)) for v in ds.values[i]
-        ]
-        writer.writerow([rid, *cells])
+    token = _CellTokens(missing_token).__getitem__
+    writer.writerows(
+        [rid, *map(token, row.tolist())] for rid, row in zip(ds.respondents, ds.values)
+    )
     return out.getvalue()
+
+
+class _CellTokens(dict):
+    """Memo of cell value -> CSV token. A NaN equals no key, so it always misses."""
+
+    def __init__(self, missing_token: str):
+        super().__init__()
+        self.missing_token = missing_token
+
+    def __missing__(self, v: float) -> str:
+        if math.isnan(v):
+            return self.missing_token
+        token = self[v] = str(int(v))
+        return token
 
 
 def complete_cases(ds: SurveyDataset, policy: str = "listwise") -> AnalysisView:

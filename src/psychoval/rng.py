@@ -8,11 +8,20 @@ and seed 0 is safe. Uniforms take the top 53 output bits; normal deviates
 use the Marsaglia polar method with the spare deviate cached across calls
 (part of the stream contract). Every constant is spelled out so another
 language can reproduce the streams bit for bit.
+
+The stream contract is the scalar code in this module, and it does not
+depend on how the stream is computed. ``normals(count)`` returns exactly
+the deviates of ``count`` calls of ``normal()`` and leaves the same state
+and spare, but computes them in blocks by lane jump-ahead (``lanes.py``).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from .errors import ConfigError
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -37,7 +46,7 @@ def splitmix64(state: int) -> tuple[int, int]:
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for stream number ``index``: splitmix64 run index+1 steps."""
     if index < 0:
-        raise ValueError("stream index must be nonnegative")
+        raise ConfigError("stream index must be nonnegative")
     state = seed & MASK64
     out = 0
     for _ in range(index + 1):
@@ -54,11 +63,7 @@ class Rng:
         self._spare: float | None = None
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & MASK64
-        x ^= x >> 27
-        self._state = x
+        self._state = x = xorshift_step(self._state)
         return (x * XORSHIFT_MULTIPLIER) & MASK64
 
     def uniform(self) -> float:
@@ -81,5 +86,19 @@ class Rng:
         self._spare = v * factor
         return u * factor
 
-    def normals(self, count: int) -> list[float]:
-        return [self.normal() for _ in range(count)]
+    def normals(self, count: int) -> np.ndarray:
+        """The next ``count`` normal deviates, equal to ``count`` calls of normal()."""
+        if count < 0:
+            raise ConfigError(f"normal count must be nonnegative, got {count}")
+        # imported on first use, so `import psychoval` neither loads nor compiles it
+        from .lanes import polar_normals
+
+        out, self._state, self._spare = polar_normals(self._state, self._spare, count)
+        return out
+
+
+def xorshift_step(x: int) -> int:
+    """One xorshift64* state update."""
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & MASK64
+    return x ^ (x >> 27)

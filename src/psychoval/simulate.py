@@ -16,7 +16,6 @@ Full-line ``#`` comments and blank lines are ignored.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,20 +201,27 @@ def expected_item_means(spec: FactorModelSpec) -> np.ndarray:
 def generate(spec: FactorModelSpec) -> SurveyDataset:
     """Simulate a complete SurveyDataset; deterministic given the seed.
 
-    Draw order per respondent: m factor normals, then p unique normals.
+    Draw order per respondent: m factor normals, then p unique normals, all
+    from one stream. Sums over factors run in a fixed elementwise order.
     """
-    rng = Rng(spec.seed)
-    chol = cholesky_lower(spec.phi)
-    unique_sd = np.sqrt(np.clip(1.0 - spec.communalities, 0.0, None))
     n, p, m = spec.n, spec.p, spec.m
+    draws = Rng(spec.seed).normals(n * (m + p)).reshape(n, m + p)
+    z, eps = draws[:, :m], draws[:, m:]
+    chol = cholesky_lower(spec.phi)
+    factors = np.empty((n, m))
+    for k in range(m):
+        acc = chol[k, 0] * z[:, 0]
+        for j in range(1, k + 1):
+            acc += chol[k, j] * z[:, j]
+        factors[:, k] = acc
+    latent = np.multiply.outer(factors[:, 0], spec.loadings[:, 0])
+    for k in range(1, m):
+        latent += np.multiply.outer(factors[:, k], spec.loadings[:, k])
+    latent += np.sqrt(np.clip(1.0 - spec.communalities, 0.0, None)) * eps
     values = np.empty((n, p))
-    for i in range(n):
-        z = np.array(rng.normals(m))
-        factors = chol @ z
-        eps = np.array(rng.normals(p))
-        latent = spec.loadings @ factors + unique_sd * eps
-        for j in range(p):
-            values[i, j] = spec.likert_min + bisect_right(spec.thresholds[j], latent[j])
+    for j, cuts in enumerate(spec.thresholds):
+        values[:, j] = np.searchsorted(cuts, latent[:, j], side="right")
+    values += spec.likert_min
     width = len(str(n))
     respondents = tuple(f"r{i + 1:0{width}d}" for i in range(n))
     return SurveyDataset(

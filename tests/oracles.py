@@ -3,14 +3,23 @@
 Everything here is written straight from textbook definitions (sum
 formulas, cofactor expansion, characteristic polynomials, numeric
 quadrature) and deliberately shares no code with the package, so agreement
-between the two is evidence, not tautology.
+between the two is evidence, not tautology. The simulator oracles are the
+exception: they are the package's earlier one-value-at-a-time code, built
+on the scalar ``Rng.normal`` that ``TestRng`` pins to the published
+recurrences, and they check the batched paths against it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from bisect import bisect_right
 
 import numpy as np
+
+from psychoval.rng import Rng
+from psychoval.simulate import cholesky_lower
 
 
 def pearson_definitional(x, y) -> float:
@@ -166,3 +175,36 @@ def alpha_definitional(data) -> float:
     item_vars = [float(np.var(data[:, j], ddof=1)) for j in range(k)]
     total_var = float(np.var(data.sum(axis=1), ddof=1))
     return (k / (k - 1.0)) * (1.0 - sum(item_vars) / total_var)
+
+
+def generate_rowwise(spec) -> np.ndarray:
+    """Cells of ``generate(spec)``, one respondent and one scalar draw at a time.
+
+    Draw order per respondent: m factor normals, then p unique normals.
+    """
+    rng = Rng(spec.seed)
+    chol = cholesky_lower(spec.phi)
+    unique_sd = np.sqrt(np.clip(1.0 - spec.communalities, 0.0, None))
+    n, p, m = spec.n, spec.p, spec.m
+    values = np.empty((n, p))
+    for i in range(n):
+        z = np.array([rng.normal() for _ in range(m)])
+        factors = chol @ z
+        eps = np.array([rng.normal() for _ in range(p)])
+        latent = spec.loadings @ factors + unique_sd * eps
+        for j in range(p):
+            values[i, j] = spec.likert_min + bisect_right(spec.thresholds[j], latent[j])
+    return values
+
+
+def to_csv_per_cell(ds, id_column: str = "respondent", missing_token: str = "NA") -> str:
+    """CSV text of a dataset, formatting each cell on its own."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([id_column, *ds.items])
+    for i, rid in enumerate(ds.respondents):
+        cells = [
+            missing_token if math.isnan(v) else str(int(v)) for v in ds.values[i]
+        ]
+        writer.writerow([rid, *cells])
+    return out.getvalue()

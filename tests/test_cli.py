@@ -335,7 +335,8 @@ class TestBadInputMessages:
         ("kmo", "TooFewItems: kmo needs >= 2 items, got 1"),
         ("bartlett", "TooFewItems: bartlett needs >= 2 items, got 1"),
         ("validate", "TooFewItems: bartlett needs >= 2 items, got 1 [stage: bartlett]"),
-    ], ids=["kmo", "bartlett", "validate"])
+        ("efa", "TooFewItems: efa needs >= 2 items, got 1 [stage: retention]"),
+    ], ids=["kmo", "bartlett", "validate", "efa"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_one_item_file(self, capsys, data_dir, command, line, fmt):
         code, out, err = run(capsys, command, "-i",

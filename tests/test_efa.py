@@ -30,7 +30,7 @@ from psychoval import (
     varimax_criterion,
 )
 from psychoval.efa import fixed_count
-from psychoval.errors import BadFactorCount, ConfigError
+from psychoval.errors import BadFactorCount, ConfigError, TooFewItems
 from tests import oracles
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import ATTENUATED_PHI, ROUND_TRIP_SEED
@@ -273,6 +273,11 @@ class TestFitEfa:
     def test_too_many_factors_stays_tagged(self):
         with pytest.raises(BadFactorCount) as exc_info:
             fit_efa(self.R, ITEMS6, retention="fixed:7")
+        assert exc_info.value.stage == "retention"
+
+    def test_one_item_is_too_few(self):
+        with pytest.raises(TooFewItems, match="^efa needs >= 2 items, got 1$") as exc_info:
+            fit_efa(SymMatrix(np.eye(1)), ("A",))
         assert exc_info.value.stage == "retention"
 
     def test_fixed_count_parser(self):

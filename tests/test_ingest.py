@@ -29,6 +29,7 @@ from psychoval.errors import (
     TooFewItems,
     UnknownItem,
 )
+from tests.oracles import to_csv_per_cell
 
 CSV_10 = (
     "id,A,B,C\n"
@@ -141,6 +142,36 @@ class TestDatasetConstruction:
         with pytest.raises(RangeError) as info:
             SurveyDataset(("A", "B"), ("r1", "r2"), values, 1, 7)
         assert (info.value.row, info.value.item, info.value.value) == ("r2", "A", 9.0)
+
+
+class TestToCsv:
+    """to_csv gives the bytes of formatting each cell on its own."""
+
+    @staticmethod
+    def dataset() -> SurveyDataset:
+        rs = np.random.default_rng(4)
+        values = rs.integers(1, 6, (60, 5)).astype(float)
+        values[rs.random(values.shape) < 0.2] = np.nan
+        values[0] = np.nan  # an all-missing row
+        items = ("plain", "comma,item", 'quote"item', "space item", "e")
+        respondents = tuple(f"r{i}" if i % 3 else f"r {i},x" for i in range(60))
+        return SurveyDataset(items, respondents, values, 1, 5)
+
+    @pytest.mark.parametrize("id_column, missing_token", [
+        ("respondent", "NA"), ("id,col", ""), ("id", "-99"),
+    ])
+    def test_same_text_as_per_cell_formatting(self, id_column, missing_token):
+        ds = self.dataset()
+        assert to_csv(ds, id_column, missing_token) == to_csv_per_cell(
+            ds, id_column, missing_token)
+
+    def test_quoted_ids_and_missing_cells_round_trip(self):
+        ds = self.dataset()
+        text = to_csv(ds)
+        assert '"r 0,x"' in text and '"comma,item"' in text
+        again = loads_csv(text, 1, 5)
+        assert again.respondents == ds.respondents
+        assert np.array_equal(again.values, ds.values, equal_nan=True)
 
 
 class TestCompleteCases:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psychoval import (
     FactorModelSpec,
@@ -23,10 +25,15 @@ from psychoval import (
     to_csv,
 )
 from psychoval.errors import ConfigError, UniquenessNegative
+from psychoval.rng import SPLITMIX_GAMMA
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import SIM_CORR_SEED
+from tests.oracles import generate_rowwise
 
 MASK = (1 << 64) - 1
+# the one seed whose splitmix64 output is zero, so Rng takes ZERO_STATE_SUBSTITUTE
+ZERO_STATE_SEED = -SPLITMIX_GAMMA & MASK
+SEEDS = st.one_of(st.just(ZERO_STATE_SEED), st.integers(0, MASK))
 
 
 def reference_stream(seed: int, count: int) -> list[int]:
@@ -88,6 +95,69 @@ class TestRng:
         children = [derive_seed(123, i) for i in range(6)]
         assert len(set(children)) == 6
         assert derive_seed(123, 2) == children[2]
+
+
+def draw(rng: Rng, op) -> list:
+    """One call on ``rng``: "u64", "normal", or an int k for normals(k)."""
+    if op == "u64":
+        return [rng.next_u64()]
+    if op == "normal":
+        return [rng.normal()]
+    return rng.normals(op).tolist()
+
+
+def draw_scalar(rng: Rng, op) -> list:
+    """The same call made one value at a time."""
+    if isinstance(op, int):
+        return [rng.normal() for _ in range(op)]
+    return draw(rng, op)
+
+
+class TestBatchedStream:
+    """normals(k) is k calls of normal(), down to the state and spare it leaves."""
+
+    def test_zero_state_seed_takes_the_substitute(self):
+        assert Rng(ZERO_STATE_SEED)._state == 0xD1B54A32D192ED03
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, count=st.integers(0, 20_000), carry_spare=st.booleans())
+    def test_batch_equals_sequential(self, seed, count, carry_spare):
+        batch, scalar = Rng(seed), Rng(seed)
+        if carry_spare:  # one normal() leaves a spare for the batch to start with
+            assert batch.normal() == scalar.normal()
+        assert batch.normals(count).tolist() == [scalar.normal() for _ in range(count)]
+        assert batch._spare == scalar._spare
+        assert batch.next_u64() == scalar.next_u64()
+        assert batch.normal() == scalar.normal()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, ops=st.lists(
+        st.one_of(st.sampled_from(["u64", "normal"]), st.integers(0, 3000)), max_size=8))
+    def test_scalar_and_batch_calls_mix(self, seed, ops):
+        batch, scalar = Rng(seed), Rng(seed)
+        for op in ops:
+            assert draw(batch, op) == draw_scalar(scalar, op)
+        assert batch.next_u64() == scalar.next_u64()
+
+    @pytest.mark.parametrize("count", [70_001, 140_000])
+    def test_more_than_one_block(self, count):
+        # a block holds at most 2^16 draws, so these refill from a carried state
+        batch, scalar = Rng(12345), Rng(12345)
+        assert batch.normals(count).tolist() == [scalar.normal() for _ in range(count)]
+        assert (batch._spare, batch.next_u64()) == (scalar._spare, scalar.next_u64())
+
+    def test_returns_float_array(self):
+        out = Rng(3).normals(5)
+        assert out.dtype == np.float64 and out.shape == (5,)
+        assert Rng(3).normals(0).shape == (0,)
+
+    def test_negative_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="normal count must be nonnegative"):
+            Rng(3).normals(-1)
+
+    def test_negative_stream_index_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="stream index must be nonnegative"):
+            derive_seed(1, -1)
 
 
 class TestPopulationCorrelation:
@@ -268,6 +338,47 @@ class TestGenerate:
         neutral = generate(FactorModelSpec(thresholds=(-0.43, 0.43), **base))
         skewed = generate(FactorModelSpec(thresholds=(1.0, 2.0), **base))
         assert skewed.values.mean() < neutral.values.mean()
+
+
+def oblique_spec(**overrides) -> FactorModelSpec:
+    """Three correlated factors, seven items (m + p = 10), 5-point scale."""
+    loadings = np.array([[0.7, 0.0, 0.0], [0.6, 0.2, 0.0], [0.0, 0.8, 0.0],
+                         [0.0, 0.5, 0.3], [0.0, 0.0, 0.75], [0.3, 0.0, 0.5],
+                         [0.0, 0.0, 0.0]])
+    phi = np.array([[1.0, 0.4, -0.2], [0.4, 1.0, 0.3], [-0.2, 0.3, 1.0]])
+    args = dict(loadings=loadings, phi=phi, likert_min=1, likert_max=5, n=300)
+    return FactorModelSpec(**{**args, **overrides})
+
+
+GENERATE_CASES = {
+    "oblique": lambda seed: oblique_spec(seed=seed),
+    "per-item-thresholds": lambda seed: oblique_spec(
+        seed=seed, likert_min=0, likert_max=2,
+        thresholds=tuple((-1.0 + 0.1 * j, 0.2 * j) for j in range(7))),
+    "one-factor-odd-stream": lambda seed: FactorModelSpec(
+        loadings=np.full((4, 1), 0.6), likert_min=1, likert_max=3, n=251, seed=seed),
+    "one-respondent": lambda seed: oblique_spec(seed=seed, n=1),
+    "seven-point": lambda seed: FactorModelSpec(
+        loadings=two_block_loadings(0.7, p=5), likert_min=1, likert_max=7, n=401,
+        seed=seed),
+    "four-point": lambda seed: oblique_spec(seed=seed, likert_max=4, n=97),
+    "six-point": lambda seed: oblique_spec(seed=seed, likert_max=6, n=97),
+}
+
+
+class TestGenerateMatchesRowwise:
+    """Batched generate gives the cells of the one-respondent-at-a-time loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**63, ZERO_STATE_SEED])
+    @pytest.mark.parametrize("case", sorted(GENERATE_CASES))
+    def test_same_cells(self, case, seed):
+        spec = GENERATE_CASES[case](seed)
+        assert np.array_equal(generate(spec).values, generate_rowwise(spec))
+
+    @pytest.mark.parametrize("model", ["demo_model.txt", "noise_model.txt"])
+    def test_fixture_models_at_block_scale(self, data_dir, model):
+        spec = load_model(data_dir / model, n=3000, seed=9)
+        assert np.array_equal(generate(spec).values, generate_rowwise(spec))
 
 
 class TestModelFiles:

@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO = "data/demo_survey.csv"
 NOISE = "data/noise_survey.csv"
 ONE = "data/one_item_survey.csv"
+GAP = "data/gap_survey.csv"
 SCALES = "data/demo_scales.txt"
 
 # model flag sets run through both validate and efa, in text and JSON
@@ -94,6 +95,7 @@ def _invocations() -> list[tuple[str, ...]]:
             runs.append(("kmo", "-i", path, "-f", fmt))
             runs.append(("bartlett", "-i", path, "-f", fmt))
             runs.append(("describe", "-i", path, "-f", fmt))
+        runs.append(("describe", "-i", GAP, "-f", fmt))
         runs.append(("kmo", "-i", NOISE, "--policy", "pairwise", "-f", fmt))
         runs.append(("bartlett", "-i", DEMO, "--alpha", "5", "-f", fmt))
     runs += [

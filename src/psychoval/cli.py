@@ -26,14 +26,7 @@ from .ingest import (
     load_scales,
     to_csv,
 )
-from .pipeline import (
-    PipelineConfig,
-    _record,
-    json_bytes,
-    render_report,
-    run_validation,
-    solution_to_dict,
-)
+from .pipeline import PipelineConfig, _record, render, run_validation, solution_to_dict
 from .reliability import cronbach_alpha, test_retest
 from .simulate import generate, load_model
 
@@ -190,7 +183,7 @@ def _scale_definitions(args) -> list[ScaleDefinition]:
     return [ScaleDefinition(args.name, items)]
 
 
-def _cmd_validate(args) -> bytes:
+def _cmd_validate(args) -> dict:
     ds = _load(args)
     cfg = PipelineConfig(
         policy=args.policy,
@@ -203,85 +196,38 @@ def _cmd_validate(args) -> bytes:
         loading_cutoff=args.cutoff,
         force=args.force,
     )
-    report = run_validation(ds, cfg, source=args.input)
-    return render_report(report, args.format)
+    return run_validation(ds, cfg, source=args.input).to_dict()
 
 
-def _cmd_efa(args) -> bytes:
+def _cmd_efa(args) -> dict:
     ds = _load(args)
     view, R = _view_matrix(args, ds)
     solution = fit_efa(
         R, view.items, args.extraction, args.retention, args.rotation, args.gamma
     )
-    d = solution_to_dict(solution)
-    if args.format == "json":
-        return json_bytes(d)
-    lines = [f"extraction={d['extraction']} rotation={d['rotation']} m={d['m']}"]
-    lines.append("eigenvalues: " + " ".join(f"{v:.4f}" for v in d["eigenvalues"]))
-    width = max(len(i) for i in solution.items)
-    for j, item in enumerate(solution.items):
-        cells = " ".join(f"{v:8.4f}" for v in d["loadings"][j])
-        lines.append(f"  {item:<{width}} {cells}  h2={d['communalities'][item]:.4f}")
-    if d["m"] > 1:
-        lines.append("phi:")
-        for row in d["phi"]:
-            lines.append("  " + " ".join(f"{v:8.4f}" for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return solution_to_dict(solution)
 
 
-def _cmd_alpha(args) -> bytes:
+def _cmd_alpha(args) -> list:
     ds = _load(args)
-    reports = [cronbach_alpha(ds, sd) for sd in _scale_definitions(args)]
-    if args.format == "json":
-        return json_bytes(_record(reports))
-    lines = []
-    for r in reports:
-        lines.append(
-            f"{r.scale}: k={r.k} n={r.n} alpha_raw={r.alpha_raw:.4f} "
-            f"alpha_standardized={r.alpha_standardized:.4f}"
-        )
-        for item in r.item_total_correlations:
-            deleted = r.alpha_if_deleted[item]
-            deleted_text = "n/a" if deleted != deleted else f"{deleted:.4f}"
-            lines.append(
-                f"  {item}: item_total={r.item_total_correlations[item]:.4f} "
-                f"alpha_if_deleted={deleted_text}"
-            )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _record([cronbach_alpha(ds, sd) for sd in _scale_definitions(args)])
 
 
-def _cmd_retest(args) -> bytes:
+def _cmd_retest(args) -> list:
     lo, hi = args.likert
     ds1 = load_csv(args.t1, lo, hi, missing_token=args.missing)
     ds2 = load_csv(args.t2, lo, hi, missing_token=args.missing)
-    reports = [test_retest(ds1, ds2, sd) for sd in _scale_definitions(args)]
-    if args.format == "json":
-        return json_bytes(_record(reports))
-    lines = []
-    for r in reports:
-        lines.append(
-            f"{r.scale}: matched_n={r.matched_n} total_r={r.total_r:.4f} "
-            f"(dropped {r.dropped_first}+{r.dropped_second} incomplete)"
-        )
-        for item, value in r.item_r.items():
-            lines.append(f"  {item}: r={value:.4f}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _record([test_retest(ds1, ds2, sd) for sd in _scale_definitions(args)])
 
 
-def _cmd_kmo(args) -> bytes:
+def _cmd_kmo(args) -> dict:
     ds = _load(args)
     view, R = _view_matrix(args, ds)
     overall, msa, _ = kmo(R, list(view.items))
-    if args.format == "json":
-        return json_bytes(_record({"kmo_overall": overall, "msa": msa}))
-    lines = [f"kmo overall: {overall:.4f}"]
-    width = max(len(i) for i in msa)
-    for item, value in msa.items():
-        lines.append(f"  {item:<{width}}  msa={value:.4f}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _record({"kmo_overall": overall, "msa": msa})
 
 
-def _cmd_bartlett(args) -> bytes:
+def _cmd_bartlett(args) -> dict:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha {args.alpha:g} must lie in (0, 1)")
     ds = _load(args)
@@ -291,9 +237,7 @@ def _cmd_bartlett(args) -> bytes:
         raise AssumptionsNotMet(
             f"sphericity not significant (p = {p:.6g} > alpha = {args.alpha:g})"
         )
-    if args.format == "json":
-        return json_bytes(_record({"chi2": chi2, "df": df, "p": p}))
-    return f"bartlett: chi2({df}) = {chi2:.4f}, p = {p:.6g}\n".encode("utf-8")
+    return _record({"chi2": chi2, "df": df, "p": p})
 
 
 def _cmd_simulate(args) -> bytes:
@@ -308,22 +252,8 @@ def _cmd_simulate(args) -> bytes:
     return to_csv(generate(spec)).encode("utf-8")
 
 
-def _cmd_describe(args) -> bytes:
-    ds = _load(args)
-    summaries = describe(ds)
-    if args.format == "json":
-        return json_bytes(_record(summaries))
-    width = max(len(s.item) for s in summaries)
-    lines = [f"  {'item':<{width}} {'n':>6} {'miss':>5} {'mean':>8} {'sd':>8} "
-             f"{'min':>5} {'max':>5}"]
-    for s in summaries:
-        mean = "n/a" if s.mean != s.mean else f"{s.mean:8.4f}"
-        sd = "n/a" if s.sd != s.sd else f"{s.sd:8.4f}"
-        lines.append(
-            f"  {s.item:<{width}} {s.n:>6} {s.missing:>5} {mean:>8} {sd:>8} "
-            f"{s.min:>5.0f} {s.max:>5.0f}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _cmd_describe(args) -> list:
+    return _record(describe(_load(args)))
 
 
 def main(argv=None) -> int:
@@ -334,6 +264,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
+        if not isinstance(payload, bytes):  # a walked record, rendered as asked
+            payload = render(args.command, payload, args.format)
     except PsychovalError as exc:
         stage = getattr(exc, "stage", None)
         suffix = f" [stage: {stage}]" if stage else ""

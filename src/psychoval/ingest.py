@@ -64,6 +64,13 @@ class SurveyDataset:
         if outside.any():
             i, j = map(int, np.argwhere(outside)[0])
             raise RangeError(self.respondents[i], self.items[j], a[i, j])
+        fractional = a % 1 > 0  # NaN compares False, so missing cells pass
+        if fractional.any():
+            i, j = map(int, np.argwhere(fractional)[0])
+            raise ConfigError(
+                f"respondent {self.respondents[i]!r}, item {self.items[j]!r}: "
+                f"value {a[i, j]} is not an integer"
+            )
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "values", a)

@@ -6,6 +6,9 @@ extraction, rotation, canonical form, item assignment, per-factor alpha,
 sample-size advice) and returns a ValidationReport that serializes to a
 stable JSON schema. Identical inputs and configuration produce identical
 report bytes.
+
+This module also owns every output format: render turns a subcommand's
+walked record into JSON bytes or into its plain-text sections.
 """
 
 from __future__ import annotations
@@ -340,10 +343,15 @@ def run_validation(
 
 def render_report(report: ValidationReport, format: str = "text") -> bytes:
     """Serialize a report to bytes, JSON or aligned plain text."""
+    return render("validate", report.to_dict(), format)
+
+
+def render(command: str, record, format: str) -> bytes:
+    """A command's walked record as JSON or as its plain-text sections."""
     if format == "json":
-        return json_bytes(report.to_dict())
+        return json_bytes(record)
     if format == "text":
-        return _render_text(report).encode("utf-8")
+        return ("\n".join(_TEXT[command](record)) + "\n").encode("utf-8")
     raise ConfigError(f"unknown report format {format!r}")
 
 
@@ -386,102 +394,134 @@ def report_from_json(payload: str | bytes) -> ValidationReport:
     )
 
 
-def _render_text(report: ValidationReport) -> str:
-    d = report.to_dict()
-    sol = d["solution"]
-    items = list(sol["communalities"].keys())
-    m = sol["m"]
-    factor_names = [f"F{k + 1}" for k in range(m)]
-    assigned = {s["name"]: set(s["items"]) for s in d["scales"]}
+def _cell(value, spec: str = ".4f") -> str:
+    """One record value as text: floats by spec, a missing value as n/a."""
+    if value is None:
+        return "n/a"
+    return format(value, spec) if isinstance(value, float) else str(value)
 
-    lines: list[str] = []
-    lines.append("scale validation report")
-    lines.append("=======================")
-    ds = d["dataset"]
+
+def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+    """Lines of aligned columns, each as wide as its widest cell.
+
+    The first column is left-aligned and the others right-aligned; lines
+    are indented, and columns separated, by two spaces.
+    """
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return [
+        "  " + "  ".join(
+            [row[0].ljust(widths[0])]
+            + [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
+        )
+        for row in (header, *rows)
+    ]
+
+
+def _bartlett_text(b: dict) -> list[str]:
+    return [f"bartlett: chi2({b['df']}) = {_cell(b['chi2'])}, p = {_cell(b['p'], '.6g')}"]
+
+
+def _kmo_text(k: dict) -> list[str]:
+    rows = [[item, _cell(v)] for item, v in k["msa"].items()]
+    return [f"kmo overall: {_cell(k['kmo_overall'])}", *_table(["item", "msa"], rows)]
+
+
+def _solution_text(sol: dict) -> list[str]:
+    names = [f"F{k + 1}" for k in range(sol["m"])]
+    title = f"solution: {sol['extraction']}, rotation {sol['rotation']}, m={sol['m']}"
+    lines = [title, "-" * len(title)]
+    lines.append("eigenvalues: " + " ".join(map(_cell, sol["eigenvalues"])))
+    rows = [
+        [item, *map(_cell, loadings), _cell(h2)]
+        for (item, h2), loadings in zip(sol["communalities"].items(), sol["loadings"])
+    ]
+    lines += _table(["item", *names, "h2"], rows)
     lines.append(
-        f"dataset: n={ds['n']}, p={ds['p']} items, "
-        f"effective n={ds['effective_n']}, "
-        f"likert {ds['likert_min']}..{ds['likert_max']}"
+        "variance explained: "
+        + " ".join(f"{n}={_cell(v)}" for n, v in zip(names, sol["variance_explained"]))
     )
-    cfg = d["config"]
-    lines.append(
+    if sol["m"] > 1:
+        lines.append("factor correlations (phi):")
+        rows = [[n, *map(_cell, row)] for n, row in zip(names, sol["phi"])]
+        lines += _table(["", *names], rows)
+    return lines
+
+
+def _validate_text(d: dict) -> list[str]:
+    ds, ade = d["dataset"], d["adequacy"]
+    lines = [
+        "scale validation report",
+        "=======================",
+        f"dataset: n={ds['n']}, p={ds['p']} items, effective n={ds['effective_n']}, "
+        f"likert {ds['likert_min']}..{ds['likert_max']}",
         "config: policy={policy} extraction={extraction} retention={retention} "
         "rotation={rotation} gamma={gamma:g} msa_threshold={msa_threshold:g} "
         "cutoff={loading_cutoff:g} bartlett_alpha={bartlett_alpha:g} "
-        "force={force}".format(**cfg)
-    )
-    lines.append("")
-
-    lines.append("adequacy")
-    lines.append("--------")
-    bart = d["adequacy"]["bartlett"]
-    lines.append(
-        f"bartlett: chi2({bart['df']}) = {bart['chi2']:.4f}, p = {bart['p']:.6g}"
-    )
-    lines.append(f"kmo overall: {d['adequacy']['kmo_overall']:.4f}")
-    width = max(len(i) for i in d["adequacy"]["msa"])
-    for item, value in d["adequacy"]["msa"].items():
-        lines.append(f"  {item:<{width}}  msa = {value:.4f}")
+        "force={force}".format(**d["config"]),
+        "",
+        "adequacy",
+        "--------",
+        *_bartlett_text(ade["bartlett"]),
+        *_kmo_text(ade),
+    ]
     if d["prune_trail"]:
-        lines.append("pruned items:")
-        for step in d["prune_trail"]:
-            lines.append(
-                f"  {step['item']}  (msa {step['msa']:.4f}, "
-                f"kmo after {step['kmo_after']:.4f})"
-            )
+        lines += ["pruned items:", *_records_table(d["prune_trail"])]
     else:
         lines.append("pruned items: none")
-    lines.append("")
-
-    lines.append(f"solution: {sol['extraction']}, rotation {sol['rotation']}, m={m}")
-    lines.append("-" * len(lines[-1]))
-    lines.append(
-        "eigenvalues: " + " ".join(f"{v:.4f}" for v in sol["eigenvalues"])
+    lines += ["", *_solution_text(d["solution"]), "", "scales", "------"]
+    lines += _table(
+        ["scale", "alpha_raw", "alpha_standardized", "items"],
+        [
+            [s["name"], _cell(s["alpha_raw"]), _cell(s["alpha_standardized"]),
+             ",".join(s["items"]) or "-"]
+            for s in d["scales"]
+        ],
     )
-    width = max(len(i) for i in items)
-    header = f"  {'item':<{width}} " + " ".join(f"{n:>8}" for n in factor_names)
-    lines.append(header + f" {'h2':>8}  factor")
-    for j, item in enumerate(items):
-        row = sol["loadings"][j]
-        owner = next((n for n in factor_names if item in assigned.get(n, ())), "-")
-        cells = " ".join(f"{v:8.4f}" for v in row)
-        h2 = sol["communalities"][item]
-        lines.append(f"  {item:<{width}} {cells} {h2:8.4f}  {owner}")
-    lines.append(
-        "variance explained: "
-        + " ".join(
-            f"{n}={v:.4f}" for n, v in zip(factor_names, sol["variance_explained"])
-        )
-    )
-    if m > 1:
-        lines.append("factor correlations (phi):")
-        for k, row in enumerate(sol["phi"]):
-            cells = " ".join(f"{v:8.4f}" for v in row)
-            lines.append(f"  {factor_names[k]:<4} {cells}")
-    lines.append("")
-
-    lines.append("scales")
-    lines.append("------")
-    for s in d["scales"]:
-        raw = "n/a" if s["alpha_raw"] is None else f"{s['alpha_raw']:.4f}"
-        std = (
-            "n/a"
-            if s["alpha_standardized"] is None
-            else f"{s['alpha_standardized']:.4f}"
-        )
-        member_list = ", ".join(s["items"]) if s["items"] else "(none)"
-        lines.append(
-            f"  {s['name']}: items [{member_list}]  alpha_raw = {raw}  "
-            f"alpha_standardized = {std}"
-        )
-    lines.append("")
-    lines.append(f"advice: {d['advice']['note']}")
-
+    lines += ["", f"advice: {d['advice']['note']}"]
     if d["warnings"]:
-        lines.append("")
-        lines.append("WARNINGS")
-        lines.append("--------")
-        for w in d["warnings"]:
-            lines.append(f"- {w}")
-    lines.append("")
-    return "\n".join(lines)
+        lines += ["", "WARNINGS", "--------", *(f"- {w}" for w in d["warnings"])]
+    return lines
+
+
+def _alpha_text(reports: list) -> list[str]:
+    lines = []
+    for r in reports:
+        lines.append(
+            f"{r['scale']}: k={r['k']} n={r['n']} alpha_raw={_cell(r['alpha_raw'])} "
+            f"alpha_standardized={_cell(r['alpha_standardized'])}"
+        )
+        lines += _table(
+            ["item", "item_total", "alpha_if_deleted"],
+            [
+                [item, _cell(v), _cell(r["alpha_if_deleted"][item])]
+                for item, v in r["item_total_correlations"].items()
+            ],
+        )
+    return lines
+
+
+def _retest_text(reports: list) -> list[str]:
+    lines = []
+    for r in reports:
+        lines.append(
+            f"{r['scale']}: matched_n={r['matched_n']} total_r={_cell(r['total_r'])} "
+            f"(dropped {r['dropped_first']}+{r['dropped_second']} incomplete)"
+        )
+        lines += _table(["item", "r"], [[item, _cell(v)] for item, v in r["item_r"].items()])
+    return lines
+
+
+def _records_table(records: list[dict]) -> list[str]:
+    """Records with the same keys as a table headed by those keys."""
+    return _table(list(records[0]), [list(map(_cell, r.values())) for r in records])
+
+
+_TEXT = {
+    "validate": _validate_text,
+    "efa": _solution_text,
+    "kmo": _kmo_text,
+    "bartlett": _bartlett_text,
+    "alpha": _alpha_text,
+    "retest": _retest_text,
+    "describe": _records_table,
+}

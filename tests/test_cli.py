@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import re
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,100 @@ class TestEfaMatchesValidate:
         assert code == 1
         assert err == "BadFactorCount: fixed retention 9 exceeds 6 items [stage: retention]\n"
         assert out == ""
+
+
+def _section(text: str, first: str, stop: str | None = None) -> str:
+    """Lines of text from the one starting with first to a blank one or one starting with stop."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(first))
+    end = next(
+        i for i in range(start + 1, len(lines))
+        if not lines[i] or (stop and lines[i].startswith(stop))
+    )
+    return "\n".join(lines[start:end]) + "\n"
+
+
+class TestTextSections:
+    """efa, kmo and bartlett text are the matching sections of validate's text."""
+
+    @pytest.mark.parametrize("flags", DIGEST.MODEL_FLAGS, ids=" ".join)
+    def test_efa_is_validate_solution(self, capsys, demo_csv, flags):
+        code, validate_out, _ = run(capsys, "validate", "-i", demo_csv, *flags)
+        assert code == 0
+        code, efa_out, _ = run(capsys, "efa", "-i", demo_csv, *flags)
+        assert code == 0
+        assert efa_out == _section(validate_out, "solution:")
+
+    @pytest.mark.parametrize("policy", ["listwise", "pairwise"])
+    def test_kmo_is_validate_kmo(self, capsys, demo_csv, policy):
+        _, validate_out, _ = run(capsys, "validate", "-i", demo_csv, "--policy", policy)
+        code, kmo_out, _ = run(capsys, "kmo", "-i", demo_csv, "--policy", policy)
+        assert code == 0
+        assert kmo_out == _section(validate_out, "kmo overall:", "pruned items")
+
+    def test_bartlett_is_validate_bartlett(self, capsys, demo_csv):
+        _, validate_out, _ = run(capsys, "validate", "-i", demo_csv)
+        code, bartlett_out, _ = run(capsys, "bartlett", "-i", demo_csv)
+        assert code == 0
+        assert bartlett_out == _section(validate_out, "bartlett:", "kmo overall")
+
+
+def _tables(text: str) -> list[list[str]]:
+    """Each run of consecutive lines indented by two spaces."""
+    lines = text.splitlines()
+    return [list(run) for indented, run in groupby(lines, lambda line: line.startswith("  "))
+            if indented]
+
+
+def _assert_aligned(table: list[str]) -> None:
+    """Every line starts its first column at 2 and ends each other column together."""
+    spans = [[m.span() for m in re.finditer(r"\S+", line)] for line in table]
+    width = len(spans[1])
+    ends = [end for _, end in spans[1][1:]]
+    for line, cells in zip(table, spans):
+        # the phi table's header has a blank first cell
+        assert len(cells) in (width, width - 1), line
+        assert [end for _, end in cells[len(cells) - width + 1:]] == ends, table
+        if len(cells) == width:
+            assert cells[0][0] == 2, line
+
+
+class TestTextTables:
+    @pytest.mark.parametrize("name_length", [1, 20])
+    def test_columns_line_up(self, capsys, demo_csv, tmp_path, name_length):
+        _, body = Path(demo_csv).read_text(encoding="utf-8").split("\n", 1)
+        items = [c * name_length for c in "ABCDEF"]
+        survey = tmp_path / "survey.csv"
+        survey.write_text(",".join(["respondent", *items]) + "\n" + body, encoding="utf-8")
+        path, scale = str(survey), ",".join(items[:3])
+        runs = [
+            ("validate", "-i", path),
+            ("validate", "-i", path, "--msa-threshold", "0.72"),  # a prune trail
+            ("validate", "-i", path, "--retention", "fixed:3"),
+            ("efa", "-i", path),
+            ("kmo", "-i", path),
+            ("describe", "-i", path),
+            ("alpha", "-i", path, "--items", scale),
+            ("retest", "--t1", path, "--t2", path, "--items", scale),
+        ]
+        for argv in runs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            tables = _tables(out)
+            assert tables, argv
+            for table in tables:
+                assert len(table) >= 2, argv
+                _assert_aligned(table)
+
+    def test_all_missing_column_prints_na(self, capsys, data_dir):
+        code, out, _ = run(capsys, "describe", "-i", str(data_dir / "gap_survey.csv"))
+        assert code == 0
+        (table,) = _tables(out)
+        _assert_aligned(table)
+        rows = {line.split()[0]: line.split()[1:] for line in table}
+        assert rows["item"] == ["n", "missing", "mean", "sd", "min", "max"]
+        assert rows["skipped"] == ["0", "5", "n/a", "n/a", "n/a", "n/a"]
+        assert "n/a" not in rows["q"] + rows["perceived_usefulness_2"]
 
 
 class TestSimulate:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from psychoval import (
+    FactorModelSpec,
     ScaleDefinition,
     SurveyDataset,
     complete_cases,
     describe,
+    generate,
     load_csv,
     load_scales,
     loads_csv,
@@ -142,6 +144,26 @@ class TestDatasetConstruction:
         with pytest.raises(RangeError) as info:
             SurveyDataset(("A", "B"), ("r1", "r2"), values, 1, 7)
         assert (info.value.row, info.value.item, info.value.value) == ("r2", "A", 9.0)
+
+    def test_first_non_integer_response_rejected(self):
+        # to_csv writes int(v), so a fractional cell would not round-trip
+        values = np.array([[3.0, np.nan], [2.5, 6.9]])
+        with pytest.raises(ConfigError, match=r"respondent 'r2', item 'A': value 2.5 is not an integer"):
+            SurveyDataset(("A", "B"), ("r1", "r2"), values, 1, 7)
+
+    def test_missing_and_integer_valued_cells_accepted(self):
+        values = np.array([[3.0, np.nan], [np.nan, np.nan], [-0.0, 7.0]])
+        ds = SurveyDataset(("A", "B"), ("r1", "r2", "r3"), values, -1, 7)
+        assert np.array_equal(ds.values, values, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["demo", "noise", "one_item", "gap"])
+    def test_committed_surveys_load(self, data_dir, name):
+        ds = load_csv(data_dir / f"{name}_survey.csv", 1, 7)
+        assert ds.n > 0
+
+    def test_generated_survey_round_trips(self):
+        text = to_csv(generate(FactorModelSpec(loadings=np.full((4, 1), 0.7), n=50, seed=3)))
+        assert to_csv(loads_csv(text, 1, 7)) == text
 
 
 class TestToCsv:

@@ -32,6 +32,7 @@ NOISE = "data/noise_survey.csv"
 ONE = "data/one_item_survey.csv"
 GAP = "data/gap_survey.csv"
 SCALES = "data/demo_scales.txt"
+POLICIES = ("listwise", "pairwise", "strict")
 
 # model flag sets run through both validate and efa, in text and JSON
 MODEL_FLAGS = (
@@ -98,6 +99,10 @@ def _invocations() -> list[tuple[str, ...]]:
         runs.append(("describe", "-i", GAP, "-f", fmt))
         runs.append(("kmo", "-i", NOISE, "--policy", "pairwise", "-f", fmt))
         runs.append(("bartlett", "-i", DEMO, "--alpha", "5", "-f", fmt))
+    # every policy fails on the gap file, at the policy or correlation stage
+    for command in ("validate", "efa", "kmo", "bartlett"):
+        for policy in POLICIES:
+            runs.append((command, "-i", GAP, "--policy", policy))
     runs += [
         ("alpha", "-i", DEMO, "--items", "A,Z"),
         ("alpha", "-i", ONE, "--items", "A"),
@@ -105,6 +110,7 @@ def _invocations() -> list[tuple[str, ...]]:
         ("validate", "-i", DEMO, "--likert", "1:3"),
         ("validate", "-i", DEMO, "--likert", "17"),
         ("validate", "-i", DEMO, "--alpha", "2"),
+        ("bartlett", "-i", DEMO, "--alpha", "2"),
         ("validate", "-i", DEMO, "--cutoff", "nan"),
         ("validate", "-i", DEMO, "--msa-threshold", "1"),
         ("efa", "-i", DEMO, "--rotation", "promax"),

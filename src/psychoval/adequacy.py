@@ -23,7 +23,8 @@ from .core_stats import (
     log_determinant,
 )
 from .errors import (
-    CannotReachThreshold, NotPositiveDefinite, SampleTooSmall, TooFewItems,
+    AssumptionsNotMet, CannotReachThreshold, ConfigError, NotPositiveDefinite,
+    SampleTooSmall, TooFewItems,
 )
 from .ingest import AnalysisView
 
@@ -94,6 +95,20 @@ def bartlett_sphericity(R: SymMatrix, n: int) -> tuple[float, int, float]:
     chi2 = max(chi2, 0.0)
     df = p * (p - 1) // 2
     return chi2, df, chi_square_sf(chi2, df)
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a Bartlett significance level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("bartlett_alpha must lie in (0, 1)")
+
+
+def sphericity_gate(p: float, alpha: float) -> None:
+    """Raise AssumptionsNotMet when Bartlett's p-value exceeds alpha."""
+    if p > alpha:
+        raise AssumptionsNotMet(
+            f"sphericity not significant (p = {p:.6g} > alpha = {alpha:g})"
+        )
 
 
 def kmo(R: SymMatrix, items: list[str] | None = None

@@ -13,20 +13,13 @@ import os
 import sys
 from pathlib import Path
 
-from .adequacy import bartlett_sphericity, kmo
-from .core_stats import correlation_matrix
+from .adequacy import bartlett_sphericity, check_alpha, kmo, sphericity_gate
 from .efa import EXTRACTIONS, ROTATIONS, fit_efa
-from .errors import AssumptionsNotMet, ConfigError, PsychovalError
-from .ingest import (
-    POLICIES,
-    ScaleDefinition,
-    complete_cases,
-    describe,
-    load_csv,
-    load_scales,
-    to_csv,
+from .errors import ConfigError, PsychovalError, stage
+from .ingest import POLICIES, ScaleDefinition, describe, load_csv, load_scales, to_csv
+from .pipeline import (
+    PipelineConfig, _record, correlate, render, run_validation, solution_to_dict,
 )
-from .pipeline import PipelineConfig, _record, render, run_validation, solution_to_dict
 from .reliability import cronbach_alpha, test_retest
 from .simulate import generate, load_model
 
@@ -171,11 +164,6 @@ def _load(args):
     return load_csv(args.input, lo, hi, missing_token=args.missing)
 
 
-def _view_matrix(args, ds):
-    view = complete_cases(ds, args.policy)
-    return view, correlation_matrix(view.data, list(view.items))
-
-
 def _scale_definitions(args) -> list[ScaleDefinition]:
     if args.scales:
         return load_scales(args.scales)
@@ -200,8 +188,7 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_efa(args) -> dict:
-    ds = _load(args)
-    view, R = _view_matrix(args, ds)
+    view, R = correlate(_load(args), args.policy)
     solution = fit_efa(
         R, view.items, args.extraction, args.retention, args.rotation, args.gamma
     )
@@ -221,22 +208,18 @@ def _cmd_retest(args) -> list:
 
 
 def _cmd_kmo(args) -> dict:
-    ds = _load(args)
-    view, R = _view_matrix(args, ds)
-    overall, msa, _ = kmo(R, list(view.items))
+    view, R = correlate(_load(args), args.policy)
+    with stage("kmo"):
+        overall, msa, _ = kmo(R, list(view.items))
     return _record({"kmo_overall": overall, "msa": msa})
 
 
 def _cmd_bartlett(args) -> dict:
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"alpha {args.alpha:g} must lie in (0, 1)")
-    ds = _load(args)
-    view, R = _view_matrix(args, ds)
-    chi2, df, p = bartlett_sphericity(R, view.effective_n)
-    if p > args.alpha:
-        raise AssumptionsNotMet(
-            f"sphericity not significant (p = {p:.6g} > alpha = {args.alpha:g})"
-        )
+    check_alpha(args.alpha)
+    view, R = correlate(_load(args), args.policy)
+    with stage("bartlett"):
+        chi2, df, p = bartlett_sphericity(R, view.effective_n)
+        sphericity_gate(p, args.alpha)
     return _record({"chi2": chi2, "df": df, "p": p})
 
 

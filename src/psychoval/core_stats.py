@@ -92,9 +92,10 @@ class EigenDecomposition:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation of two equal-length vectors (n >= 3).
 
-    Raises LengthMismatch for unequal or too-short input and ZeroVariance,
-    with ``position`` 0 or 1, when either vector is constant. The result is
-    clipped to [-1, 1] to absorb last-bit rounding.
+    Raises LengthMismatch for unequal or too-short input, DomainError for a
+    NaN or infinite value, and ZeroVariance, with ``position`` 0 or 1, when
+    either vector is constant. The result is clipped to [-1, 1] to absorb
+    last-bit rounding.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -102,6 +103,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatch(f"vector lengths {xv.shape} and {yv.shape} differ")
     if xv.size < 3:
         raise LengthMismatch(f"need at least 3 observations, got {xv.size}")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise DomainError("pearson needs finite values")
     dx = xv - xv.mean()
     dy = yv - yv.mean()
     sxx = float(dx @ dx)
@@ -459,34 +462,41 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     raise NoConvergence("incomplete gamma continued fraction did not converge")
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma function P(a, x), a > 0, x >= 0."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
+def _check_gamma_args(a: float, x: float) -> None:
+    # written so that a NaN fails each test
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"shape parameter must be positive and finite, got {a}")
+    if not x >= 0.0:
         raise DomainError(f"argument must be nonnegative, got {x}")
+
+
+def regularized_gamma_p(a: float, x: float) -> float:
+    """Lower regularized incomplete gamma P(a, x), 0 < a < inf, 0 <= x <= inf."""
+    _check_gamma_args(a, x)
     if x < a + 1.0:
         return _gamma_p_series(a, x)
+    if x == math.inf:
+        return 1.0
     return 1.0 - _gamma_q_contfrac(a, x)
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma function Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
+    _check_gamma_args(a, x)
     if x < a + 1.0:
         return 1.0 - _gamma_p_series(a, x)
+    if x == math.inf:
+        return 0.0
     return _gamma_q_contfrac(a, x)
 
 
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(chi2_df > x), monotone decreasing in x.
 
-    x = 0 returns exactly 1.0.
+    x = 0 returns exactly 1.0 and x = inf returns 0.0; a NaN x raises
+    DomainError.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
     if df < 1:
         raise DomainError(f"degrees of freedom must be >= 1, got {df}")

@@ -11,7 +11,7 @@ form, so identical inputs yield identical output bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -232,6 +232,19 @@ def fixed_count(retention: str) -> int | None:
     raise ConfigError(f"unknown retention rule {retention!r}")
 
 
+def check_options(
+    extraction: str, retention: str, rotation: str, gamma: float
+) -> int | None:
+    """Reject a bad EFA option; returns the fixed count, None for kaiser."""
+    if extraction not in EXTRACTIONS:
+        raise ConfigError(f"unknown extraction {extraction!r}")
+    if rotation not in ROTATIONS:
+        raise ConfigError(f"unknown rotation {rotation!r}")
+    if not math.isfinite(gamma):
+        raise ConfigError("gamma must be finite")
+    return fixed_count(retention)
+
+
 def fit_efa(
     R: SymMatrix,
     items=None,
@@ -248,13 +261,7 @@ def fit_efa(
     raises TooFewItems (tagged "retention"). The solution's eigenvalues
     are the full spectrum of R that the retention rule saw.
     """
-    if extraction not in EXTRACTIONS:
-        raise ConfigError(f"unknown extraction {extraction!r}")
-    if rotation not in ROTATIONS:
-        raise ConfigError(f"unknown rotation {rotation!r}")
-    if not math.isfinite(gamma):
-        raise ConfigError("gamma must be finite")
-    fixed = fixed_count(retention)
+    fixed = check_options(extraction, retention, rotation, gamma)
     with stage("retention"):
         if R.dim < 2:
             raise TooFewItems(f"efa needs >= 2 items, got {R.dim}")
@@ -343,16 +350,13 @@ def rotate_varimax(
             residual=improvement,
         )
     L *= scale[:, None]
-    rotated = FactorSolution(
-        items=solution.items,
-        extraction=solution.extraction,
+    rotated = replace(
+        solution,
         rotation="varimax",
         loadings=L,
-        eigenvalues=solution.eigenvalues,
         phi=np.eye(m),
         communalities=(L**2).sum(axis=1),
         convergence={"sweeps": sweeps, "criterion": crit},
-        heywood=solution.heywood,
         rotation_matrix=T,
     )
     return sort_and_sign(rotated)
@@ -429,16 +433,13 @@ def rotate_oblimin(
         )
     phi = T.T @ T
     communalities = ((L @ phi) * L).sum(axis=1)
-    rotated = FactorSolution(
-        items=solution.items,
-        extraction=solution.extraction,
+    rotated = replace(
+        solution,
         rotation=f"oblimin({gamma:g})",
         loadings=L,
-        eigenvalues=solution.eigenvalues,
         phi=phi,
         communalities=communalities,
         convergence={"iterations": iterations, "gradient_norm": s},
-        heywood=solution.heywood,
         rotation_matrix=T,
     )
     return sort_and_sign(rotated)
@@ -468,18 +469,7 @@ def sort_and_sign(solution: FactorSolution) -> FactorSolution:
     phi = phi * np.outer(signs, signs)
     if T is not None:
         T = T * signs
-    return FactorSolution(
-        items=solution.items,
-        extraction=solution.extraction,
-        rotation=solution.rotation,
-        loadings=L,
-        eigenvalues=solution.eigenvalues,
-        phi=phi,
-        communalities=solution.communalities,
-        convergence=solution.convergence,
-        heywood=solution.heywood,
-        rotation_matrix=T,
-    )
+    return replace(solution, loadings=L, phi=phi, rotation_matrix=T)
 
 
 def assign_items(

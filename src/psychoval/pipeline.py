@@ -24,22 +24,17 @@ from .adequacy import (
     PruneStep,
     SampleAdequacyAdvice,
     bartlett_sphericity,
+    check_alpha,
     kmo,
     msa_prune,
     sample_adequacy_advice,
+    sphericity_gate,
 )
 # sym_eigen is unused here but stays bound: perfbench's tracer tests wrap it
-from .core_stats import correlation_matrix, sym_eigen  # noqa: F401
-from .efa import (
-    EXTRACTIONS,
-    ROTATIONS,
-    FactorSolution,
-    assign_items,
-    fit_efa,
-    fixed_count,
-)
+from .core_stats import SymMatrix, correlation_matrix, sym_eigen  # noqa: F401
+from .efa import FactorSolution, assign_items, check_options, fit_efa
 from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
-from .ingest import POLICIES, ScaleDefinition, SurveyDataset, complete_cases
+from .ingest import POLICIES, AnalysisView, ScaleDefinition, SurveyDataset, complete_cases
 from .reliability import cronbach_alpha
 
 STAGES = (
@@ -75,19 +70,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown missing-data policy {self.policy!r}")
-        if not 0.0 < self.bartlett_alpha < 1.0:
-            raise ConfigError("bartlett_alpha must lie in (0, 1)")
+        check_alpha(self.bartlett_alpha)
         if not 0.0 <= self.msa_threshold < 1.0:
             raise ConfigError("msa_threshold must lie in [0, 1)")
-        if self.extraction not in EXTRACTIONS:
-            raise ConfigError(f"unknown extraction {self.extraction!r}")
-        if self.rotation not in ROTATIONS:
-            raise ConfigError(f"unknown rotation {self.rotation!r}")
-        if not math.isfinite(self.gamma):
-            raise ConfigError("gamma must be finite")
+        check_options(self.extraction, self.retention, self.rotation, self.gamma)
         if not 0.0 < self.loading_cutoff < 1.0:
             raise ConfigError("loading_cutoff must lie in (0, 1)")
-        fixed_count(self.retention)
 
     def to_dict(self) -> dict:
         return _record(self)
@@ -199,6 +187,18 @@ def json_bytes(record) -> bytes:
     return (json.dumps(record, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
+def correlate(ds: SurveyDataset, policy: str) -> tuple[AnalysisView, SymMatrix]:
+    """The head of every analysis: the missing-data policy, then R.
+
+    Errors are tagged with the stage that raised them, "policy" or
+    "correlation", in run_validation and in the subcommands alike.
+    """
+    with stage("policy"):
+        view = complete_cases(ds, policy)
+    with stage("correlation"):
+        return view, correlation_matrix(view.data, list(view.items))
+
+
 def run_validation(
     ds: SurveyDataset,
     config: PipelineConfig | None = None,
@@ -220,23 +220,17 @@ def run_validation(
         if message not in warnings:
             warnings.append(message)
 
-    with stage("policy"):
-        view = complete_cases(ds, cfg.policy)
+    view, R = correlate(ds, cfg.policy)
     n_eff = view.effective_n
-
-    with stage("correlation"):
-        R = correlation_matrix(view.data, list(view.items))
 
     with stage("bartlett"):
         chi2, df, pval = bartlett_sphericity(R, n_eff)
-        if pval > cfg.bartlett_alpha:
-            message = (
-                f"sphericity not significant "
-                f"(p = {pval:.6g} > alpha = {cfg.bartlett_alpha:g})"
-            )
+        try:
+            sphericity_gate(pval, cfg.bartlett_alpha)
+        except AssumptionsNotMet as exc:
             if not cfg.force:
-                raise AssumptionsNotMet(message)
-            warn(f"AssumptionsNotMet: {message}; continuing because force is set")
+                raise
+            warn(f"AssumptionsNotMet: {exc}; continuing because force is set")
 
     with stage("kmo"):
         kmo_overall, msa, _ = kmo(R, list(view.items))

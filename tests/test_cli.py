@@ -427,8 +427,8 @@ class TestBadInputMessages:
         assert errs[0] == errs[1] == (1, "", f"ConfigError: {message}\n")
 
     @pytest.mark.parametrize("command, line", [
-        ("kmo", "TooFewItems: kmo needs >= 2 items, got 1"),
-        ("bartlett", "TooFewItems: bartlett needs >= 2 items, got 1"),
+        ("kmo", "TooFewItems: kmo needs >= 2 items, got 1 [stage: kmo]"),
+        ("bartlett", "TooFewItems: bartlett needs >= 2 items, got 1 [stage: bartlett]"),
         ("validate", "TooFewItems: bartlett needs >= 2 items, got 1 [stage: bartlett]"),
         ("efa", "TooFewItems: efa needs >= 2 items, got 1 [stage: retention]"),
     ], ids=["kmo", "bartlett", "validate", "efa"])
@@ -437,6 +437,49 @@ class TestBadInputMessages:
         code, out, err = run(capsys, command, "-i",
                              str(data_dir / "one_item_survey.csv"), "-f", fmt)
         assert (code, out, err) == (1, "", line + "\n")
+
+
+# the pipeline stages each analysis subcommand runs
+SUBCOMMAND_STAGES = {
+    "efa": ("policy", "correlation", "retention", "extraction", "rotation"),
+    "kmo": ("policy", "correlation", "kmo"),
+    "bartlett": ("policy", "correlation", "bartlett"),
+}
+
+
+def _failed_stage(err: str) -> str | None:
+    match = re.search(r" \[stage: (\w+)\]\n\Z", err)
+    return match.group(1) if match else None
+
+
+class TestStageParity:
+    """A stage shared with validate fails with validate's own stderr line."""
+
+    @pytest.mark.parametrize("argv", [
+        *(("-i", DIGEST.GAP, "--policy", policy) for policy in DIGEST.POLICIES),
+        ("-i", DIGEST.ONE),
+        ("-i", DIGEST.NOISE),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_STAGES))
+    def test_failure_line_matches_validate(self, capsys, monkeypatch, command, argv):
+        monkeypatch.chdir(ROOT)
+        code, _, validate_err = run(capsys, "validate", *argv)
+        assert code == 1 and _failed_stage(validate_err)
+        result = run(capsys, command, *argv)
+        stages = SUBCOMMAND_STAGES[command]
+        if _failed_stage(validate_err) in stages:
+            assert result == (1, "", validate_err)
+        else:  # validate stopped at a stage this subcommand skips
+            code, _, err = result
+            assert code == 0 or _failed_stage(err) in stages, err
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "-0.1", "nan"])
+    def test_alpha_check_matches_validate(self, capsys, demo_csv, alpha):
+        outcomes = [run(capsys, command, "-i", demo_csv, "--alpha", alpha)
+                    for command in ("validate", "bartlett")]
+        assert outcomes[0] == outcomes[1] == (
+            1, "", "ConfigError: bartlett_alpha must lie in (0, 1)\n"
+        )
 
 
 class TestJsonKeyOrder:

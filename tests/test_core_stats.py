@@ -86,6 +86,15 @@ class TestPearson:
             pearson([1, 2, 3, 4], [5, 5, 5, 5])
         assert info.value.position == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_value_raises(self, bad, position):
+        # max(-1.0, nan) is -1.0, so a NaN once came back as a perfect -1
+        vectors = [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0]]
+        vectors[position][2] = bad
+        with pytest.raises(DomainError, match="^pearson needs finite values$"):
+            pearson(*vectors)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_symmetry_and_bounds(self, seed):
@@ -532,6 +541,12 @@ class TestChiSquareTail:
             chi_square_sf(-1.0, 3)
         with pytest.raises(DomainError):
             chi_square_sf(1.0, 0)
+        with pytest.raises(DomainError):
+            chi_square_sf(math.nan, 3)
+
+    @pytest.mark.parametrize("df", [1, 3, 15, 190])
+    def test_infinite_statistic_has_zero_tail(self, df):
+        assert chi_square_sf(math.inf, df) == 0.0
 
 
 class TestRegularizedGamma:
@@ -543,6 +558,20 @@ class TestRegularizedGamma:
         for a, x in ((0.5, 0.2), (1.5, 3.0), (7.0, 2.0), (3.0, 30.0)):
             s = regularized_gamma_p(a, x) + regularized_gamma_q(a, x)
             assert s == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 7.0, 95.0])
+    def test_infinite_argument(self, a):
+        assert regularized_gamma_p(a, math.inf) == 1.0
+        assert regularized_gamma_q(a, math.inf) == 0.0
+
+    @pytest.mark.parametrize("a, x", [
+        (math.nan, 1.0), (1.5, math.nan), (math.nan, math.nan), (math.inf, 1.0),
+    ])
+    @pytest.mark.parametrize("fn", [regularized_gamma_p, regularized_gamma_q])
+    def test_non_finite_raises_domain_error(self, fn, a, x):
+        # a NaN once ran every continued-fraction step, then NoConvergence
+        with pytest.raises(DomainError):
+            fn(a, x)
 
     def test_exponential_special_case(self):
         # a=1 is the exponential distribution: P(1, x) = 1 - e^{-x}

@@ -184,6 +184,15 @@ class TestRetest:
         expected = oracles.pearson_definitional(d1.sum(axis=1), d2.sum(axis=1))
         assert rep.total_r == pytest.approx(expected, abs=1e-12)
 
+    def test_missing_cells_drop_the_respondent(self):
+        ds1 = self.csv(["1,2", "3,NA", "5,6", "7,1", "2,5"])
+        ds2 = self.csv(["2,2", "3,5", "NA,5", "6,2", "1,4"])
+        rep = retest(ds1, ds2, ScaleDefinition("s", ("A", "B")))
+        assert rep.matched_n == 3  # r2 and r3 each miss one cell
+        a, b = [3.0, 8.0, 7.0], [4.0, 8.0, 5.0]  # totals of r1, r4, r5
+        assert rep.total_r == pytest.approx(oracles.pearson_definitional(a, b), abs=1e-12)
+        assert all(math.isfinite(r) for r in rep.item_r.values())
+
     @pytest.mark.parametrize("first, second, message", (
         (["4,1", "4,2", "4,3"], ["1,1", "2,2", "3,3"], "item 'A' at the first occasion"),
         (["1,1", "2,2", "3,3"], ["1,4", "2,4", "3,4"], "item 'B' at the second occasion"),

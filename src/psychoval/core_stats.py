@@ -222,13 +222,14 @@ def _sweep_moves(p: int) -> tuple[np.ndarray, ...]:
     """Flat gather indices that carry the Jacobi work array between rounds.
 
     The work array stacks the padded n x n matrix on top of the p x n
-    eigenvector matrix. During round r the pairs of ``_round_robin(p)[r]``
-    sit in neighbouring positions (2m, 2m + 1). Move r permutes rows 0..n-1
-    and all columns into the order of round r + 1; the last move returns
-    to round 0, whose order is the natural one.
+    eigenvector matrix. During round r the pairs (i, j) of
+    ``_round_robin(p)[r]`` sit at positions (m, m + h), h = n/2. Move r
+    permutes rows 0..n-1 and all columns into the order of round r + 1;
+    the last move returns to round 0, which holds the even indices, then
+    the odd ones.
     """
     n = p + (p & 1)
-    orders = [[x for pair in pairs for x in pair] for pairs in _round_robin(p)]
+    orders = [[i for i, _ in pairs] + [j for _, j in pairs] for pairs in _round_robin(p)]
     moves = []
     for r, order in enumerate(orders):
         position = {x: k for k, x in enumerate(order)}
@@ -241,27 +242,26 @@ def _sweep_moves(p: int) -> tuple[np.ndarray, ...]:
     return tuple(moves)
 
 
+@functools.lru_cache(maxsize=None)
+def _pivots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of a round's pivots in the split-half layout.
+
+    Returns the 3 x h gather of a_ij, a_ii and a_jj of every pair, and the
+    positions of a_ij and a_ji, which each round sets to zero.
+    """
+    h = n // 2
+    i = np.arange(h, dtype=np.intp)
+    j = i + h
+    gather = np.stack((i * n + j, i * (n + 1), j * (n + 1)))
+    zero = np.concatenate((i * n + j, j * n + i))
+    gather.flags.writeable = zero.flags.writeable = False
+    return gather, zero
+
+
 def _off_diagonal_max(a: np.ndarray) -> float:
     off = np.abs(a)
     np.fill_diagonal(off, 0.0)
     return float(off.max())
-
-
-def _pair_views(work: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views of a Jacobi work array at the pair positions (2m, 2m + 1).
-
-    Returns the flat array; the entries a_ij, a_ji, a_ii and a_jj of every
-    pair; rows i and rows j of the matrix; columns i and columns j of the
-    matrix and the eigenvectors together.
-    """
-    flat = work[:n].reshape(-1)
-    step = 2 * (n + 1)
-    return (
-        work.reshape(-1),
-        flat[1::step], flat[n::step], flat[0::step], flat[n + 1::step],
-        work[0:n:2], work[1:n:2],
-        work[:, 0::2], work[:, 1::2],
-    )
 
 
 def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
@@ -269,47 +269,60 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
 
     Each round applies its disjoint rotations at once: rows of a first,
     then columns of a and v together, then the annihilated entries are set
-    to zero. Only elementwise ufuncs touch the numbers, so every rotation
-    is bit-reproducible. A round's pairs sit at positions (2m, 2m + 1), so
-    its rows and columns i and j are strided views, which is cheaper than
-    gathering them by index arrays in every round. The rounds work on two
-    buffers in turn, each move gathering the next round's order from one
-    into the other.
+    to zero. A round's pairs sit at positions (m, m + h), so rows i and j
+    are the two halves of the matrix rows, and columns i and j the two
+    halves of every row; each update is C X + S X' over the stacked halves
+    X, where X' swaps them, C = [c; c] and S = [-s; s]. The angles are
+    Python floats, whose +, -, *, / and sqrt round as numpy's do, and only
+    elementwise ufuncs touch the numbers, so every rotation is
+    bit-reproducible. The rounds work on two buffers in turn, each move
+    gathering the next round's order from one into the other; a and v
+    enter in round 0's order and leave in the natural one.
     """
     p = a.shape[0]
     n = p + (p & 1)
+    h = n // 2
+    order = np.r_[0:p:2, 1:p:2]  # round 0 order; an odd p's padding stays at n - 1
     buffers = (np.zeros((n + p, n)), np.empty((n + p, n)))
-    buffers[0][:p, :p] = a
-    buffers[0][n:, :p] = v
-    views = [_pair_views(work, n) for work in buffers]
+    buffers[0][:p, :p] = a[np.ix_(order, order)]
+    buffers[0][n:, :p] = v[:, order]
+    views = [(work.reshape(-1), work[:n].reshape(2, h, n), work.reshape(n + p, 2, h))
+             for work in buffers]
+    gather, zero = _pivots(n)
+    sqrt, copysign = math.sqrt, math.copysign
     cur = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_sweeps):
             if _off_diagonal_max(buffers[cur][:n]) < tol:
                 break
             for move in _sweep_moves(p):
-                flat, aij, aji, aii, ajj, row_i, row_j, col_i, col_j = views[cur]
-                # rotation angles from the classic two-sided formula,
-                # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)); for huge
-                # theta the square would overflow and t ~ 1/(2 theta)
-                theta = (ajj - aii) / (2.0 * aij)
-                t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
-                t = np.where(np.abs(theta) > 1e150, 0.5 / theta, t)
-                # a zero pivot, and any pair with the padding index, gets
-                # the identity rotation
-                t = np.where(aij == 0.0, 0.0, t)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # row/column i takes c*i - s*j, row/column j takes s*i + c*j
-                cr, sr = c[:, None], s[:, None]
-                new_i = cr * row_i - sr * row_j
-                row_j[...] = sr * row_i + cr * row_j
-                row_i[...] = new_i
-                new_i = col_i * c - col_j * s
-                col_j[...] = col_i * s + col_j * c
-                col_i[...] = new_i
-                aij[...] = 0.0
-                aji[...] = 0.0
+                flat, rows, cols = views[cur]
+                cs, ns, ss = [], [], []
+                for aij, aii, ajj in zip(*flat.take(gather).tolist()):
+                    # rotation angles from the classic two-sided formula,
+                    # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)); for huge
+                    # theta the square would overflow and t ~ 1/(2 theta). A
+                    # zero pivot, and any pair with the padding index, gets
+                    # the identity rotation.
+                    if aij == 0.0:
+                        t = 0.0
+                    else:
+                        theta = (ajj - aii) / (2.0 * aij)
+                        if abs(theta) > 1e150:
+                            t = 0.5 / theta
+                        else:
+                            t = 1.0 / (theta + copysign(sqrt(theta * theta + 1.0), theta))
+                    c = 1.0 / sqrt(t * t + 1.0)
+                    s = t * c
+                    cs.append(c)
+                    ns.append(-s)
+                    ss.append(s)
+                # row/column i takes c*i + (-s)*j, row/column j takes c*j + s*i,
+                # the same bits as c*i - s*j and s*i + c*j
+                cos, sin = np.array(cs + cs + ns + ss).reshape(2, 2, h)
+                np.add(cos[:, :, None] * rows, sin[:, :, None] * rows[::-1], out=rows)
+                np.add(cols * cos, cols[:, ::-1] * sin, out=cols)
+                flat[zero] = 0.0
                 cur = 1 - cur
                 np.take(flat, move, out=views[cur][0])
         else:
@@ -320,8 +333,9 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
                     f"Jacobi sweeps exhausted (off-diagonal max {off:.3e})",
                     residual=off,
                 )
+    back = np.argsort(order)
     work = buffers[cur]
-    return work[:p, :p], work[n:, :p]
+    return work[:p, :p][np.ix_(back, back)], work[n:, :p][:, back]
 
 
 def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,

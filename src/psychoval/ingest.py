@@ -201,11 +201,12 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
     unknown_reversed = [r for r in reverse_coded if r not in items]
     if unknown_reversed:
         raise ConfigError(f"reverse-coded items not in header: {unknown_reversed}")
-    reflect = {items.index(r) for r in reverse_coded}
+    reflect = sorted({items.index(r) for r in reverse_coded})
 
     respondents: list[str] = []
     seen_ids: set[str] = set()
     rows: list[list[float]] = []
+    tokens: dict[str, float] = {}  # every cell text accepted so far -> its value
     for lineno, record in enumerate(reader, start=2):
         if not record or all(not c.strip() for c in record):
             continue
@@ -215,25 +216,17 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
         if rid in seen_ids:
             raise DuplicateId("respondent", rid)
         seen_ids.add(rid)
-        row: list[float] = []
-        for j, cell in enumerate(record[1:]):
-            cell = cell.strip()
-            if cell == missing_token:
-                row.append(math.nan)
-                continue
-            try:
-                value = int(cell)
-            except ValueError:
-                raise ParseError(lineno, items[j], cell) from None
-            if value < likert_min or value > likert_max:
-                raise RangeError(lineno, items[j], value)
-            if j in reflect:
-                value = likert_min + likert_max - value
-            row.append(float(value))
+        try:
+            row = list(map(tokens.__getitem__, record[1:]))
+        except KeyError:
+            row = [_cell(tokens, cell, lineno, item, likert_min, likert_max, missing_token)
+                   for item, cell in zip(items, record[1:])]
         respondents.append(rid)
         rows.append(row)
 
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(items)))
+    if reflect:  # exact on integer cells; NaN stays NaN
+        values[:, reflect] = likert_min + likert_max - values[:, reflect]
     return SurveyDataset(
         items=tuple(items),
         respondents=tuple(respondents),
@@ -241,6 +234,24 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
         likert_min=likert_min,
         likert_max=likert_max,
     )
+
+
+def _cell(tokens: dict[str, float], cell: str, lineno: int, item: str,
+          likert_min: int, likert_max: int, missing_token: str) -> float:
+    """Check one cell text, and remember its value in ``tokens``."""
+    text = cell.strip()
+    if text == missing_token:
+        value = math.nan
+    else:
+        try:
+            number = int(text)
+        except ValueError:
+            raise ParseError(lineno, item, text) from None
+        if number < likert_min or number > likert_max:
+            raise RangeError(lineno, item, number)
+        value = float(number)
+    tokens[cell] = value
+    return value
 
 
 def _records(reader):
@@ -282,14 +293,19 @@ class _CellTokens(dict):
         return token
 
 
+def check_policy(policy: str) -> None:
+    """Reject a missing-data policy outside POLICIES."""
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+
+
 def complete_cases(ds: SurveyDataset, policy: str = "listwise") -> AnalysisView:
     """Apply a missing-data policy and return the analysis view.
 
     listwise drops respondents with any missing cell, pairwise defers
     exclusion to each item pair, strict raises on any missing value.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    check_policy(policy)
     missing = np.isnan(ds.values)
     if policy == "strict":
         if missing.any():

@@ -34,7 +34,7 @@ from .adequacy import (
 from .core_stats import SymMatrix, correlation_matrix, sym_eigen  # noqa: F401
 from .efa import FactorSolution, assign_items, check_options, fit_efa
 from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
-from .ingest import POLICIES, AnalysisView, ScaleDefinition, SurveyDataset, complete_cases
+from .ingest import AnalysisView, ScaleDefinition, SurveyDataset, check_policy, complete_cases
 from .reliability import cronbach_alpha
 
 STAGES = (
@@ -68,8 +68,7 @@ class PipelineConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown missing-data policy {self.policy!r}")
+        check_policy(self.policy)
         check_alpha(self.bartlett_alpha)
         if not 0.0 <= self.msa_threshold < 1.0:
             raise ConfigError("msa_threshold must lie in [0, 1)")

@@ -6,7 +6,9 @@ quadrature) and deliberately shares no code with the package, so agreement
 between the two is evidence, not tautology. The simulator oracles are the
 exception: they are the package's earlier one-value-at-a-time code, built
 on the scalar ``Rng.normal`` that ``TestRng`` pins to the published
-recurrences, and they check the batched paths against it.
+recurrences, and they check the batched paths against it. The Jacobi and
+CSV oracles are likewise the package's earlier round and per-cell parser,
+kept so that the faster paths can be held to the same bits and errors.
 """
 
 from __future__ import annotations
@@ -18,6 +20,16 @@ from bisect import bisect_right
 
 import numpy as np
 
+from psychoval.core_stats import _round_robin
+from psychoval.errors import (
+    ConfigError,
+    DuplicateId,
+    EmptyDataset,
+    NoConvergence,
+    ParseError,
+    RangeError,
+)
+from psychoval.ingest import SurveyDataset
 from psychoval.rng import Rng
 from psychoval.simulate import cholesky_lower
 
@@ -197,6 +209,58 @@ def generate_rowwise(spec) -> np.ndarray:
     return values
 
 
+def loads_csv_per_cell(text: str, likert_min: int, likert_max: int,
+                       missing_token: str = "NA", reverse_coded=()) -> SurveyDataset:
+    """``loads_csv`` checking, converting and reflecting one cell at a time."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataset("file has no header row") from None
+        if len(header) < 2:
+            raise ParseError(1, header[0] if header else "", "header needs id column plus items")
+        items = [h.strip() for h in header[1:]]
+        duplicates = [it for k, it in enumerate(items) if it in items[:k]]
+        if duplicates:
+            raise DuplicateId("item", duplicates[0])
+        unknown_reversed = [r for r in reverse_coded if r not in items]
+        if unknown_reversed:
+            raise ConfigError(f"reverse-coded items not in header: {unknown_reversed}")
+        reflect = {items.index(r) for r in reverse_coded}
+        respondents, rows = [], []
+        for lineno, record in enumerate(reader, start=2):
+            if not record or all(not c.strip() for c in record):
+                continue
+            if len(record) != len(items) + 1:
+                raise ParseError(lineno, "", f"expected {len(items) + 1} cells, got {len(record)}")
+            rid = record[0].strip()
+            if rid in respondents:
+                raise DuplicateId("respondent", rid)
+            row = []
+            for j, cell in enumerate(record[1:]):
+                cell = cell.strip()
+                if cell == missing_token:
+                    row.append(math.nan)
+                    continue
+                try:
+                    value = int(cell)
+                except ValueError:
+                    raise ParseError(lineno, items[j], cell) from None
+                if value < likert_min or value > likert_max:
+                    raise RangeError(lineno, items[j], value)
+                if j in reflect:
+                    value = likert_min + likert_max - value
+                row.append(float(value))
+            respondents.append(rid)
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, "", str(exc)) from None
+    values = np.array(rows, dtype=float) if rows else np.empty((0, len(items)))
+    return SurveyDataset(items=tuple(items), respondents=tuple(respondents),
+                         values=values, likert_min=likert_min, likert_max=likert_max)
+
+
 def to_csv_per_cell(ds, id_column: str = "respondent", missing_token: str = "NA") -> str:
     """CSV text of a dataset, formatting each cell on its own."""
     out = io.StringIO()
@@ -208,3 +272,76 @@ def to_csv_per_cell(ds, id_column: str = "respondent", missing_token: str = "NA"
         ]
         writer.writerow([rid, *cells])
     return out.getvalue()
+
+
+def _interleaved_moves(p: int) -> list[np.ndarray]:
+    """Flat gathers between rounds whose pairs sit at positions (2m, 2m + 1)."""
+    n = p + (p & 1)
+    orders = [[x for pair in pairs for x in pair] for pairs in _round_robin(p)]
+    moves = []
+    for r, order in enumerate(orders):
+        position = {x: k for k, x in enumerate(order)}
+        perm = np.array([position[x] for x in orders[(r + 1) % len(orders)]],
+                        dtype=np.intp)
+        rows = np.concatenate((perm, np.arange(n, n + p, dtype=np.intp)))
+        moves.append((rows[:, None] * n + perm).reshape(-1))
+    return moves
+
+
+def _off_diagonal_max(a: np.ndarray) -> float:
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
+
+
+def jacobi_interleaved(a, v, tol: float, max_sweeps: int):
+    """Round-robin Jacobi sweeps with each round's pairs at (2m, 2m + 1).
+
+    The package's earlier round: the angles as numpy vectors, rows and
+    columns i and j as strided views. Returns (a, v) in natural order.
+    """
+    p = a.shape[0]
+    n = p + (p & 1)
+    buffers = (np.zeros((n + p, n)), np.empty((n + p, n)))
+    buffers[0][:p, :p] = a
+    buffers[0][n:, :p] = v
+    step = 2 * (n + 1)
+    views = []
+    for work in buffers:
+        flat = work[:n].reshape(-1)
+        views.append((
+            work.reshape(-1),
+            flat[1::step], flat[n::step], flat[0::step], flat[n + 1::step],
+            work[0:n:2], work[1:n:2], work[:, 0::2], work[:, 1::2],
+        ))
+    moves = _interleaved_moves(p)
+    cur = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_sweeps):
+            if _off_diagonal_max(buffers[cur][:n]) < tol:
+                break
+            for move in moves:
+                flat, aij, aji, aii, ajj, row_i, row_j, col_i, col_j = views[cur]
+                theta = (ajj - aii) / (2.0 * aij)
+                t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
+                t = np.where(np.abs(theta) > 1e150, 0.5 / theta, t)
+                t = np.where(aij == 0.0, 0.0, t)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                cr, sr = c[:, None], s[:, None]
+                new_i = cr * row_i - sr * row_j
+                row_j[...] = sr * row_i + cr * row_j
+                row_i[...] = new_i
+                new_i = col_i * c - col_j * s
+                col_j[...] = col_i * s + col_j * c
+                col_i[...] = new_i
+                aij[...] = 0.0
+                aji[...] = 0.0
+                cur = 1 - cur
+                np.take(flat, move, out=views[cur][0])
+        else:
+            off = _off_diagonal_max(buffers[cur][:n])
+            if off >= tol:
+                raise NoConvergence(f"off-diagonal max {off:.3e}", residual=off)
+    work = buffers[cur]
+    return work[:p, :p], work[n:, :p]

@@ -26,7 +26,14 @@ from psychoval import (
     regularized_gamma_q,
     sym_eigen,
 )
-from psychoval.core_stats import JACOBI_TOL, _cold_eigen, _round_robin, _sweep_moves
+from psychoval.core_stats import (
+    JACOBI_MAX_SWEEPS,
+    JACOBI_TOL,
+    _cold_eigen,
+    _jacobi_sweeps,
+    _round_robin,
+    _sweep_moves,
+)
 from psychoval.errors import (
     DomainError,
     InsufficientRows,
@@ -416,15 +423,40 @@ class TestSymEigenAtScale:
 
     @pytest.mark.parametrize("p", KERNEL_SIZES)
     def test_sweep_moves_follow_schedule(self, p):
-        # round r works on the pairs at positions (2m, 2m + 1); a sweep
-        # ends in the natural order
+        # round r works on the pairs at positions (m, m + h); a sweep ends
+        # in round 0's order
         n = p + p % 2
-        order = list(range(n))
+        h = n // 2
+        start = list(range(0, n, 2)) + list(range(1, n, 2))
+        order = start
         for pairs, move in zip(_round_robin(p), _sweep_moves(p)):
-            assert [tuple(order[k:k + 2]) for k in range(0, n, 2)] == list(pairs)
+            assert sorted(zip(order[:h], order[h:])) == list(pairs)
             perm = move[:n] % n
             order = [order[k] for k in perm]
-        assert order == list(range(n))
+        assert order == start
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("p", KERNEL_SIZES + (17, 18))
+    def test_rotations_match_interleaved_round(self, p, kind):
+        # the split-half round applies the same operations to every element
+        # as the interleaved one, cold and from a warm basis
+        A = kernel_matrix(kind, p, seed=2000 + p)
+        Q, _ = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))
+        warm = Q.T @ A @ Q
+        for a, v in ((A, np.eye(p)), ((warm + warm.T) / 2.0, Q)):
+            got = _jacobi_sweeps(a, v, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+            expected = oracles.jacobi_interleaved(a, v, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("p", (5, 18, 20))
+    def test_exhausted_residual_matches_interleaved_round(self, p):
+        A = random_symmetric(np.random.default_rng(8), p)
+        with pytest.raises(NoConvergence) as got:
+            _jacobi_sweeps(A, np.eye(p), JACOBI_TOL, 1)
+        with pytest.raises(NoConvergence) as expected:
+            oracles.jacobi_interleaved(A, np.eye(p), JACOBI_TOL, 1)
+        assert got.value.residual == expected.value.residual
 
 
 class TestSymEigenMemo:

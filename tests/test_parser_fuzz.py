@@ -10,8 +10,12 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from psychoval import loads_csv, parse_model, parse_scales
 from psychoval.errors import PsychovalError
+
+from . import oracles
 
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -21,9 +25,9 @@ def joined(pieces, sep: str):
     return st.lists(pieces, max_size=8).map(sep.join)
 
 
-CELLS = st.sampled_from(
-    ["1", "4", "7", "NA", "", " 3 ", "-1", "0", "8", "x", "1.5", '"', "1_0", "\x00", "9" * 40]
-)
+CELL_TOKENS = ["1", "4", "7", "NA", "", " 3 ", "-1", "0", "8", "x", "1.5", '"', "1_0", "\x00",
+               "9" * 40]
+CELLS = st.sampled_from(CELL_TOKENS)
 CSV_ROW = joined(st.one_of(CELLS, st.text(max_size=3)), ",")
 CSV = st.one_of(
     st.text(max_size=200),
@@ -49,6 +53,51 @@ def test_loads_csv_raises_only_domain_errors(text, lo, hi, missing, reverse):
         loads_csv(text, lo, hi, missing_token=missing, reverse_coded=reverse)
     except PsychovalError:
         pass
+
+
+def parse_outcome(parse, *args, **kwargs):
+    try:
+        return parse(*args, **kwargs)
+    except PsychovalError as exc:
+        return type(exc), str(exc)
+
+
+MISSING = st.sampled_from(["NA", "", ".", "x"])
+
+
+@st.composite
+def grids(draw):
+    """A rectangular table of mostly valid cells, with valid parser arguments."""
+    missing = draw(MISSING)
+    cells = st.sampled_from(["1", "2", "5", " 3 ", "-0", "+4", missing] * 8 + CELL_TOKENS)
+    rows = draw(st.lists(st.lists(cells, min_size=3, max_size=3), max_size=6))
+    text = "id,A,B,C\n" + "".join(f"r{k},{','.join(r)}\n" for k, r in enumerate(rows))
+    bounds = draw(st.sampled_from([(0, 7), (-2, 9), (1, 5)]))
+    return text, bounds, missing, draw(st.lists(st.sampled_from("ABC"), max_size=2))
+
+
+DOCUMENTS = st.one_of(
+    st.tuples(CSV, st.tuples(st.integers(-2, 9), st.integers(-2, 9)), MISSING,
+              st.lists(st.sampled_from(["A", "B", "Z", ""]), max_size=2)),
+    grids(),
+)
+
+
+@given(DOCUMENTS)
+@FUZZ
+def test_loads_csv_matches_per_cell_oracle(document):
+    # the token map and the reflection in numpy give the cells, or the
+    # first error, of checking one cell at a time
+    text, bounds, missing, reverse = document
+    got = parse_outcome(loads_csv, text, *bounds, missing_token=missing,
+                        reverse_coded=reverse)
+    expected = parse_outcome(oracles.loads_csv_per_cell, text, *bounds,
+                             missing_token=missing, reverse_coded=reverse)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert (got.items, got.respondents) == (expected.items, expected.respondents)
+        assert np.array_equal(got.values, expected.values, equal_nan=True)
 
 
 SCALE_LINES = st.sampled_from(

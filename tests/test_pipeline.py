@@ -300,6 +300,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
 
+    def test_policy_has_one_check(self):
+        # the config and the policy stage reject a policy with one message
+        expected = "unknown policy 'bogus', expected one of ('listwise', 'pairwise', 'strict')"
+        with pytest.raises(ConfigError) as config:
+            PipelineConfig(policy="bogus")
+        ds = SurveyDataset(items=("A", "B"), respondents=("r1", "r2"),
+                           values=np.ones((2, 2)), likert_min=1, likert_max=5)
+        with pytest.raises(ConfigError) as cases:
+            complete_cases(ds, "bogus")
+        assert str(config.value) == str(cases.value) == expected
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("rotation", ["oblimin", "varimax", "none"])
     def test_non_finite_gamma_rejected(self, gamma, rotation):

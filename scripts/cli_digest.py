@@ -109,6 +109,7 @@ def _invocations() -> list[tuple[str, ...]]:
         ("describe", "-i", "data/no_such_file.csv"),
         ("validate", "-i", DEMO, "--likert", "1:3"),
         ("validate", "-i", DEMO, "--likert", "17"),
+        ("validate", "-i", DEMO, "--likert", "0:100000000000000000000"),
         ("validate", "-i", DEMO, "--alpha", "2"),
         ("bartlett", "-i", DEMO, "--alpha", "2"),
         ("validate", "-i", DEMO, "--cutoff", "nan"),

@@ -20,6 +20,7 @@ from .core_stats import (
     chi_square_sf,
     correlation_matrix,
     inverse,
+    item_labels,
     log_determinant,
 )
 from .errors import (
@@ -103,8 +104,15 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError("bartlett_alpha must lie in (0, 1)")
 
 
+def check_msa_threshold(threshold: float) -> None:
+    """Reject an MSA pruning threshold outside [0, 1), NaN included."""
+    if not 0.0 <= threshold < 1.0:
+        raise ConfigError("msa_threshold must lie in [0, 1)")
+
+
 def sphericity_gate(p: float, alpha: float) -> None:
-    """Raise AssumptionsNotMet when Bartlett's p-value exceeds alpha."""
+    """Raise AssumptionsNotMet when Bartlett's p-value exceeds a checked alpha."""
+    check_alpha(alpha)
     if p > alpha:
         raise AssumptionsNotMet(
             f"sphericity not significant (p = {p:.6g} > alpha = {alpha:g})"
@@ -126,7 +134,7 @@ def kmo(R: SymMatrix, items: list[str] | None = None
     p = R.dim
     if p < 2:
         raise TooFewItems(f"kmo needs >= 2 items, got {p}")
-    names = list(items) if items is not None else [f"item{j + 1}" for j in range(p)]
+    names = item_labels(items, p)
     s = inverse(R).values
     s_diag = np.diag(s)
     if np.any(s_diag <= 0.0):
@@ -159,6 +167,7 @@ def msa_prune(view: AnalysisView, threshold: float = 0.5) -> PruneTrail:
     threshold or when removal would leave fewer than 3 items; in the latter
     case raises CannotReachThreshold carrying the partial trail.
     """
+    check_msa_threshold(threshold)
     items = list(view.items)
     data = view.data
     steps: list[PruneStep] = []

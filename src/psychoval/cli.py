@@ -11,12 +11,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adequacy import bartlett_sphericity, check_alpha, kmo, sphericity_gate
 from .efa import EXTRACTIONS, ROTATIONS, fit_efa
 from .errors import ConfigError, PsychovalError, stage
-from .ingest import POLICIES, ScaleDefinition, describe, load_csv, load_scales, to_csv
+from .ingest import (
+    DEFAULT_LIKERT, MISSING_TOKEN, POLICIES, ScaleDefinition, describe, load_csv,
+    load_scales, parse_likert, split_items, to_csv,
+)
 from .pipeline import (
     PipelineConfig, _record, correlate, render, run_validation, solution_to_dict,
 )
@@ -27,30 +31,34 @@ SEED_ENV = "PSYCHOVAL_SEED"
 
 
 def _likert_bounds(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
     try:
-        if not sep:
-            raise ValueError
-        bounds = (int(lo), int(hi))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"likert bounds {text!r} must look like 1:7"
-        ) from None
-    if bounds[0] >= bounds[1]:
-        raise argparse.ArgumentTypeError("likert low bound must be below high bound")
-    return bounds
+        return parse_likert(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, help="survey CSV file")
+    _add_reading_flags(p)
+
+
+def _add_reading_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--likert",
         type=_likert_bounds,
-        default=(1, 7),
+        default=DEFAULT_LIKERT,
         metavar="A:B",
-        help="inclusive Likert bounds (default 1:7)",
+        help="inclusive Likert bounds (default %s:%s)" % DEFAULT_LIKERT,
     )
-    p.add_argument("--missing", default="NA", help="missing-cell token (default NA)")
+    p.add_argument("--missing", default=MISSING_TOKEN,
+                   help="missing-cell token (default %(default)s)")
+
+
+def _add_scale_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--scales", help="scale sidecar file (name: id1,id2,...)")
+    group.add_argument("--items", help="comma-separated item ids for one scale")
+    p.add_argument("--name", default="scale", help="scale name with --items")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -62,22 +70,22 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=POLICIES, default="listwise")
+    p.add_argument("--policy", choices=POLICIES)
     p.add_argument(
-        "--extraction", choices=EXTRACTIONS, default="paf",
-        help="factor extraction method (default paf)",
+        "--extraction", choices=EXTRACTIONS,
+        help="factor extraction method (default %(default)s)",
     )
     p.add_argument(
-        "--retention", default="kaiser", metavar="kaiser|fixed:K",
-        help="factor retention rule (default kaiser)",
+        "--retention", metavar="kaiser|fixed:K",
+        help="factor retention rule (default %(default)s)",
     )
     p.add_argument(
-        "--rotation", choices=ROTATIONS, default="oblimin",
-        help="rotation method (default oblimin)",
+        "--rotation", choices=ROTATIONS,
+        help="rotation method (default %(default)s)",
     )
     p.add_argument(
-        "--gamma", type=float, default=0.0,
-        help="oblimin gamma parameter (default 0 = quartimin)",
+        "--gamma", type=float,
+        help="oblimin gamma parameter (default %(default)g = quartimin)",
     )
 
 
@@ -87,61 +95,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="survey scale validation: adequacy, factoring, reliability",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # analysis flags take PipelineConfig's field names as dests, and its defaults
+    defaults = PipelineConfig().to_dict()
 
     p = sub.add_parser("validate", help="run the full validation pipeline")
     _add_input_flags(p)
     _add_model_flags(p)
-    p.add_argument("--alpha", type=float, default=0.05,
-                   help="bartlett significance level (default 0.05)")
-    p.add_argument("--msa-threshold", type=float, default=0.5,
-                   help="per-item MSA pruning threshold (default 0.5)")
-    p.add_argument("--cutoff", type=float, default=0.4,
-                   help="loading cutoff for item assignment (default 0.4)")
+    p.add_argument("--alpha", dest="bartlett_alpha", type=float, metavar="ALPHA",
+                   help="bartlett significance level (default %(default)g)")
+    p.add_argument("--msa-threshold", type=float,
+                   help="per-item MSA pruning threshold (default %(default)g)")
+    p.add_argument("--cutoff", dest="loading_cutoff", type=float, metavar="CUTOFF",
+                   help="loading cutoff for item assignment (default %(default)g)")
     p.add_argument("--force", action="store_true",
                    help="continue past a failed sphericity gate (warned)")
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_cmd_validate, **defaults)
 
     p = sub.add_parser("efa", help="extraction and rotation only")
     _add_input_flags(p)
     _add_model_flags(p)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_efa)
+    p.set_defaults(handler=_cmd_efa, **defaults)
 
     p = sub.add_parser("alpha", help="Cronbach's alpha for defined scales")
     _add_input_flags(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scales", help="scale sidecar file (name: id1,id2,...)")
-    group.add_argument("--items", help="comma-separated item ids for one scale")
-    p.add_argument("--name", default="scale", help="scale name with --items")
+    _add_scale_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("retest", help="test-retest reliability across two files")
     p.add_argument("--t1", required=True, help="first-occasion CSV")
     p.add_argument("--t2", required=True, help="second-occasion CSV")
-    p.add_argument("--likert", type=_likert_bounds, default=(1, 7), metavar="A:B")
-    p.add_argument("--missing", default="NA")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scales", help="scale sidecar file")
-    group.add_argument("--items", help="comma-separated item ids for one scale")
-    p.add_argument("--name", default="scale", help="scale name with --items")
+    _add_reading_flags(p)
+    _add_scale_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_retest)
 
     p = sub.add_parser("kmo", help="sampling adequacy (KMO overall and per-item MSA)")
     _add_input_flags(p)
-    p.add_argument("--policy", choices=POLICIES, default="listwise")
+    p.add_argument("--policy", choices=POLICIES)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_kmo)
+    p.set_defaults(handler=_cmd_kmo, **defaults)
 
     p = sub.add_parser("bartlett", help="sphericity gate: fails when not significant")
     _add_input_flags(p)
-    p.add_argument("--policy", choices=POLICIES, default="listwise")
-    p.add_argument("--alpha", type=float, default=0.05,
-                   help="significance level (default 0.05)")
+    p.add_argument("--policy", choices=POLICIES)
+    p.add_argument("--alpha", dest="bartlett_alpha", type=float, metavar="ALPHA",
+                   help="significance level (default %(default)g)")
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_bartlett)
+    p.set_defaults(handler=_cmd_bartlett, **defaults)
 
     p = sub.add_parser("simulate", help="generate Likert data from a factor model")
     p.add_argument("--spec", required=True, help="model file (key: value + blocks)")
@@ -159,36 +162,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    lo, hi = args.likert
-    return load_csv(args.input, lo, hi, missing_token=args.missing)
+def _load(args, path: str):
+    return load_csv(path, *args.likert, missing_token=args.missing)
 
 
 def _scale_definitions(args) -> list[ScaleDefinition]:
     if args.scales:
         return load_scales(args.scales)
-    items = tuple(tok.strip() for tok in args.items.split(",") if tok.strip())
-    return [ScaleDefinition(args.name, items)]
+    return [ScaleDefinition(args.name, split_items(args.items))]
 
 
 def _cmd_validate(args) -> dict:
-    ds = _load(args)
-    cfg = PipelineConfig(
-        policy=args.policy,
-        bartlett_alpha=args.alpha,
-        msa_threshold=args.msa_threshold,
-        extraction=args.extraction,
-        retention=args.retention,
-        rotation=args.rotation,
-        gamma=args.gamma,
-        loading_cutoff=args.cutoff,
-        force=args.force,
-    )
+    ds = _load(args, args.input)
+    cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
     return run_validation(ds, cfg, source=args.input).to_dict()
 
 
 def _cmd_efa(args) -> dict:
-    view, R = correlate(_load(args), args.policy)
+    view, R = correlate(_load(args, args.input), args.policy)
     solution = fit_efa(
         R, view.items, args.extraction, args.retention, args.rotation, args.gamma
     )
@@ -196,30 +187,28 @@ def _cmd_efa(args) -> dict:
 
 
 def _cmd_alpha(args) -> list:
-    ds = _load(args)
+    ds = _load(args, args.input)
     return _record([cronbach_alpha(ds, sd) for sd in _scale_definitions(args)])
 
 
 def _cmd_retest(args) -> list:
-    lo, hi = args.likert
-    ds1 = load_csv(args.t1, lo, hi, missing_token=args.missing)
-    ds2 = load_csv(args.t2, lo, hi, missing_token=args.missing)
+    ds1, ds2 = _load(args, args.t1), _load(args, args.t2)
     return _record([test_retest(ds1, ds2, sd) for sd in _scale_definitions(args)])
 
 
 def _cmd_kmo(args) -> dict:
-    view, R = correlate(_load(args), args.policy)
+    view, R = correlate(_load(args, args.input), args.policy)
     with stage("kmo"):
         overall, msa, _ = kmo(R, list(view.items))
     return _record({"kmo_overall": overall, "msa": msa})
 
 
 def _cmd_bartlett(args) -> dict:
-    check_alpha(args.alpha)
-    view, R = correlate(_load(args), args.policy)
+    check_alpha(args.bartlett_alpha)
+    view, R = correlate(_load(args, args.input), args.policy)
     with stage("bartlett"):
         chi2, df, p = bartlett_sphericity(R, view.effective_n)
-        sphericity_gate(p, args.alpha)
+        sphericity_gate(p, args.bartlett_alpha)
     return _record({"chi2": chi2, "df": df, "p": p})
 
 
@@ -236,7 +225,7 @@ def _cmd_simulate(args) -> bytes:
 
 
 def _cmd_describe(args) -> list:
-    return _record(describe(_load(args)))
+    return _record(describe(_load(args, args.input)))
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     InsufficientRows,
     LengthMismatch,
@@ -89,6 +90,21 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.T
 
 
+def item_labels(items: Sequence[str] | None, p: int) -> tuple[str, ...]:
+    """The labels of p items, item1..itemp for None; ConfigError unless p given."""
+    if items is None:
+        return tuple(f"item{j + 1}" for j in range(p))
+    if len(items) != p:
+        raise ConfigError(f"{len(items)} item labels given for {p} items")
+    return tuple(items)
+
+
+def lead_signs(columns: np.ndarray) -> np.ndarray:
+    """Per column, the sign ±1.0 making its largest-|entry| (lowest row on ties) positive."""
+    lead = np.argmax(np.abs(columns), axis=0)
+    return np.where(columns[lead, np.arange(columns.shape[1])] < 0.0, -1.0, 1.0)
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation of two equal-length vectors (n >= 3).
 
@@ -146,9 +162,7 @@ def correlation_matrix(
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d table, got shape {a.shape}")
     n, p = a.shape
-    names = list(items) if items is not None else [f"item{j + 1}" for j in range(p)]
-    if len(names) != p:
-        raise ValueError("item-name count does not match column count")
+    names = item_labels(items, p)
 
     present = ~np.isnan(a)
     w = present.astype(float)
@@ -393,10 +407,8 @@ def _diagonalize(a: np.ndarray, v: np.ndarray, tol: float,
     eigenvalues = eigenvalues[order]
     vectors = v[:, order]
 
-    # sign convention: largest-|entry| of each column made positive
     if p:
-        lead = np.argmax(np.abs(vectors), axis=0)
-        vectors *= np.where(vectors[lead, np.arange(p)] < 0.0, -1.0, 1.0)
+        vectors *= lead_signs(vectors)
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)

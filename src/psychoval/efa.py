@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_stats import SymMatrix, inverse, sym_eigen
+from .core_stats import SymMatrix, inverse, item_labels, lead_signs, sym_eigen
 from .errors import BadFactorCount, ConfigError, NoConvergence, TooFewItems, stage
 
 EXTRACTIONS = ("paf", "pca")
@@ -110,14 +110,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _item_names(items, p: int) -> tuple[str, ...]:
-    if items is None:
-        return tuple(f"item{j + 1}" for j in range(p))
-    if len(items) != p:
-        raise ValueError("item label count does not match matrix dimension")
-    return tuple(items)
-
-
 def _check_m(m: int, p: int) -> None:
     if not 1 <= m <= p:
         raise BadFactorCount(f"factor count {m} outside [1, {p}]")
@@ -126,12 +118,13 @@ def _check_m(m: int, p: int) -> None:
 def extract_pca(R: SymMatrix, m: int, items=None) -> FactorSolution:
     """Principal component extraction: loading column k = sqrt(lambda_k) v_k."""
     p = R.dim
+    names = item_labels(items, p)
     _check_m(m, p)
     eig = sym_eigen(R)
     lam = np.clip(eig.eigenvalues[:m], 0.0, None)
     loadings = eig.eigenvectors[:, :m] * np.sqrt(lam)
     return FactorSolution(
-        items=_item_names(items, p),
+        items=names,
         extraction="pca",
         rotation="none",
         loadings=loadings,
@@ -159,6 +152,7 @@ def extract_paf(
     the row rescaled (Heywood case, flagged, never silent).
     """
     p = R.dim
+    names = item_labels(items, p)
     _check_m(m, p)
     full_spectrum = sym_eigen(R).eigenvalues
     smc = 1.0 - 1.0 / np.diag(inverse(R).values)
@@ -194,7 +188,7 @@ def extract_paf(
             residual=delta,
         )
     return FactorSolution(
-        items=_item_names(items, p),
+        items=names,
         extraction="paf",
         rotation="none",
         loadings=loadings,
@@ -245,6 +239,12 @@ def check_options(
     return fixed_count(retention)
 
 
+def check_cutoff(cutoff: float) -> None:
+    """Reject a loading cutoff outside (0, 1), NaN included."""
+    if not 0.0 < cutoff < 1.0:
+        raise ConfigError("loading_cutoff must lie in (0, 1)")
+
+
 def fit_efa(
     R: SymMatrix,
     items=None,
@@ -262,6 +262,7 @@ def fit_efa(
     are the full spectrum of R that the retention rule saw.
     """
     fixed = check_options(extraction, retention, rotation, gamma)
+    items = item_labels(items, R.dim)
     with stage("retention"):
         if R.dim < 2:
             raise TooFewItems(f"efa needs >= 2 items, got {R.dim}")
@@ -396,13 +397,11 @@ def rotate_oblimin(
     G = -(L.T @ Gq @ Ti).T
     al = 1.0
     s = math.inf
-    converged = False
-    iterations = 0
     for iterations in range(max_iter):
         Gp = G - T @ np.diag((T * G).sum(axis=0))
-        s = float(np.sqrt((Gp * Gp).sum()))
-        if s < gtol:
-            converged = True
+        with np.errstate(over="ignore"):  # an overflow shows as s = inf
+            s = float(np.sqrt((Gp * Gp).sum()))
+        if s < gtol or not math.isfinite(s):  # no step recovers from NaN or inf
             break
         al *= 2.0
         Tt, Tti, Lt, ft = T, Ti, L, f
@@ -426,9 +425,11 @@ def rotate_oblimin(
             al /= 2.0
         T, Ti, L, f = Tt, Tti, Lt, ft
         G = -(L.T @ Gq @ Ti).T
-    if not converged:
+    else:
+        iterations = max_iter
+    if not s < gtol:
         raise NoConvergence(
-            f"oblimin: gradient norm {s:.3e} after {max_iter} iterations",
+            f"oblimin: gradient norm {s:.3e} after {iterations} iterations",
             residual=s,
         )
     phi = T.T @ T
@@ -452,19 +453,13 @@ def sort_and_sign(solution: FactorSolution) -> FactorSolution:
     structure == pattern @ phi keeps holding. Idempotent.
     """
     L = solution.loadings
-    m = solution.m
     order = np.argsort(-((L**2).sum(axis=0)), kind="stable")
     L = L[:, order]
     phi = solution.phi[np.ix_(order, order)]
     T = solution.rotation_matrix
     if T is not None:
         T = T[:, order]
-    signs = np.ones(m)
-    for k in range(m):
-        col = L[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            signs[k] = -1.0
+    signs = lead_signs(L)
     L = L * signs
     phi = phi * np.outer(signs, signs)
     if T is not None:
@@ -481,6 +476,7 @@ def assign_items(
     when that loading reaches the cutoff, flagged cross_loaded when a
     second factor also reaches it, and unassigned when none does.
     """
+    check_cutoff(cutoff)
     out: dict[str, ItemAssignment] = {}
     for j, item in enumerate(solution.items):
         row = solution.loadings[j]

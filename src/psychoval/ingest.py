@@ -31,6 +31,9 @@ from .errors import (
 )
 
 POLICIES = ("listwise", "pairwise", "strict")
+MISSING_TOKEN = "NA"
+DEFAULT_LIKERT = (1, 7)
+LIKERT_LIMIT = 2**53  # every integer cell within ±2^53 is exact as a float
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,7 @@ class SurveyDataset:
     likert_max: int
 
     def __post_init__(self):
-        if self.likert_min >= self.likert_max:
-            raise ConfigError("likert_min must be strictly below likert_max")
+        check_likert(self.likert_min, self.likert_max)
         if len(set(self.items)) != len(self.items):
             raise DuplicateId("item", _first_duplicate(self.items))
         if len(set(self.respondents)) != len(self.respondents):
@@ -148,6 +150,30 @@ class AnalysisView:
         return int(self.pair_n.min())
 
 
+def parse_likert(text: str) -> tuple[int, int]:
+    """Likert bounds from ``A:B`` text, checked by check_likert."""
+    lo, _, hi = text.partition(":")
+    try:
+        bounds = (int(lo), int(hi))  # no colon leaves hi empty
+    except ValueError:
+        raise ConfigError(f"likert bounds {text!r} must look like 1:7") from None
+    check_likert(*bounds)
+    return bounds
+
+
+def check_likert(likert_min: int, likert_max: int, ordered: bool = True) -> None:
+    """Reject a bound beyond ±LIKERT_LIMIT or NaN, and, if ordered, min >= max."""
+    if not all(-LIKERT_LIMIT <= b <= LIKERT_LIMIT for b in (likert_min, likert_max)):
+        raise ConfigError("likert bounds must lie within [-2^53, 2^53]")
+    if ordered and likert_min >= likert_max:
+        raise ConfigError("likert_min must be strictly below likert_max")
+
+
+def split_items(text: str) -> tuple[str, ...]:
+    """Item ids from comma-separated text, each stripped, blanks dropped."""
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _first_duplicate(seq: Iterable[str]) -> str:
     seen = set()
     for s in seq:
@@ -161,7 +187,7 @@ def load_csv(
     path: str | Path,
     likert_min: int,
     likert_max: int,
-    missing_token: str = "NA",
+    missing_token: str = MISSING_TOKEN,
     reverse_coded: Sequence[str] = (),
 ) -> SurveyDataset:
     """Read a survey CSV into a validated SurveyDataset.
@@ -179,7 +205,7 @@ def loads_csv(
     text: str,
     likert_min: int,
     likert_max: int,
-    missing_token: str = "NA",
+    missing_token: str = MISSING_TOKEN,
     reverse_coded: Sequence[str] = (),
 ) -> SurveyDataset:
     """Same as load_csv but from an in-memory string."""
@@ -188,6 +214,7 @@ def loads_csv(
 
 
 def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> SurveyDataset:
+    check_likert(likert_min, likert_max, ordered=False)  # SurveyDataset checks the order
     reader = _records(csv.reader(fh))
     try:
         header = next(reader)
@@ -225,8 +252,10 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
         rows.append(row)
 
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(items)))
-    if reflect:  # exact on integer cells; NaN stays NaN
-        values[:, reflect] = likert_min + likert_max - values[:, reflect]
+    if reflect:  # NaN stays NaN; exact on integer cells, as the sum or the span is within 2^53
+        cells, total = values[:, reflect], likert_min + likert_max
+        values[:, reflect] = (total - cells if abs(total) <= LIKERT_LIMIT
+                              else likert_max - (cells - likert_min))
     return SurveyDataset(
         items=tuple(items),
         respondents=tuple(respondents),
@@ -263,7 +292,7 @@ def _records(reader):
 
 
 def to_csv(ds: SurveyDataset, id_column: str = "respondent",
-           missing_token: str = "NA") -> str:
+           missing_token: str = MISSING_TOKEN) -> str:
     """Serialize a dataset back to the CSV dialect read by load_csv.
 
     Integer cells, LF newlines; loading the output reproduces the dataset
@@ -388,6 +417,5 @@ def parse_scales(text: str) -> list[ScaleDefinition]:
         if name in names:
             raise DuplicateId("scale", name)
         names.add(name)
-        item_ids = tuple(tok.strip() for tok in rest.split(",") if tok.strip())
-        scales.append(ScaleDefinition(name=name, item_ids=item_ids))
+        scales.append(ScaleDefinition(name=name, item_ids=split_items(rest)))
     return scales

@@ -25,6 +25,7 @@ from .adequacy import (
     SampleAdequacyAdvice,
     bartlett_sphericity,
     check_alpha,
+    check_msa_threshold,
     kmo,
     msa_prune,
     sample_adequacy_advice,
@@ -32,7 +33,7 @@ from .adequacy import (
 )
 # sym_eigen is unused here but stays bound: perfbench's tracer tests wrap it
 from .core_stats import SymMatrix, correlation_matrix, sym_eigen  # noqa: F401
-from .efa import FactorSolution, assign_items, check_options, fit_efa
+from .efa import FactorSolution, assign_items, check_cutoff, check_options, fit_efa
 from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
 from .ingest import AnalysisView, ScaleDefinition, SurveyDataset, check_policy, complete_cases
 from .reliability import cronbach_alpha
@@ -70,11 +71,9 @@ class PipelineConfig:
     def __post_init__(self):
         check_policy(self.policy)
         check_alpha(self.bartlett_alpha)
-        if not 0.0 <= self.msa_threshold < 1.0:
-            raise ConfigError("msa_threshold must lie in [0, 1)")
+        check_msa_threshold(self.msa_threshold)
         check_options(self.extraction, self.retention, self.rotation, self.gamma)
-        if not 0.0 < self.loading_cutoff < 1.0:
-            raise ConfigError("loading_cutoff must lie in (0, 1)")
+        check_cutoff(self.loading_cutoff)
 
     def to_dict(self) -> dict:
         return _record(self)

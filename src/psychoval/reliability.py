@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import pearson
+from .core_stats import item_labels, pearson
 from .errors import InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
 
@@ -88,7 +88,7 @@ def alpha_from_covariance(
     k = cov.shape[0]
     if k < 2:
         raise TooFewItems(f"alpha needs >= 2 items, got {k}")
-    names = list(items) if items is not None else [f"item{j + 1}" for j in range(k)]
+    names = item_labels(items, k)
     variances = np.diag(cov)
     for name, v in zip(names, variances):
         if v <= 0.0:
@@ -147,9 +147,6 @@ def cronbach_alpha(ds: SurveyDataset, scale: ScaleDefinition) -> AlphaReport:
         raise InsufficientRows(
             f"scale {scale.name!r} has {block.shape[0]} complete rows, need 3"
         )
-    for j, item in enumerate(scale.item_ids):
-        if np.all(block[:, j] == block[0, j]):
-            raise ZeroVariance(f"item {item!r}")
     cov = np.cov(block, rowvar=False, ddof=1)
     return alpha_from_covariance(
         cov, items=list(scale.item_ids), scale_name=scale.name, n=block.shape[0]

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_stats import SymMatrix
+from .core_stats import SymMatrix, item_labels
 from .errors import ConfigError, NotPositiveDefinite, UniquenessNegative
-from .ingest import SurveyDataset
+from .ingest import DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, split_items
 from .rng import Rng
 
 SQRT2 = math.sqrt(2.0)
@@ -87,8 +87,8 @@ class FactorModelSpec:
 
     loadings: np.ndarray
     phi: np.ndarray | None = None
-    likert_min: int = 1
-    likert_max: int = 7
+    likert_min: int = DEFAULT_LIKERT[0]
+    likert_max: int = DEFAULT_LIKERT[1]
     n: int = 1
     thresholds: tuple | None = None
     seed: int = 0
@@ -110,16 +110,11 @@ class FactorModelSpec:
         if np.max(np.abs(np.diag(phi) - 1.0)) > 1e-8:
             raise ConfigError("phi must have a unit diagonal")
         cholesky_lower(phi)  # positive definiteness check
-        if self.likert_min >= self.likert_max:
-            raise ConfigError("likert_min must be strictly below likert_max")
+        check_likert(self.likert_min, self.likert_max)
         if self.n < 1:
             raise ConfigError("n must be at least 1")
 
-        items = self.items
-        if items is None:
-            items = tuple(f"item{j + 1}" for j in range(p))
-        if len(items) != p:
-            raise ConfigError("item label count does not match loadings rows")
+        items = item_labels(self.items, p)
 
         h2 = ((L @ phi) * L).sum(axis=1)
         for j, value in enumerate(h2):
@@ -134,7 +129,7 @@ class FactorModelSpec:
         phi.flags.writeable = False
         object.__setattr__(self, "loadings", L)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "items", items)
         object.__setattr__(self, "thresholds", cuts)
 
     def _normalized_thresholds(self, p: int) -> tuple[tuple[float, ...], ...]:
@@ -283,12 +278,8 @@ def parse_model(text: str, n: int | None = None, seed: int | None = None) -> Fac
         rows = blocks["thresholds"]
         thresholds = tuple(rows[0]) if len(rows) == 1 else tuple(tuple(r) for r in rows)
 
-    likert_min, likert_max = 1, 7
-    if "likert" in scalars:
-        likert_min, likert_max = _parse_likert(scalars["likert"])
-    items = None
-    if "items" in scalars:
-        items = tuple(tok.strip() for tok in scalars["items"].split(",") if tok.strip())
+    likert = parse_likert(scalars["likert"]) if "likert" in scalars else DEFAULT_LIKERT
+    items = split_items(scalars["items"]) if "items" in scalars else None
 
     if n is None:
         n = _parse_int(scalars.get("n"), "n") if "n" in scalars else None
@@ -300,8 +291,8 @@ def parse_model(text: str, n: int | None = None, seed: int | None = None) -> Fac
     return FactorModelSpec(
         loadings=loadings,
         phi=phi,
-        likert_min=likert_min,
-        likert_max=likert_max,
+        likert_min=likert[0],
+        likert_max=likert[1],
         n=n,
         thresholds=thresholds,
         seed=seed,
@@ -318,13 +309,6 @@ def _rectangular(rows: list[list[float]], what: str) -> np.ndarray:
     if len(widths) != 1:
         raise ConfigError(f"{what} block rows have unequal lengths")
     return np.array(rows, dtype=float)
-
-
-def _parse_likert(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ConfigError(f"likert bounds {text!r} are not in a:b form")
-    return _parse_int(lo.strip(), "likert low"), _parse_int(hi.strip(), "likert high")
 
 
 def _parse_int(token: str | None, what: str) -> int:

@@ -8,7 +8,8 @@ exception: they are the package's earlier one-value-at-a-time code, built
 on the scalar ``Rng.normal`` that ``TestRng`` pins to the published
 recurrences, and they check the batched paths against it. The Jacobi and
 CSV oracles are likewise the package's earlier round and per-cell parser,
-kept so that the faster paths can be held to the same bits and errors.
+kept so that the faster paths can be held to the same bits and errors, and
+the sign oracle is the earlier per-column loop of ``sort_and_sign``.
 """
 
 from __future__ import annotations
@@ -187,6 +188,18 @@ def alpha_definitional(data) -> float:
     item_vars = [float(np.var(data[:, j], ddof=1)) for j in range(k)]
     total_var = float(np.var(data.sum(axis=1), ddof=1))
     return (k / (k - 1.0)) * (1.0 - sum(item_vars) / total_var)
+
+
+def lead_signs_per_column(columns) -> np.ndarray:
+    """Per column, -1.0 when its first largest-|entry| is negative, else 1.0."""
+    columns = np.asarray(columns, dtype=float)
+    signs = np.ones(columns.shape[1])
+    for k in range(columns.shape[1]):
+        col = columns[:, k]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0:
+            signs[k] = -1.0
+    return signs
 
 
 def generate_rowwise(spec) -> np.ndarray:

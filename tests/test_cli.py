@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from psychoval.cli import SEED_ENV, main
+from psychoval import PipelineConfig
+from psychoval.cli import SEED_ENV, build_parser, main
 from tests.frozen import NOISE_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +100,14 @@ class TestExitCodes:
         assert "AssumptionsNotMet" in err
         assert "bartlett" in err
         assert out == ""
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["validate", "efa", "kmo", "bartlett"])
+    def test_parsed_defaults_are_pipeline_config(self, command):
+        args = build_parser().parse_args([command, "-i", "survey.csv"])
+        config = PipelineConfig().to_dict()
+        assert {name: getattr(args, name) for name in config} == config
 
 
 class TestValidate:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from psychoval import (
     extract_pca,
     fit_efa,
     generate,
+    load_csv,
     retain_kaiser,
     rotate_oblimin,
     rotate_varimax,
@@ -29,8 +31,8 @@ from psychoval import (
     sym_eigen,
     varimax_criterion,
 )
-from psychoval.efa import fixed_count
-from psychoval.errors import BadFactorCount, ConfigError, TooFewItems
+from psychoval.efa import OBLIMIN_MAX_ITER, fixed_count
+from psychoval.errors import BadFactorCount, ConfigError, NoConvergence, TooFewItems
 from tests import oracles
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import ATTENUATED_PHI, ROUND_TRIP_SEED
@@ -385,6 +387,19 @@ class TestOblimin:
         sol = extract_paf(population_matrix(L), 2, items=ITEMS6)
         rotated = rotate_oblimin(sol)
         assert np.max(np.abs(align(rotated.loadings, L) - L)) < 0.02
+
+    @pytest.mark.parametrize("gamma, stopped", [(1e308, "0"), (1e150, r"[1-9]\d*")])
+    def test_non_finite_gradient_stops_at_once(self, data_dir, gamma, stopped):
+        # a gamma this large overflows the criterion; no step size recovers
+        ds = load_csv(data_dir / "demo_survey.csv", 1, 7)
+        sol = extract_paf(correlation_matrix(ds.values, list(ds.items)), 2, items=ds.items)
+        with pytest.raises(NoConvergence) as exc:
+            rotate_oblimin(sol, gamma=gamma)
+        assert not math.isfinite(exc.value.residual)
+        iterations = re.fullmatch(
+            rf"oblimin: gradient norm (inf|nan) after ({stopped}) iterations", str(exc.value)
+        ).group(2)
+        assert int(iterations) < OBLIMIN_MAX_ITER
 
     def test_rotation_label_carries_gamma(self, two_factor_dataset):
         R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))

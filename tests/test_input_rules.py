@@ -1,0 +1,204 @@
+"""Input rules with one owner each: item labels, the sign convention, Likert bounds.
+
+Every function that takes item labels goes through ``core_stats.item_labels``;
+every sign-fixed matrix through ``core_stats.lead_signs``; every Likert bound,
+whether from a dataset, a CSV, a model or ``--likert``, through
+``ingest.check_likert``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from psychoval import (
+    FactorModelSpec,
+    SurveyDataset,
+    alpha_from_covariance,
+    correlation_matrix,
+    extract_paf,
+    extract_pca,
+    fit_efa,
+    kmo,
+    loads_csv,
+    parse_model,
+)
+from psychoval.cli import main
+from psychoval.core_stats import SymMatrix, item_labels, lead_signs
+from psychoval.errors import ConfigError, RangeError, ZeroVariance
+from psychoval.ingest import LIKERT_LIMIT, parse_likert, split_items
+
+from . import oracles
+
+P = 4
+R4 = SymMatrix(np.full((P, P), 0.3) + 0.7 * np.eye(P))
+
+
+def _correlation_labels(items):
+    # labels only show in errors: the last item is constant
+    data = np.array([[1, 2, 3, 5], [2, 1, 3, 5], [3, 3, 1, 5], [1, 3, 2, 5]], dtype=float)
+    with pytest.raises(ZeroVariance) as exc:
+        correlation_matrix(data, items)
+    return str(exc.value)
+
+
+LABEL_TAKERS = {
+    "correlation_matrix": _correlation_labels,
+    "kmo": lambda items: tuple(kmo(R4, items)[1]),
+    "extract_pca": lambda items: extract_pca(R4, 1, items=items).items,
+    "extract_paf": lambda items: extract_paf(R4, 1, items=items).items,
+    "fit_efa": lambda items: fit_efa(R4, items).items,
+    "alpha_from_covariance": lambda items: tuple(
+        alpha_from_covariance(R4.values, items).item_total_correlations
+    ),
+    "FactorModelSpec": lambda items: FactorModelSpec(
+        loadings=np.full((P, 1), 0.5), n=10, items=items
+    ).items,
+}
+
+
+class TestItemLabels:
+    @pytest.mark.parametrize("count", [P - 1, P + 1])
+    @pytest.mark.parametrize("name", LABEL_TAKERS)
+    def test_wrong_label_count_is_config_error(self, name, count):
+        labels = tuple("ABCDEF"[:count])
+        with pytest.raises(ConfigError, match=f"{count} item labels given for {P} items"):
+            LABEL_TAKERS[name](labels)
+
+    @pytest.mark.parametrize("name", LABEL_TAKERS)
+    def test_none_labels_items_by_position(self, name):
+        got = LABEL_TAKERS[name](None)
+        if name == "correlation_matrix":
+            assert got == f"item 'item{P}' has zero variance"
+        else:
+            assert got == tuple(f"item{j}" for j in range(1, P + 1))
+
+    def test_owner(self):
+        assert item_labels(None, 2) == ("item1", "item2")
+        assert item_labels(["x", "y"], 2) == ("x", "y")
+        assert item_labels(None, 0) == ()
+
+
+class TestLeadSigns:
+    def test_matches_per_column_loop(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            p, m = rng.integers(1, 7), rng.integers(1, 6)
+            # small integers tie often; zero columns and -0.0 are kept on purpose
+            a = rng.integers(-2, 3, size=(p, m)).astype(float)
+            a[:, rng.random(m) < 0.2] = 0.0
+            a[rng.random((p, m)) < 0.1] = -0.0
+            np.testing.assert_array_equal(lead_signs(a), oracles.lead_signs_per_column(a))
+
+    def test_ties_go_to_lowest_row(self):
+        a = np.array([[2.0, -2.0, 0.0], [-2.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(lead_signs(a), [1.0, -1.0, 1.0])
+
+    def test_nan_column_keeps_sign(self):
+        a = np.array([[-3.0], [np.nan]])
+        np.testing.assert_array_equal(lead_signs(a), oracles.lead_signs_per_column(a))
+
+
+class TestSplitItems:
+    def test_strips_and_drops_blanks(self):
+        assert split_items(" A, ,B,, C ") == ("A", "B", "C")
+        assert split_items("") == ()
+
+
+EDGE = LIKERT_LIMIT  # 2^53: the last bound at which every integer cell is exact
+SPANS_IN = [(EDGE - 6, EDGE), (-EDGE, -EDGE + 6)]
+SPANS_OUT = [(EDGE - 5, EDGE + 1), (-EDGE - 1, -EDGE + 5)]
+
+
+def _dataset(lo, hi):
+    values = np.full((2, 2), float(lo))
+    return SurveyDataset(("A", "B"), ("r1", "r2"), values, lo, hi)
+
+
+def _csv(lo, hi):
+    return loads_csv(f"id,A,B\nr1,{lo},{hi}\nr2,{hi},{lo}\n", lo, hi)
+
+
+def _spec(lo, hi):
+    # six categories, so the equal-probability cuts stay cheap
+    return FactorModelSpec(loadings=np.full((3, 1), 0.5), likert_min=lo, likert_max=hi)
+
+
+def _model(lo, hi):
+    return parse_model(f"n: 5\nlikert: {lo}:{hi}\nloadings:\n  0.5\n  0.5\n  0.5\n")
+
+
+LIKERT_TAKERS = {
+    "SurveyDataset": _dataset,
+    "loads_csv": _csv,
+    "FactorModelSpec": _spec,
+    "parse_model": _model,
+    "parse_likert": lambda lo, hi: parse_likert(f"{lo}:{hi}"),
+}
+
+
+class TestLikertLimit:
+    @pytest.mark.parametrize("bounds", SPANS_IN)
+    @pytest.mark.parametrize("name", LIKERT_TAKERS)
+    def test_two_to_the_53_is_accepted(self, name, bounds):
+        LIKERT_TAKERS[name](*bounds)
+
+    @pytest.mark.parametrize("bounds", SPANS_OUT)
+    @pytest.mark.parametrize("name", LIKERT_TAKERS)
+    def test_beyond_two_to_the_53_is_config_error(self, name, bounds):
+        with pytest.raises(ConfigError, match=r"likert bounds must lie within \[-2\^53, 2\^53\]"):
+            LIKERT_TAKERS[name](*bounds)
+
+    def test_nan_bound_is_config_error(self):
+        with pytest.raises(ConfigError, match="likert bounds must lie within"):
+            _dataset(1, float("nan"))
+
+    def test_csv_checks_bounds_before_any_cell(self):
+        # the 400-digit cell is never converted: the bound fails first
+        with pytest.raises(ConfigError, match="likert bounds must lie within"):
+            loads_csv("id,A,B\nr1," + "9" * 400 + ",1\nr2,1,2\n", 0, 10**400)
+
+    def test_csv_cells_at_the_limit_are_exact(self):
+        ds = loads_csv(f"id,A,B\nr1,{EDGE},0\nr2,{EDGE - 1},1\n", 0, EDGE)
+        assert ds.values[:, 0].tolist() == [EDGE, EDGE - 1]
+
+    @pytest.mark.parametrize("lo, hi", [(EDGE - 3, EDGE), (-EDGE, -EDGE + 3), (-EDGE, EDGE)])
+    def test_reflection_at_the_limit_is_exact(self, lo, hi):
+        # the sum of the bounds is not a float for the first two, the span for the last
+        text = f"id,A,B\nr1,{lo},{hi}\nr2,{hi},{lo}\nr3,{lo + 1},NA\n"
+        got = loads_csv(text, lo, hi, reverse_coded=["A"])
+        expected = oracles.loads_csv_per_cell(text, lo, hi, reverse_coded=["A"])
+        np.testing.assert_array_equal(got.values, expected.values)
+
+    def test_order_is_still_checked_after_the_cells(self):
+        # a cell outside reversed bounds is reported first, as cell by cell
+        with pytest.raises(RangeError):
+            loads_csv("id,A,B\nr1,5,5\n", 7, 1)
+        with pytest.raises(ConfigError, match="strictly below"):
+            loads_csv("id,A,B\n", 7, 1)
+
+    @pytest.mark.parametrize("text", ["17", "1:", ":7", "1:7:9", "a:b"])
+    def test_parse_likert_shape(self, text):
+        with pytest.raises(ConfigError, match=f"likert bounds '{text}' must look like 1:7"):
+            parse_likert(text)
+
+    def test_model_file_uses_the_same_parser(self):
+        with pytest.raises(ConfigError, match="likert bounds '17' must look like 1:7"):
+            parse_model("n: 5\nlikert: 17\nloadings:\n  0.5\n  0.5\n  0.5\n")
+
+    def test_cli_accepts_two_to_the_53(self, capsys, data_dir):
+        code = main(["validate", "-i", str(data_dir / "demo_survey.csv"),
+                     "--likert", f"0:{EDGE}", "-f", "json"])
+        assert code == 0
+        assert f'"likert_max": {EDGE}' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bounds", ["0:9007199254740993", "-9007199254740993:0",
+                                        "0:100000000000000000000"])
+    def test_cli_rejects_beyond_as_usage_error(self, capsys, data_dir, bounds):
+        code = main(["validate", "-i", str(data_dir / "demo_survey.csv"), f"--likert={bounds}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "psychoval validate: error: argument --likert: "
+            "likert bounds must lie within [-2^53, 2^53]"
+        )

@@ -17,7 +17,10 @@ from psychoval import (
     complete_cases,
     correlation_matrix,
     extract_paf,
+    fit_efa,
     generate,
+    load_csv,
+    msa_prune,
     render_report,
     report_from_json,
     retain_kaiser,
@@ -26,6 +29,7 @@ from psychoval import (
     sort_and_sign,
 )
 from psychoval import efa
+from psychoval.adequacy import sphericity_gate
 from psychoval.errors import (
     AssumptionsNotMet,
     BadFactorCount,
@@ -310,6 +314,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as cases:
             complete_cases(ds, "bogus")
         assert str(config.value) == str(cases.value) == expected
+
+    @pytest.mark.parametrize(
+        "field, gate",
+        [
+            ("bartlett_alpha", lambda view, alpha: sphericity_gate(0.9, alpha)),
+            ("msa_threshold", msa_prune),
+            ("loading_cutoff",
+             lambda view, cutoff: assign_items(
+                 fit_efa(correlation_matrix(view.data, view.items), view.items), cutoff)),
+        ],
+        ids=["sphericity_gate", "msa_prune", "assign_items"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, -0.5, 1.0, 1.5])
+    def test_gates_reject_what_the_config_rejects(self, data_dir, field, gate, value):
+        # unchecked, the demo file passes the gate at NaN and prunes to 3 items at 1.5
+        view = complete_cases(load_csv(data_dir / "demo_survey.csv", 1, 7))
+        with pytest.raises(ConfigError) as config:
+            PipelineConfig(**{field: value})
+        with pytest.raises(ConfigError) as gated:
+            gate(view, value)
+        assert str(gated.value) == str(config.value)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("rotation", ["oblimin", "varimax", "none"])

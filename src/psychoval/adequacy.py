@@ -30,6 +30,7 @@ from .errors import (
 from .ingest import AnalysisView
 
 MIN_ITEMS_AFTER_PRUNE = 3
+MSA_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def kmo(R: SymMatrix, items: list[str] | None = None
     return overall, msa, anti_image
 
 
-def msa_prune(view: AnalysisView, threshold: float = 0.5) -> PruneTrail:
+def msa_prune(view: AnalysisView, threshold: float = MSA_THRESHOLD) -> PruneTrail:
     """Iteratively drop the single worst item while its MSA is below threshold.
 
     One item per pass (the argmin MSA, ties by item order), because MSA

@@ -37,6 +37,9 @@ SINGULARITY_RTOL = 1e-10
 JACOBI_MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12
 
+# Fewest observations a correlation, an item or a pair may rest on.
+MIN_ROWS = 3
+
 # Incomplete gamma: absolute term tolerance and iteration cap.
 GAMMA_TOL = 1e-12
 GAMMA_MAX_ITER = 10_000
@@ -106,7 +109,7 @@ def lead_signs(columns: np.ndarray) -> np.ndarray:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation of two equal-length vectors (n >= 3).
+    """Sample Pearson correlation of two equal-length vectors (n >= MIN_ROWS).
 
     Raises LengthMismatch for unequal or too-short input, DomainError for a
     NaN or infinite value, and ZeroVariance, with ``position`` 0 or 1, when
@@ -117,8 +120,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     yv = np.asarray(y, dtype=float)
     if xv.ndim != 1 or yv.ndim != 1 or xv.shape != yv.shape:
         raise LengthMismatch(f"vector lengths {xv.shape} and {yv.shape} differ")
-    if xv.size < 3:
-        raise LengthMismatch(f"need at least 3 observations, got {xv.size}")
+    if xv.size < MIN_ROWS:
+        raise LengthMismatch(f"need at least {MIN_ROWS} observations, got {xv.size}")
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise DomainError("pearson needs finite values")
     dx = xv - xv.mean()
@@ -133,19 +136,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def correlation_matrix(
-    data: np.ndarray,
-    items: Sequence[str] | None = None,
-    min_rows: int = 3,
-) -> SymMatrix:
+def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> SymMatrix:
     """Pearson correlation matrix of a respondents x items table.
 
     Missing cells are NaN; each pair (i, j) is computed over the rows where
     both columns are present (pairwise deletion), which reduces to the plain
     formula when the table is complete. Each item must have at least
-    ``min_rows`` observations and nonzero variance on its complete cases;
-    each pair must have ``min_rows`` joint rows and nonzero variance on both
-    sides, else the first failing pair in row-major order is reported.
+    MIN_ROWS observations and nonzero variance on its complete cases; each
+    pair must have MIN_ROWS joint rows and nonzero variance on both sides,
+    else the first failing pair in row-major order is reported.
 
     All pairs come from four masked Gram products of the presence mask W and
     the shifted data Y = a - c (zero where missing), with c the rounded
@@ -171,10 +170,10 @@ def correlation_matrix(
     # fmin/fmax skip NaN; an all-NaN column gives inf != -inf
     constant = (np.fmin.reduce(a, axis=0, initial=np.inf)
                 == np.fmax.reduce(a, axis=0, initial=-np.inf))
-    for j in np.flatnonzero((count < min_rows) | constant):
-        if count[j] < min_rows:
+    for j in np.flatnonzero((count < MIN_ROWS) | constant):
+        if count[j] < MIN_ROWS:
             raise InsufficientRows(
-                f"item {names[j]!r} has {int(count[j])} observations, need {min_rows}"
+                f"item {names[j]!r} has {int(count[j])} observations, need {MIN_ROWS}"
             )
         raise ZeroVariance(f"item {names[j]!r}")
 
@@ -185,15 +184,12 @@ def correlation_matrix(
     var = cnt * ((y * y).T @ w) - sx * sx
     cov = cnt * (y.T @ y) - sx * sx.T
 
-    # below 3 joint rows a pair has no correlation, whatever min_rows says
-    bad = np.triu((cnt < max(min_rows, 3)) | (var <= 0.0) | (var.T <= 0.0), 1)
+    bad = np.triu((cnt < MIN_ROWS) | (var <= 0.0) | (var.T <= 0.0), 1)
     for i, j in np.argwhere(bad)[:1]:
         pair = f"pair ({names[i]!r}, {names[j]!r})"
         joint = int(cnt[i, j])
-        if joint < min_rows:
-            raise InsufficientRows(f"{pair} has {joint} complete rows, need {min_rows}")
-        if joint < 3:
-            raise LengthMismatch(f"need at least 3 observations, got {joint}")
+        if joint < MIN_ROWS:
+            raise InsufficientRows(f"{pair} has {joint} complete rows, need {MIN_ROWS}")
         which = names[i] if var[i, j] <= 0.0 else names[j]
         raise ZeroVariance(f"item {which!r} within {pair}")
 
@@ -278,8 +274,11 @@ def _off_diagonal_max(a: np.ndarray) -> float:
     return float(off.max())
 
 
-def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
+def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
     """Rotate a to diagonal form in round-robin sweeps, accumulating v.
+
+    Sweeps stop once the largest off-diagonal magnitude is below
+    JACOBI_TOL; JACOBI_MAX_SWEEPS sweeps without that raise NoConvergence.
 
     Each round applies its disjoint rotations at once: rows of a first,
     then columns of a and v together, then the annihilated entries are set
@@ -306,8 +305,8 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
     sqrt, copysign = math.sqrt, math.copysign
     cur = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_sweeps):
-            if _off_diagonal_max(buffers[cur][:n]) < tol:
+        for _ in range(JACOBI_MAX_SWEEPS):
+            if _off_diagonal_max(buffers[cur][:n]) < JACOBI_TOL:
                 break
             for move in _sweep_moves(p):
                 flat, rows, cols = views[cur]
@@ -342,9 +341,9 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
         else:
             # budget exhausted: the final sweep may still have converged
             off = _off_diagonal_max(buffers[cur][:n])
-            if off >= tol:
+            if off >= JACOBI_TOL:
                 raise NoConvergence(
-                    f"Jacobi sweeps exhausted (off-diagonal max {off:.3e})",
+                    f"Jacobi: {JACOBI_MAX_SWEEPS} sweeps exhausted (off-diagonal max {off:.3e})",
                     residual=off,
                 )
     back = np.argsort(order)
@@ -352,16 +351,14 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int):
     return work[:p, :p][np.ix_(back, back)], work[n:, :p][:, back]
 
 
-def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,
-              max_sweeps: int = JACOBI_MAX_SWEEPS,
-              basis: np.ndarray | None = None) -> EigenDecomposition:
+def sym_eigen(A: SymMatrix, basis: np.ndarray | None = None) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Each sweep visits every off-diagonal pair once, in Brent-Luk
     round-robin order: a round holds floor(p/2) disjoint pairs, whose plane
     rotations are applied together by elementwise updates (no BLAS inside
     the sweep, so each rotation is bit-reproducible). Sweeps repeat until
-    the largest off-diagonal magnitude drops below ``tol``. Deterministic:
+    the largest off-diagonal magnitude drops below JACOBI_TOL. Deterministic:
     fixed sweep order, no pivoting heuristics, and a fixed sign convention
     on the eigenvectors.
 
@@ -371,36 +368,34 @@ def sym_eigen(A: SymMatrix, tol: float = JACOBI_TOL,
     diagonal start and few sweeps.
 
     Calls without ``basis`` keep their last result: asked for the same
-    matrix, tolerance and sweep budget again, they return the same
-    (read-only) arrays without sweeping. The validation pipeline asks for
+    matrix again, they return the same (read-only) arrays without sweeping. The validation pipeline asks for
     each decomposition several times in a row, so one entry is enough.
     """
     p = A.dim
     if basis is None:
-        return _cold_eigen(A.values.tobytes(), p, tol, max_sweeps)
+        return _cold_eigen(A.values.tobytes(), p)
     v = np.array(basis, dtype=float)
     if v.shape != (p, p):
         raise ValueError(f"basis shape {v.shape} does not match dimension {p}")
     a = v.T @ A.values @ v
-    return _diagonalize((a + a.T) / 2.0, v, tol, max_sweeps)
+    return _diagonalize((a + a.T) / 2.0, v)
 
 
 @functools.lru_cache(maxsize=1)
-def _cold_eigen(values: bytes, p: int, tol: float, max_sweeps: int) -> EigenDecomposition:
+def _cold_eigen(values: bytes, p: int) -> EigenDecomposition:
     """sym_eigen started from the identity, memoised on the matrix bytes.
 
     The key is the exact bytes, not SymMatrix equality, which takes -0.0
     for 0.0. Exceptions are not cached.
     """
-    return _diagonalize(np.frombuffer(values).reshape(p, p), np.eye(p), tol, max_sweeps)
+    return _diagonalize(np.frombuffer(values).reshape(p, p), np.eye(p))
 
 
-def _diagonalize(a: np.ndarray, v: np.ndarray, tol: float,
-                 max_sweeps: int) -> EigenDecomposition:
+def _diagonalize(a: np.ndarray, v: np.ndarray) -> EigenDecomposition:
     """Sweep a to diagonal form, accumulating v; sort and sign the eigenpairs."""
     p = a.shape[0]
     if p > 1:
-        a, v = _jacobi_sweeps(a, v, tol, max_sweeps)
+        a, v = _jacobi_sweeps(a, v)
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(-eigenvalues, kind="stable")

@@ -135,21 +135,16 @@ def extract_pca(R: SymMatrix, m: int, items=None) -> FactorSolution:
     )
 
 
-def extract_paf(
-    R: SymMatrix,
-    m: int,
-    items=None,
-    max_iter: int = PAF_MAX_ITER,
-    tol: float = PAF_TOL,
-) -> FactorSolution:
+def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     """Principal axis factoring with iterated communalities.
 
     Initial communalities are squared multiple correlations
     1 - 1/(R^-1)_jj. Each pass replaces diag(R) with the current
     communalities, eigendecomposes, clamps negative eigenvalues to zero,
     and recomputes communalities as row sums of squared loadings, until
-    max |delta h2| < tol. A communality exceeding 1 is clamped to 1 with
-    the row rescaled (Heywood case, flagged, never silent).
+    max |delta h2| < PAF_TOL; PAF_MAX_ITER passes without that raise
+    NoConvergence. A communality exceeding 1 is clamped to 1 with the row
+    rescaled (Heywood case, flagged, never silent).
     """
     p = R.dim
     names = item_labels(items, p)
@@ -163,7 +158,7 @@ def extract_paf(
     delta = math.inf
     iterations = 0
     basis = None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PAF_MAX_ITER + 1):
         np.fill_diagonal(reduced, h2)
         # only the diagonal changed, so the last eigenvectors nearly
         # diagonalize the new reduced matrix
@@ -179,12 +174,12 @@ def extract_paf(
             new_h2 = np.minimum(new_h2, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
         h2 = new_h2
-        if delta < tol:
+        if delta < PAF_TOL:
             break
     else:
         raise NoConvergence(
             f"principal axis factoring: max |delta h2| = {delta:.3e} "
-            f"after {max_iter} iterations",
+            f"after {PAF_MAX_ITER} iterations",
             residual=delta,
         )
     return FactorSolution(
@@ -298,16 +293,13 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     return float(((sq**2).sum(axis=0) - sq.sum(axis=0) ** 2 / p).sum() / p)
 
 
-def rotate_varimax(
-    solution: FactorSolution,
-    tol: float = VARIMAX_TOL,
-    max_sweeps: int = VARIMAX_MAX_SWEEPS,
-) -> FactorSolution:
+def rotate_varimax(solution: FactorSolution) -> FactorSolution:
     """Orthogonal varimax rotation by pairwise Kaiser-normalized sweeps.
 
     Each factor pair is rotated by the closed-form angle maximizing the
     pair criterion; sweeps repeat until the relative criterion improvement
-    drops below tol. A one-factor solution is returned unchanged with
+    drops below VARIMAX_TOL, and VARIMAX_MAX_SWEEPS sweeps without that
+    raise NoConvergence. A one-factor solution is returned unchanged with
     rotation still recorded as none.
     """
     if solution.m < 2:
@@ -320,7 +312,7 @@ def rotate_varimax(
     T = np.eye(m)
     crit = varimax_criterion(L, normalize=False)
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, VARIMAX_MAX_SWEEPS + 1):
         for i in range(m - 1):
             for j in range(i + 1, m):
                 x = L[:, i]
@@ -343,11 +335,11 @@ def rotate_varimax(
         new_crit = varimax_criterion(L, normalize=False)
         improvement = new_crit - crit
         crit = new_crit
-        if improvement <= tol * max(abs(new_crit), 1e-15):
+        if improvement <= VARIMAX_TOL * max(abs(new_crit), 1e-15):
             break
     else:
         raise NoConvergence(
-            f"varimax: criterion still improving after {max_sweeps} sweeps",
+            f"varimax: criterion still improving after {VARIMAX_MAX_SWEEPS} sweeps",
             residual=improvement,
         )
     L *= scale[:, None]
@@ -363,19 +355,16 @@ def rotate_varimax(
     return sort_and_sign(rotated)
 
 
-def rotate_oblimin(
-    solution: FactorSolution,
-    gamma: float = 0.0,
-    gtol: float = OBLIMIN_GTOL,
-    max_iter: int = OBLIMIN_MAX_ITER,
-) -> FactorSolution:
+def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSolution:
     """Direct oblimin rotation by oblique gradient projection.
 
     Minimizes the oblimin criterion (gamma = 0 is direct quartimin) over
     oblique rotation matrices with unit-length columns, via projected
-    gradient steps with doubling/backtracking line search. Returns the
-    pattern matrix, factor correlations phi = T'T, and structure =
-    pattern @ phi. Rotation never changes the reproduced matrix
+    gradient steps with doubling/backtracking line search, until the
+    projected gradient norm drops below OBLIMIN_GTOL; OBLIMIN_MAX_ITER
+    steps without that raise NoConvergence. Returns the pattern matrix,
+    factor correlations phi = T'T, and structure = pattern @ phi.
+    Rotation never changes the reproduced matrix
     pattern @ phi @ pattern' + diag(uniqueness).
     """
     if solution.m < 2:
@@ -397,11 +386,11 @@ def rotate_oblimin(
     G = -(L.T @ Gq @ Ti).T
     al = 1.0
     s = math.inf
-    for iterations in range(max_iter):
+    for iterations in range(OBLIMIN_MAX_ITER):
         Gp = G - T @ np.diag((T * G).sum(axis=0))
         with np.errstate(over="ignore"):  # an overflow shows as s = inf
             s = float(np.sqrt((Gp * Gp).sum()))
-        if s < gtol or not math.isfinite(s):  # no step recovers from NaN or inf
+        if s < OBLIMIN_GTOL or not math.isfinite(s):  # no step recovers from NaN or inf
             break
         al *= 2.0
         Tt, Tti, Lt, ft = T, Ti, L, f
@@ -426,8 +415,8 @@ def rotate_oblimin(
         T, Ti, L, f = Tt, Tti, Lt, ft
         G = -(L.T @ Gq @ Ti).T
     else:
-        iterations = max_iter
-    if not s < gtol:
+        iterations = OBLIMIN_MAX_ITER
+    if not s < OBLIMIN_GTOL:
         raise NoConvergence(
             f"oblimin: gradient norm {s:.3e} after {iterations} iterations",
             residual=s,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .adequacy import (
+    MSA_THRESHOLD,
     AdequacyReport,
     PruneStep,
     SampleAdequacyAdvice,
@@ -33,7 +34,14 @@ from .adequacy import (
 )
 # sym_eigen is unused here but stays bound: perfbench's tracer tests wrap it
 from .core_stats import SymMatrix, correlation_matrix, sym_eigen  # noqa: F401
-from .efa import FactorSolution, assign_items, check_cutoff, check_options, fit_efa
+from .efa import (
+    ASSIGN_CUTOFF,
+    FactorSolution,
+    assign_items,
+    check_cutoff,
+    check_options,
+    fit_efa,
+)
 from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
 from .ingest import AnalysisView, ScaleDefinition, SurveyDataset, check_policy, complete_cases
 from .reliability import cronbach_alpha
@@ -60,12 +68,12 @@ class PipelineConfig:
 
     policy: str = "listwise"
     bartlett_alpha: float = 0.05
-    msa_threshold: float = 0.5
+    msa_threshold: float = MSA_THRESHOLD
     extraction: str = "paf"
     retention: str = "kaiser"  # "kaiser" | "fixed:<k>"
     rotation: str = "oblimin"
     gamma: float = 0.0
-    loading_cutoff: float = 0.4
+    loading_cutoff: float = ASSIGN_CUTOFF
     force: bool = False
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import item_labels, pearson
+from .core_stats import MIN_ROWS, item_labels, pearson
 from .errors import InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
 
@@ -138,14 +138,14 @@ def cronbach_alpha(ds: SurveyDataset, scale: ScaleDefinition) -> AlphaReport:
     """Cronbach's alpha of a scale on observed data.
 
     Rows with any missing cell among the scale items are dropped; needs at
-    least 3 complete rows, 2 items, and nonzero variance per item.
+    least MIN_ROWS complete rows, 2 items, and nonzero variance per item.
     """
     if len(scale.item_ids) < 2:
         raise TooFewItems(f"scale {scale.name!r} has {len(scale.item_ids)} item(s)")
     block = _scale_matrix(ds, scale)
-    if block.shape[0] < 3:
+    if block.shape[0] < MIN_ROWS:
         raise InsufficientRows(
-            f"scale {scale.name!r} has {block.shape[0]} complete rows, need 3"
+            f"scale {scale.name!r} has {block.shape[0]} complete rows, need {MIN_ROWS}"
         )
     cov = np.cov(block, rowvar=False, ddof=1)
     return alpha_from_covariance(
@@ -182,9 +182,9 @@ def test_retest(
         complete = ~(np.isnan(a).any(axis=1) | np.isnan(b).any(axis=1))
         matched = [r for r, c in zip(matched, complete) if c]
         a, b = a[complete], b[complete]
-    if len(matched) < 3:
+    if len(matched) < MIN_ROWS:
         raise NoOverlap(
-            f"only {len(matched)} respondents shared between occasions, need 3"
+            f"only {len(matched)} respondents shared between occasions, need {MIN_ROWS}"
         )
 
     item_r: dict[str, float] = {}

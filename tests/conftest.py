@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from psychoval import FactorModelSpec, generate
+from psychoval.core_stats import _cold_eigen
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -26,6 +27,24 @@ def two_block_loadings(value: float = 0.8, p: int = 6) -> np.ndarray:
     L[:half, 0] = value
     L[half:, 1] = value
     return L
+
+
+@pytest.fixture
+def numerics(monkeypatch):
+    """Set fixed numeric settings for one test: numerics(module, NAME=value).
+
+    The eigen memo is cleared before and after the test, so no
+    decomposition made under one Jacobi setting answers a call made under
+    another.
+    """
+    def patch(module, **settings):
+        for name, value in settings.items():
+            assert hasattr(module, name), name
+            monkeypatch.setattr(module, name, value)
+
+    _cold_eigen.cache_clear()
+    yield patch
+    _cold_eigen.cache_clear()
 
 
 @pytest.fixture(scope="session")

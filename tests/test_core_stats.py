@@ -26,6 +26,7 @@ from psychoval import (
     regularized_gamma_q,
     sym_eigen,
 )
+from psychoval import core_stats
 from psychoval.core_stats import (
     JACOBI_MAX_SWEEPS,
     JACOBI_TOL,
@@ -269,11 +270,6 @@ class TestCorrelationMatrixAtScale:
             correlation_matrix(data, ["A", "B", "C"])
         assert str(info.value) == "item 'B' within pair ('A', 'B') has zero variance"
 
-    def test_pair_below_three_rows_with_low_min_rows(self):
-        data = np.array([[1, 2], [2, 1], [3, np.nan], [np.nan, 3]], dtype=float)
-        with pytest.raises(LengthMismatch, match="need at least 3 observations, got 2"):
-            correlation_matrix(data, min_rows=2)
-
 
 class TestSymEigen:
     def test_identity(self):
@@ -402,10 +398,11 @@ class TestSymEigenAtScale:
         with pytest.raises(ValueError):
             sym_eigen(SymMatrix(np.eye(3)), basis=np.eye(2))
 
-    def test_sweep_budget_exhausted(self):
+    def test_sweep_budget_exhausted(self, numerics):
         A = random_symmetric(np.random.default_rng(8), 20)
-        with pytest.raises(NoConvergence) as info:
-            sym_eigen(SymMatrix(A), max_sweeps=1)
+        numerics(core_stats, JACOBI_MAX_SWEEPS=1)
+        with pytest.raises(NoConvergence, match="Jacobi: 1 sweeps exhausted") as info:
+            sym_eigen(SymMatrix(A))
         assert math.isfinite(info.value.residual)
         assert info.value.residual >= JACOBI_TOL
 
@@ -444,16 +441,17 @@ class TestSymEigenAtScale:
         Q, _ = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))
         warm = Q.T @ A @ Q
         for a, v in ((A, np.eye(p)), ((warm + warm.T) / 2.0, Q)):
-            got = _jacobi_sweeps(a, v, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+            got = _jacobi_sweeps(a, v)
             expected = oracles.jacobi_interleaved(a, v, JACOBI_TOL, JACOBI_MAX_SWEEPS)
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
 
     @pytest.mark.parametrize("p", (5, 18, 20))
-    def test_exhausted_residual_matches_interleaved_round(self, p):
+    def test_exhausted_residual_matches_interleaved_round(self, p, numerics):
         A = random_symmetric(np.random.default_rng(8), p)
+        numerics(core_stats, JACOBI_MAX_SWEEPS=1)
         with pytest.raises(NoConvergence) as got:
-            _jacobi_sweeps(A, np.eye(p), JACOBI_TOL, 1)
+            _jacobi_sweeps(A, np.eye(p))
         with pytest.raises(NoConvergence) as expected:
             oracles.jacobi_interleaved(A, np.eye(p), JACOBI_TOL, 1)
         assert got.value.residual == expected.value.residual
@@ -470,12 +468,15 @@ class TestSymEigenMemo:
         assert again.eigenvectors is first.eigenvectors
         assert not again.eigenvectors.flags.writeable
 
-    def test_sweep_budget_is_part_of_the_key(self):
+    def test_failure_is_never_remembered(self, numerics):
         A = random_symmetric(np.random.default_rng(8), 20)
-        sym_eigen(SymMatrix(A))
-        for _ in range(2):  # a failure is never remembered
+        numerics(core_stats, JACOBI_MAX_SWEEPS=1)
+        misses = _cold_eigen.cache_info().misses
+        for _ in range(2):
             with pytest.raises(NoConvergence):
-                sym_eigen(SymMatrix(A), max_sweeps=1)
+                sym_eigen(SymMatrix(A))
+        assert _cold_eigen.cache_info().misses == misses + 2
+        assert _cold_eigen.cache_info().currsize == 0
 
     def test_warm_call_bypasses_the_memo(self):
         A = kernel_matrix("correlation", 6, seed=22)

@@ -31,6 +31,7 @@ from psychoval import (
     sym_eigen,
     varimax_criterion,
 )
+from psychoval import efa
 from psychoval.efa import OBLIMIN_MAX_ITER, fixed_count
 from psychoval.errors import BadFactorCount, ConfigError, NoConvergence, TooFewItems
 from tests import oracles
@@ -161,9 +162,10 @@ class TestPaf:
         assert np.max(np.abs(sol.loadings)) < 1e-6
         assert np.max(sol.communalities) < 1e-6
 
-    def test_tighter_tolerance_sharpens_recovery(self):
+    def test_tighter_tolerance_sharpens_recovery(self, numerics):
         L = np.full((6, 1), 0.8)
-        sol = extract_paf(population_matrix(L), 1, tol=1e-10)
+        numerics(efa, PAF_TOL=1e-10)
+        sol = extract_paf(population_matrix(L), 1)
         assert np.allclose(sol.loadings[:, 0], 0.8, atol=1e-6)
 
     def test_close_to_pca_on_block_matrix(self):

@@ -29,6 +29,8 @@ from .rng import Rng
 SQRT2 = math.sqrt(2.0)
 QUANTILE_BRACKET = 12.0
 QUANTILE_TOL = 1e-12
+# Most Likert categories a model may span; each cut point costs a bisection.
+MAX_CATEGORIES = 1000
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -82,7 +84,8 @@ class FactorModelSpec:
 
     ``thresholds`` may be omitted (equal-probability cuts), given once for
     all items, or given per item; each item needs exactly
-    likert_max - likert_min strictly increasing cut points.
+    likert_max - likert_min strictly increasing cut points. The bounds
+    span at most MAX_CATEGORIES categories.
     """
 
     loadings: np.ndarray
@@ -111,6 +114,12 @@ class FactorModelSpec:
             raise ConfigError("phi must have a unit diagonal")
         cholesky_lower(phi)  # positive definiteness check
         check_likert(self.likert_min, self.likert_max)
+        categories = self.likert_max - self.likert_min + 1
+        if categories > MAX_CATEGORIES:
+            raise ConfigError(
+                f"likert bounds {self.likert_min}:{self.likert_max} span {categories} "
+                f"categories, the simulator takes at most {MAX_CATEGORIES}"
+            )
         if self.n < 1:
             raise ConfigError("n must be at least 1")
 

@@ -24,7 +24,10 @@ from psychoval import (
     splitmix64,
     to_csv,
 )
+from psychoval import simulate
+from psychoval.cli import main
 from psychoval.errors import ConfigError, UniquenessNegative
+from psychoval.simulate import MAX_CATEGORIES
 from psychoval.rng import SPLITMIX_GAMMA
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import SIM_CORR_SEED
@@ -259,6 +262,40 @@ class TestSpecValidation:
                 "thresholds:\n  -0.5 0.5\n  nan 0.5\n")
         with pytest.raises(ConfigError, match="^item 1: thresholds must be finite$"):
             parse_model(text)
+
+
+class TestCategoryCap:
+    """A model spans at most MAX_CATEGORIES Likert categories."""
+
+    def test_cap_is_accepted(self):
+        spec = FactorModelSpec(loadings=np.full((3, 1), 0.5), likert_min=1,
+                               likert_max=MAX_CATEGORIES)
+        assert len(spec.thresholds[0]) == MAX_CATEGORIES - 1
+
+    def test_beyond_cap_is_refused_before_any_cut(self, monkeypatch):
+        def no_cuts(*args):
+            raise AssertionError("cut points built")
+
+        monkeypatch.setattr(simulate, "equal_probability_thresholds", no_cuts)
+        for hi in (MAX_CATEGORIES + 1, 10**8):
+            with pytest.raises(ConfigError, match=rf"^likert bounds 1:{hi} span {hi} "
+                               rf"categories, the simulator takes at most 1000$"):
+                FactorModelSpec(loadings=np.full((3, 1), 0.5), likert_min=1, likert_max=hi)
+
+    def test_beyond_cap_in_model_file(self):
+        with pytest.raises(ConfigError, match="span 1001 categories"):
+            parse_model("n: 5\nlikert: 1:1001\nloadings:\n  0.5\n  0.5\n  0.5\n")
+
+    def test_beyond_cap_on_the_command_line(self, tmp_path, capsys):
+        model = tmp_path / "wide.txt"
+        model.write_text("n: 5\nlikert: 1:1001\nloadings:\n  0.5\n  0.5\n  0.5\n")
+        assert main(["simulate", "--spec", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "ConfigError: likert bounds 1:1001 span 1001 categories, "
+            "the simulator takes at most 1000"
+        ]
 
 
 class TestThresholds:

@@ -147,7 +147,8 @@ def cronbach_alpha(ds: SurveyDataset, scale: ScaleDefinition) -> AlphaReport:
         raise InsufficientRows(
             f"scale {scale.name!r} has {block.shape[0]} complete rows, need {MIN_ROWS}"
         )
-    cov = np.cov(block, rowvar=False, ddof=1)
+    # shifted to a zero minimum, so cells near 2^53 keep their spread exact
+    cov = np.cov(block - block.min(axis=0), rowvar=False, ddof=1)
     return alpha_from_covariance(
         cov, items=list(scale.item_ids), scale_name=scale.name, n=block.shape[0]
     )

@@ -123,6 +123,23 @@ class TestAlphaSamplePath:
         with pytest.raises(ZeroVariance):
             cronbach_alpha(ds, ScaleDefinition("s", ("I1", "I2")))
 
+    def test_constant_item_near_two_to_the_53_rejected(self):
+        # np.cov rounds a column mean this large; the shift to a zero minimum does not
+        edge = 2**53
+        data = np.column_stack([np.full(5, edge - 1.0), [0, 1, 2, 3, 4], [1, 0, 3, 2, 4]])
+        ds = likert_dataset(data, items=("A", "B", "C"), likert=(0, edge))
+        with pytest.raises(ZeroVariance, match="^item 'A' has zero variance$"):
+            cronbach_alpha(ds, ScaleDefinition("s", ("A", "B", "C")))
+
+    def test_translated_block_gives_the_same_bits(self):
+        # the shift to a zero minimum leaves the same block whatever the offset
+        data = random_likert(np.random.default_rng(34))
+        base = cronbach_alpha(likert_dataset(data), ScaleDefinition("s", ("I1", "I2", "I3", "I4")))
+        edge = 2**53
+        far = likert_dataset(data + (edge - 7.0), likert=(0, edge))
+        moved = cronbach_alpha(far, ScaleDefinition("s", ("I1", "I2", "I3", "I4")))
+        assert moved == base
+
     def test_listwise_within_scale(self):
         # the missing row is dropped for the scale computation
         ds = loads_csv("id,A,B\nr1,1,2\nr2,2,3\nr3,NA,4\nr4,4,5\nr5,6,6\n", 1, 7)

@@ -27,9 +27,11 @@ from psychoval import (
     rotate_oblimin,
     run_validation,
     sort_and_sign,
+    to_csv,
 )
-from psychoval import efa
+from psychoval import core_stats, efa
 from psychoval.adequacy import sphericity_gate
+from psychoval.cli import main
 from psychoval.errors import (
     AssumptionsNotMet,
     BadFactorCount,
@@ -132,6 +134,60 @@ class TestStageTags:
         with pytest.raises(NoConvergence) as exc_info:
             run_validation(two_factor_dataset, cfg)
         assert exc_info.value.stage == stage
+
+
+@pytest.fixture(scope="module")
+def instrument_600x20():
+    """600 respondents, 20 items on 4 factors, loadings 0.60 to 0.74 per block."""
+    L = np.zeros((20, 4))
+    for f in range(4):
+        L[5 * f:5 * f + 5, f] = 0.60 + 0.035 * np.arange(5)
+    return generate(FactorModelSpec(loadings=L, n=600, seed=11))
+
+
+# patched budget, config, stage tag, message naming the budget, tolerance
+BUDGETS = {
+    "paf": ((efa, "PAF_MAX_ITER", 2), {}, "extraction",
+            r"principal axis factoring: .* after 2 iterations", efa.PAF_TOL),
+    "varimax": ((efa, "VARIMAX_MAX_SWEEPS", 1), {"rotation": "varimax"}, "rotation",
+                r"varimax: criterion still improving after 1 sweeps", efa.VARIMAX_TOL),
+    "oblimin": ((efa, "OBLIMIN_MAX_ITER", 1), {}, "rotation",
+                r"oblimin: gradient norm .* after 1 iterations", efa.OBLIMIN_GTOL),
+    "jacobi": ((core_stats, "JACOBI_MAX_SWEEPS", 1), {}, "bartlett",
+               r"Jacobi: 1 sweeps exhausted", core_stats.JACOBI_TOL),
+}
+
+
+class TestBudgetExhaustion:
+    """Each iteration budget, run out on a 600 x 20 instrument with m = 4."""
+
+    def test_instrument_fits_within_every_budget(self, instrument_600x20):
+        for cfg in (PipelineConfig(), PipelineConfig(rotation="varimax")):
+            report = run_validation(instrument_600x20, cfg)
+            assert report.solution.m == 4
+            assert report.prune_steps == ()
+
+    @pytest.mark.parametrize("case", BUDGETS)
+    def test_exhausted_budget_raises_tagged(self, instrument_600x20, numerics, case):
+        (module, name, value), options, tag, message, tol = BUDGETS[case]
+        numerics(module, **{name: value})
+        with pytest.raises(NoConvergence, match=message) as exc_info:
+            run_validation(instrument_600x20, PipelineConfig(**options))
+        assert exc_info.value.stage == tag
+        assert math.isfinite(exc_info.value.residual)
+        assert exc_info.value.residual >= tol
+
+    def test_cli_exits_one_with_the_stage(self, instrument_600x20, numerics,
+                                          tmp_path, capsys):
+        path = tmp_path / "instrument.csv"
+        path.write_text(to_csv(instrument_600x20))
+        numerics(efa, PAF_MAX_ITER=2)
+        assert main(["validate", "-i", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("NoConvergence: principal axis factoring: ")
+        assert line.endswith(" after 2 iterations [stage: extraction]")
 
 
 class TestConfigPassThrough:

@@ -343,7 +343,8 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
             off = _off_diagonal_max(buffers[cur][:n])
             if off >= JACOBI_TOL:
                 raise NoConvergence(
-                    f"Jacobi: {JACOBI_MAX_SWEEPS} sweeps exhausted (off-diagonal max {off:.3e})",
+                    f"Jacobi: {JACOBI_MAX_SWEEPS} sweeps exhausted "
+                    f"(off-diagonal max {off:.3e})",
                     residual=off,
                 )
     back = np.argsort(order)
@@ -368,8 +369,9 @@ def sym_eigen(A: SymMatrix, basis: np.ndarray | None = None) -> EigenDecompositi
     diagonal start and few sweeps.
 
     Calls without ``basis`` keep their last result: asked for the same
-    matrix again, they return the same (read-only) arrays without sweeping. The validation pipeline asks for
-    each decomposition several times in a row, so one entry is enough.
+    matrix again, they return the same (read-only) arrays without
+    sweeping. The validation pipeline asks for each decomposition several
+    times in a row, so one entry is enough.
     """
     p = A.dim
     if basis is None:

@@ -34,14 +34,7 @@ from .adequacy import (
 )
 # sym_eigen is unused here but stays bound: perfbench's tracer tests wrap it
 from .core_stats import SymMatrix, correlation_matrix, sym_eigen  # noqa: F401
-from .efa import (
-    ASSIGN_CUTOFF,
-    FactorSolution,
-    assign_items,
-    check_cutoff,
-    check_options,
-    fit_efa,
-)
+from .efa import ASSIGN_CUTOFF, FactorSolution, assign_items, check_cutoff, check_options, fit_efa
 from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
 from .ingest import AnalysisView, ScaleDefinition, SurveyDataset, check_policy, complete_cases
 from .reliability import cronbach_alpha

@@ -24,8 +24,7 @@ from .core_stats import (
     log_determinant,
 )
 from .errors import (
-    AssumptionsNotMet, CannotReachThreshold, ConfigError, NotPositiveDefinite,
-    SampleTooSmall, TooFewItems,
+    AssumptionsNotMet, ConfigError, NotPositiveDefinite, SampleTooSmall, TooFewItems,
 )
 from .ingest import AnalysisView
 
@@ -165,42 +164,32 @@ def msa_prune(view: AnalysisView, threshold: float = MSA_THRESHOLD) -> PruneTrai
 
     One item per pass (the argmin MSA, ties by item order), because MSA
     values shift after each removal. Stops when every item clears the
-    threshold or when removal would leave fewer than 3 items; in the latter
-    case raises CannotReachThreshold carrying the partial trail.
+    threshold or when removal would leave fewer than 3 items; the trail's
+    termination says which.
     """
     check_msa_threshold(threshold)
-    items = list(view.items)
-    data = view.data
-    steps: list[PruneStep] = []
+    column = {it: j for j, it in enumerate(view.items)}
 
+    def adequacy(items: list[str]) -> tuple[float, dict[str, float], SymMatrix]:
+        R = correlation_matrix(view.data[:, [column[it] for it in items]], items)
+        return kmo(R, items)
+
+    items = list(view.items)
+    steps: list[PruneStep] = []
     while True:
-        idx = [list(view.items).index(it) for it in items]
-        R = correlation_matrix(data[:, idx], items)
-        _, msa, _ = kmo(R, items)
+        _, msa, _ = adequacy(items)
         # min() keeps the first minimum, so ties resolve by item order
-        worst = min(items, key=lambda it: msa[it])
-        if msa[worst] >= threshold:
-            return PruneTrail(
-                steps=tuple(steps),
-                retained=tuple(items),
-                threshold=threshold,
-                termination="all_above_threshold",
-            )
-        if len(items) <= MIN_ITEMS_AFTER_PRUNE:
-            raise CannotReachThreshold(
-                PruneTrail(
-                    steps=tuple(steps),
-                    retained=tuple(items),
-                    threshold=threshold,
-                    termination="min_items_reached",
-                )
-            )
-        removed_msa = msa[worst]
+        worst = min(items, key=msa.__getitem__)
+        if msa[worst] >= threshold or len(items) <= MIN_ITEMS_AFTER_PRUNE:
+            break
         items.remove(worst)
-        idx = [list(view.items).index(it) for it in items]
-        R_after = correlation_matrix(data[:, idx], items)
-        kmo_after, _, _ = kmo(R_after, items)
-        steps.append(PruneStep(item=worst, msa=removed_msa, kmo_after=kmo_after))
+        steps.append(PruneStep(worst, msa[worst], adequacy(items)[0]))
+    return PruneTrail(
+        steps=tuple(steps),
+        retained=tuple(items),
+        threshold=threshold,
+        termination="all_above_threshold" if msa[worst] >= threshold else "min_items_reached",
+    )
 
 
 def sample_adequacy_advice(solution, n: int) -> SampleAdequacyAdvice:

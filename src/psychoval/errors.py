@@ -133,20 +133,6 @@ class SampleTooSmall(PsychovalError):
     """Effective sample size is too small relative to the item count."""
 
 
-class CannotReachThreshold(PsychovalError):
-    """Pruning stopped at the minimum item count with adequacy still below threshold.
-
-    Carries the partial prune trail so callers can inspect what was removed
-    and decide whether to continue anyway.
-    """
-
-    def __init__(self, trail):
-        self.trail = trail
-        super().__init__(
-            "minimum item count reached with per-item adequacy still below threshold"
-        )
-
-
 class BadFactorCount(PsychovalError):
     """Requested factor count outside 1..p."""
 

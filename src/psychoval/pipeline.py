@@ -35,7 +35,7 @@ from .adequacy import (
 # sym_eigen is unused here but stays bound: perfbench's tracer tests wrap it
 from .core_stats import SymMatrix, correlation_matrix, sym_eigen  # noqa: F401
 from .efa import ASSIGN_CUTOFF, FactorSolution, assign_items, check_cutoff, check_options, fit_efa
-from .errors import AssumptionsNotMet, CannotReachThreshold, ConfigError, stage
+from .errors import AssumptionsNotMet, ConfigError, stage
 from .ingest import AnalysisView, ScaleDefinition, SurveyDataset, check_policy, complete_cases
 from .reliability import cronbach_alpha
 
@@ -215,10 +215,6 @@ def run_validation(
     cfg = config if config is not None else PipelineConfig()
     warnings: list[str] = []
 
-    def warn(message: str) -> None:
-        if message not in warnings:
-            warnings.append(message)
-
     view, R = correlate(ds, cfg.policy)
     n_eff = view.effective_n
 
@@ -229,7 +225,7 @@ def run_validation(
         except AssumptionsNotMet as exc:
             if not cfg.force:
                 raise
-            warn(f"AssumptionsNotMet: {exc}; continuing because force is set")
+            warnings.append(f"AssumptionsNotMet: {exc}; continuing because force is set")
 
     with stage("kmo"):
         kmo_overall, msa, _ = kmo(R, list(view.items))
@@ -244,39 +240,39 @@ def run_validation(
     )
 
     with stage("prune"):
-        try:
-            trail = msa_prune(view, cfg.msa_threshold)
-        except CannotReachThreshold as exc:
-            trail = exc.trail
-            warn(
+        trail = msa_prune(view, cfg.msa_threshold)
+        if trail.termination == "min_items_reached":
+            warnings.append(
                 f"CannotReachThreshold: pruning stopped at "
                 f"{len(trail.retained)} items with minimum MSA still below "
                 f"{cfg.msa_threshold:g}"
             )
         retained = list(trail.retained)
-        if retained == list(view.items):
-            R_work = R
-        else:
+        if trail.steps:
             idx = [list(view.items).index(it) for it in retained]
             R_work = correlation_matrix(view.data[:, idx], retained)
+        else:
+            R_work = R
 
     # tags its own errors: retention, extraction, rotation
     solution = fit_efa(
         R_work, retained, cfg.extraction, cfg.retention, cfg.rotation, cfg.gamma
     )
     if cfg.retention == "kaiser" and not np.any(solution.eigenvalues > 1.0):
-        warn("ForcedRetention: no eigenvalue exceeds 1; retaining one factor")
+        warnings.append("ForcedRetention: no eigenvalue exceeds 1; retaining one factor")
     if solution.heywood:
-        warn("HeywoodCase: a communality reached 1 during factoring and was clamped")
+        warnings.append(
+            "HeywoodCase: a communality reached 1 during factoring and was clamped"
+        )
 
     with stage("assignment"):
         assignments = assign_items(solution, cfg.loading_cutoff)
         cross = [a.item for a in assignments.values() if a.status == "cross_loaded"]
         loose = [a.item for a in assignments.values() if a.status == "unassigned"]
         if cross:
-            warn("CrossLoading: excluded from reliability: " + ", ".join(cross))
+            warnings.append("CrossLoading: excluded from reliability: " + ", ".join(cross))
         if loose:
-            warn(
+            warnings.append(
                 f"Unassigned: no loading reaches {cfg.loading_cutoff:g}: "
                 + ", ".join(loose)
             )
@@ -291,7 +287,7 @@ def run_validation(
                 if a.factor == k and a.status == "assigned"
             )
             if len(members) < 2:
-                warn(
+                warnings.append(
                     f"TooFewItems: factor {name} has {len(members)} assigned "
                     f"item(s); alpha not computed"
                 )
@@ -299,7 +295,7 @@ def run_validation(
                 continue
             rep = cronbach_alpha(ds, ScaleDefinition(name, members))
             if rep.negative:
-                warn(f"NegativeAlpha: {name} alpha_raw = {rep.alpha_raw:.4f}")
+                warnings.append(f"NegativeAlpha: {name} alpha_raw = {rep.alpha_raw:.4f}")
             scales.append(
                 FactorScale(
                     name, members, rep.alpha_raw, rep.alpha_standardized,
@@ -310,7 +306,7 @@ def run_validation(
     with stage("advice"):
         advice = sample_adequacy_advice(solution, n_eff)
         if advice.caution:
-            warn("SampleSizeCaution: " + advice.note)
+            warnings.append("SampleSizeCaution: " + advice.note)
 
     dataset_summary = {
         "source": source,

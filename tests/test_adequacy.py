@@ -18,12 +18,7 @@ from psychoval import (
     msa_prune,
     sample_adequacy_advice,
 )
-from psychoval.errors import (
-    CannotReachThreshold,
-    NotPositiveDefinite,
-    SampleTooSmall,
-    TooFewItems,
-)
+from psychoval.errors import NotPositiveDefinite, SampleTooSmall, TooFewItems
 from tests import oracles
 from tests.frozen import PRUNE_SEED
 
@@ -162,11 +157,9 @@ class TestMsaPrune:
         trail = msa_prune(prune_fixture_view(), threshold=0.0)
         assert trail.removed == ()
 
-    def test_unreachable_threshold_raises_with_trail(self):
+    def test_unreachable_threshold_returns_trail(self):
         view = prune_fixture_view()
-        with pytest.raises(CannotReachThreshold) as exc_info:
-            msa_prune(view, threshold=0.999)
-        trail = exc_info.value.trail
+        trail = msa_prune(view, threshold=0.999)
         assert trail.termination == "min_items_reached"
         assert len(trail.retained) == 3  # stops at the minimum item count
         assert len(trail.steps) == len(view.items) - 3

@@ -114,6 +114,10 @@ def _invocations() -> list[tuple[str, ...]]:
         ("bartlett", "-i", DEMO, "--alpha", "2"),
         ("validate", "-i", DEMO, "--cutoff", "nan"),
         ("validate", "-i", DEMO, "--msa-threshold", "1"),
+        # a threshold no item set reaches: pruning stops at the minimum item count
+        ("validate", "-i", DEMO, "--msa-threshold", "0.99", "-f", "json"),
+        ("validate", "-i", DEMO, "--msa-threshold", "0.99", "--policy", "pairwise",
+         "--rotation", "varimax", "-f", "json"),
         ("efa", "-i", DEMO, "--rotation", "promax"),
         ("simulate", "--spec", "data/demo_model.txt", "-n", "50", "-s", "3"),
         ("simulate", "--spec", "data/noise_model.txt", "-n", "20"),

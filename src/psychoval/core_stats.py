@@ -50,7 +50,8 @@ class SymMatrix:
     """A dense symmetric matrix with exact symmetry enforced at construction.
 
     The stored array is read-only; ``values[i, j] == values[j, i]`` holds
-    bit-exactly because construction averages the two triangles.
+    bit-exactly because construction averages the two triangles. A NaN or
+    infinite entry raises DomainError, so no kernel taking a SymMatrix sees one.
     """
 
     values: np.ndarray
@@ -59,6 +60,9 @@ class SymMatrix:
         a = np.asarray(self.values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        # before the symmetry test, which a NaN passes
+        if not np.isfinite(a).all():
+            raise DomainError("matrix has a non-finite entry")
         if a.size and np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
             raise ValueError("matrix is not symmetric")
         sym = (a + a.T) / 2.0
@@ -139,7 +143,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> SymMatrix:
     """Pearson correlation matrix of a respondents x items table.
 
-    Missing cells are NaN; each pair (i, j) is computed over the rows where
+    Missing cells are NaN, and an infinite cell raises DomainError naming its
+    item. Each pair (i, j) is computed over the rows where
     both columns are present (pairwise deletion), which reduces to the plain
     formula when the table is complete. Each item must have at least
     MIN_ROWS observations and nonzero variance on its complete cases; each
@@ -162,6 +167,8 @@ def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> 
         raise ValueError(f"expected a 2-d table, got shape {a.shape}")
     n, p = a.shape
     names = item_labels(items, p)
+    for j in np.flatnonzero(np.isinf(a).any(axis=0))[:1]:
+        raise DomainError(f"item {names[j]!r} has an infinite value")
 
     present = ~np.isnan(a)
     w = present.astype(float)

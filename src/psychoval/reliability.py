@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_stats import MIN_ROWS, item_labels, pearson
-from .errors import InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
+from .errors import DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
 
 # pearson's ZeroVariance.position, named as the occasion it stands for
@@ -83,8 +83,13 @@ def alpha_from_covariance(
     This is the exact-arithmetic path: feed it a population covariance
     matrix and the usual identities hold to rounding error (all-equal
     items give alpha 1, mutually uncorrelated equal-variance items give 0).
+    Anything but a finite, square, 2-d matrix raises DomainError.
     """
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise DomainError(f"expected a square covariance matrix, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise DomainError("covariance matrix has a non-finite entry")
     k = cov.shape[0]
     if k < 2:
         raise TooFewItems(f"alpha needs >= 2 items, got {k}")

@@ -9,6 +9,8 @@ import pytest
 
 from psychoval import (
     FactorModelSpec,
+    PipelineConfig,
+    SurveyDataset,
     SymMatrix,
     bartlett_sphericity,
     complete_cases,
@@ -16,6 +18,7 @@ from psychoval import (
     generate,
     kmo,
     msa_prune,
+    run_validation,
     sample_adequacy_advice,
 )
 from psychoval.errors import NotPositiveDefinite, SampleTooSmall, TooFewItems
@@ -163,6 +166,50 @@ class TestMsaPrune:
         assert trail.termination == "min_items_reached"
         assert len(trail.retained) == 3  # stops at the minimum item count
         assert len(trail.steps) == len(view.items) - 3
+
+
+@pytest.fixture(scope="module")
+def noisy_600x20():
+    """600 x 20: items 1-16 on 4 factors (loadings 0.60 to 0.72), items 17-20
+    pure noise, 10 % of cells missing. Seed 2 gives a three-step trail."""
+    L = np.zeros((20, 4))
+    for f in range(4):
+        L[4 * f:4 * f + 4, f] = 0.60 + 0.04 * np.arange(4)
+    ds = generate(FactorModelSpec(loadings=L, n=600, seed=2))
+    values = ds.values.copy()
+    values[np.random.default_rng(2).random(values.shape) < 0.10] = np.nan
+    return SurveyDataset(ds.items, ds.respondents, values, ds.likert_min, ds.likert_max)
+
+
+class TestMsaPruneAtScale:
+    """The prune loop at the size of the pairwise-prune benchmark workload."""
+
+    def test_prunes_only_noise_and_records_kmo_after(self, noisy_600x20):
+        view = complete_cases(noisy_600x20, "pairwise")
+        trail = msa_prune(view)
+        assert trail.termination == "all_above_threshold"
+        assert len(trail.steps) >= 2
+        assert set(trail.removed) <= {"item17", "item18", "item19", "item20"}
+        for k, step in enumerate(trail.steps):
+            kept = [it for it in view.items if it not in trail.removed[:k + 1]]
+            idx = [view.items.index(it) for it in kept]
+            overall, _, _ = kmo(correlation_matrix(view.data[:, idx], kept), kept)
+            assert step.kmo_after == overall
+        assert trail.retained == tuple(kept)
+
+    def test_unreachable_threshold_stops_at_three_items(self, noisy_600x20):
+        view = complete_cases(noisy_600x20, "pairwise")
+        trail = msa_prune(view, threshold=0.99)
+        assert trail.termination == "min_items_reached"
+        assert len(trail.retained) == 3
+        assert len(trail.steps) == 17
+        cfg = PipelineConfig(policy="pairwise", msa_threshold=0.99, rotation="varimax")
+        report = run_validation(noisy_600x20, cfg)
+        assert report.prune_steps == trail.steps
+        assert report.warnings[0] == (
+            "CannotReachThreshold: pruning stopped at 3 items with minimum MSA "
+            "still below 0.99"
+        )
 
 
 class TestAdvice:

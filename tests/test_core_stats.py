@@ -20,6 +20,7 @@ from psychoval import (
     chi_square_sf,
     correlation_matrix,
     inverse,
+    kmo,
     log_determinant,
     pearson,
     regularized_gamma_p,
@@ -168,6 +169,14 @@ class TestCorrelationMatrix:
         data = np.column_stack([np.full(10, 4.0), np.arange(10.0)])
         with pytest.raises(ZeroVariance):
             correlation_matrix(data, ["A", "B"])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_cell_names_the_item(self, bad):
+        data = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2, np.arange(6.0) % 4])
+        data[:2, 0] = np.nan  # NaN stays the missing marker
+        data[2, 1] = bad
+        with pytest.raises(DomainError, match="^item 'B' has an infinite value$"):
+            correlation_matrix(data, ["A", "B", "C"])
 
 
 def likert_table(rng: np.random.Generator, n: int = 600, p: int = 20,
@@ -497,6 +506,17 @@ class TestSymEigenMemo:
         misses = _cold_eigen.cache_info().misses
         sym_eigen(SymMatrix(B))
         assert _cold_eigen.cache_info().misses == misses + 1
+
+
+class TestNonFiniteMatrix:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 1)], ids=["off_diagonal", "diagonal"])
+    @pytest.mark.parametrize("kernel", [sym_eigen, inverse, log_determinant, kmo])
+    def test_refused_before_any_kernel(self, kernel, cell, bad):
+        a = np.eye(2)
+        a[cell] = a[cell[::-1]] = bad
+        with pytest.raises(DomainError, match="^matrix has a non-finite entry$"):
+            kernel(SymMatrix(a))
 
 
 class TestInverse:

@@ -17,7 +17,7 @@ from psychoval import (
     loads_csv,
 )
 from psychoval import test_retest as retest
-from psychoval.errors import NoOverlap, TooFewItems, ZeroVariance
+from psychoval.errors import DomainError, NoOverlap, TooFewItems, ZeroVariance
 from tests import oracles
 
 
@@ -64,6 +64,18 @@ class TestAlphaIdentities:
                                     items=["A", "B"])
         assert math.isnan(rep.alpha_if_deleted["A"])
         assert math.isnan(rep.alpha_if_deleted["B"])
+
+
+class TestAlphaInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_refused(self, bad):
+        with pytest.raises(DomainError, match="^covariance matrix has a non-finite entry$"):
+            alpha_from_covariance([[1.0, bad], [bad, 1.0]])
+
+    @pytest.mark.parametrize("cov", [[1.0, 2.0], np.ones((2, 3))], ids=["1-d", "2x3"])
+    def test_non_square_input_refused(self, cov):
+        with pytest.raises(DomainError, match="^expected a square covariance matrix"):
+            alpha_from_covariance(cov)
 
 
 class TestAlphaSamplePath:

@@ -18,6 +18,7 @@ and spare, but computes them in blocks by lane jump-ahead (``lanes.py``).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -43,11 +44,20 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as a Python int, numpy integers included; ConfigError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for stream number ``index``: splitmix64 run index+1 steps."""
+    index = as_int(index, "stream index")
     if index < 0:
         raise ConfigError("stream index must be nonnegative")
-    state = seed & MASK64
+    state = as_int(seed, "seed") & MASK64
     out = 0
     for _ in range(index + 1):
         state, out = splitmix64(state)
@@ -58,7 +68,7 @@ class Rng:
     """xorshift64* stream with splitmix64 seeding and polar normals."""
 
     def __init__(self, seed: int):
-        _, state = splitmix64(seed & MASK64)
+        _, state = splitmix64(as_int(seed, "seed") & MASK64)
         self._state = state or ZERO_STATE_SUBSTITUTE
         self._spare: float | None = None
 

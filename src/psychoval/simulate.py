@@ -24,7 +24,7 @@ import numpy as np
 from .core_stats import SymMatrix, item_labels
 from .errors import ConfigError, NotPositiveDefinite, UniquenessNegative
 from .ingest import DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, split_items
-from .rng import Rng
+from .rng import Rng, as_int
 
 SQRT2 = math.sqrt(2.0)
 QUANTILE_BRACKET = 12.0
@@ -120,7 +120,8 @@ class FactorModelSpec:
                 f"likert bounds {self.likert_min}:{self.likert_max} span {categories} "
                 f"categories, the simulator takes at most {MAX_CATEGORIES}"
             )
-        if self.n < 1:
+        n, seed = as_int(self.n, "n"), as_int(self.seed, "seed")
+        if n < 1:
             raise ConfigError("n must be at least 1")
 
         items = item_labels(self.items, p)
@@ -136,6 +137,8 @@ class FactorModelSpec:
         L.flags.writeable = False
         phi = phi.copy()
         phi.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "loadings", L)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "items", items)

@@ -99,6 +99,24 @@ class TestRng:
         assert len(set(children)) == 6
         assert derive_seed(123, 2) == children[2]
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+    def test_numpy_integer_seed_is_the_python_int(self, kind):
+        rng = Rng(kind(3))
+        assert [rng.next_u64() for _ in range(4)] == reference_stream(3, 4)
+        assert list(Rng(kind(3)).normals(5)) == list(Rng(3).normals(5))
+        assert derive_seed(kind(3), kind(1)) == derive_seed(3, 1)
+        spec = FactorModelSpec(loadings=two_block_loadings(), n=kind(40), seed=kind(3))
+        assert (spec.n, spec.seed) == (40, 3)
+        expected = generate(FactorModelSpec(loadings=two_block_loadings(), n=40, seed=3))
+        assert np.array_equal(generate(spec).values, expected.values)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer, got "):
+            Rng(seed)
+        with pytest.raises(ConfigError, match="^seed must be an integer, got "):
+            derive_seed(seed, 0)
+
 
 def draw(rng: Rng, op) -> list:
     """One call on ``rng``: "u64", "normal", or an int k for normals(k)."""
@@ -187,6 +205,13 @@ class TestSpecValidation:
     def test_zero_respondents_rejected(self):
         with pytest.raises(ConfigError):
             FactorModelSpec(loadings=np.full((3, 1), 0.5), n=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", 2.5), ("seed", 1.5), ("n", "5")], ids=["n=2.5", "seed=1.5", "n='5'"]
+    )
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            FactorModelSpec(loadings=np.full((3, 1), 0.5), **{field: value})
 
     def test_communality_above_one_names_item(self):
         L = np.array([[0.9, 0.9], [0.5, 0.0], [0.5, 0.0]])

@@ -159,6 +159,14 @@ def cronbach_alpha(ds: SurveyDataset, scale: ScaleDefinition) -> AlphaReport:
     )
 
 
+def _retest_r(x: np.ndarray, y: np.ndarray, what: str) -> float:
+    """pearson across the two occasions; ZeroVariance names the constant one."""
+    try:
+        return pearson(x, y)
+    except ZeroVariance as exc:
+        raise ZeroVariance(f"{what} at the {_OCCASIONS[exc.position]} occasion") from None
+
+
 def test_retest(
     ds_t1: SurveyDataset,
     ds_t2: SurveyDataset,
@@ -176,41 +184,31 @@ def test_retest(
     # the two occasions
     matched = sorted(set(ds_t1.respondents) & set(ds_t2.respondents))
 
-    idx1 = [ds_t1.items.index(it) for it in scale.item_ids]
-    idx2 = [ds_t2.items.index(it) for it in scale.item_ids]
-    rows1 = {r: i for i, r in enumerate(ds_t1.respondents)}
-    rows2 = {r: i for i, r in enumerate(ds_t2.respondents)}
-    a = np.array([ds_t1.values[rows1[r]][idx1] for r in matched]) if matched else np.empty((0, len(idx1)))
-    b = np.array([ds_t2.values[rows2[r]][idx2] for r in matched]) if matched else np.empty((0, len(idx2)))
+    def occasion(ds: SurveyDataset) -> np.ndarray:
+        row = {r: i for i, r in enumerate(ds.respondents)}
+        rows = np.array([row[r] for r in matched], dtype=np.intp)
+        cols = np.array([ds.items.index(it) for it in scale.item_ids], dtype=np.intp)
+        return ds.values[np.ix_(rows, cols)]
 
+    a, b = occasion(ds_t1), occasion(ds_t2)
     # keep only respondents complete on the scale at both occasions
-    if matched:
-        complete = ~(np.isnan(a).any(axis=1) | np.isnan(b).any(axis=1))
-        matched = [r for r, c in zip(matched, complete) if c]
-        a, b = a[complete], b[complete]
-    if len(matched) < MIN_ROWS:
-        raise NoOverlap(
-            f"only {len(matched)} respondents shared between occasions, need {MIN_ROWS}"
-        )
+    complete = ~(np.isnan(a).any(axis=1) | np.isnan(b).any(axis=1))
+    a, b = a[complete], b[complete]
+    n = len(a)
+    if n < MIN_ROWS:
+        raise NoOverlap(f"only {n} respondents shared between occasions, need {MIN_ROWS}")
 
-    item_r: dict[str, float] = {}
-    for j, item in enumerate(scale.item_ids):
-        try:
-            item_r[item] = pearson(a[:, j], b[:, j])
-        except ZeroVariance as exc:
-            occasion = _OCCASIONS[exc.position]
-            raise ZeroVariance(f"item {item!r} at the {occasion} occasion") from None
-    try:
-        total_r = pearson(a.sum(axis=1), b.sum(axis=1))
-    except ZeroVariance as exc:
-        occasion = _OCCASIONS[exc.position]
-        raise ZeroVariance(f"total score at the {occasion} occasion") from None
+    item_r = {
+        item: _retest_r(a[:, j], b[:, j], f"item {item!r}")
+        for j, item in enumerate(scale.item_ids)
+    }
+    total_r = _retest_r(a.sum(axis=1), b.sum(axis=1), "total score")
 
     return RetestReport(
         scale=scale.name,
-        matched_n=len(matched),
-        dropped_first=ds_t1.n - len(matched),
-        dropped_second=ds_t2.n - len(matched),
+        matched_n=n,
+        dropped_first=ds_t1.n - n,
+        dropped_second=ds_t2.n - n,
         item_r=item_r,
         total_r=total_r,
     )

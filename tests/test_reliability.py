@@ -236,5 +236,5 @@ class TestRetest:
         ds1 = self.csv(["1,2", "3,4", "5,6"])
         ds2_raw = self.csv(["1,2", "3,4", "5,6"])
         ds2 = SurveyDataset(ds2_raw.items, ("x1", "x2", "x3"), ds2_raw.values, 1, 7)
-        with pytest.raises(NoOverlap):
+        with pytest.raises(NoOverlap, match="^only 0 respondents shared between occasions"):
             retest(ds1, ds2, ScaleDefinition("s", ("A", "B")))

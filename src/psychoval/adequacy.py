@@ -34,15 +34,15 @@ MSA_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class AdequacyReport:
-    """Bartlett statistic plus KMO/MSA values for one correlation matrix."""
+    """Bartlett's test and the KMO/MSA values of one correlation matrix.
 
-    n: int
-    p: int
-    bartlett_chi2: float
-    bartlett_df: int
-    bartlett_p: float
+    The fields are the report's ``adequacy`` keys, in order; ``bartlett``
+    holds ``chi2``, ``df`` and ``p``.
+    """
+
+    bartlett: dict
     kmo_overall: float
-    msa_per_item: dict[str, float]
+    msa: dict[str, float]
 
 
 @dataclass(frozen=True)

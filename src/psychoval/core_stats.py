@@ -59,12 +59,12 @@ class SymMatrix:
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+            raise DomainError(f"expected a square matrix, got shape {a.shape}")
         # before the symmetry test, which a NaN passes
         if not np.isfinite(a).all():
             raise DomainError("matrix has a non-finite entry")
         if a.size and np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
-            raise ValueError("matrix is not symmetric")
+            raise DomainError("matrix is not symmetric")
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
@@ -164,7 +164,7 @@ def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> 
     """
     a = np.asarray(data, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-d table, got shape {a.shape}")
+        raise DomainError(f"expected a 2-d table, got shape {a.shape}")
     n, p = a.shape
     names = item_labels(items, p)
     for j in np.flatnonzero(np.isinf(a).any(axis=0))[:1]:
@@ -385,7 +385,7 @@ def sym_eigen(A: SymMatrix, basis: np.ndarray | None = None) -> EigenDecompositi
         return _cold_eigen(A.values.tobytes(), p)
     v = np.array(basis, dtype=float)
     if v.shape != (p, p):
-        raise ValueError(f"basis shape {v.shape} does not match dimension {p}")
+        raise DomainError(f"basis shape {v.shape} does not match dimension {p}")
     a = v.T @ A.values @ v
     return _diagonalize((a + a.T) / 2.0, v)
 

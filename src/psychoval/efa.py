@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core_stats import SymMatrix, inverse, item_labels, lead_signs, sym_eigen
-from .errors import BadFactorCount, ConfigError, NoConvergence, TooFewItems, stage
+from .errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems, stage
 
 EXTRACTIONS = ("paf", "pca")
 ROTATIONS = ("oblimin", "varimax", "none")
@@ -61,9 +61,9 @@ class FactorSolution:
         h2 = _frozen(np.asarray(self.communalities, dtype=float))
         p, m = L.shape
         if len(self.items) != p or lam.shape != (p,) or h2.shape != (p,):
-            raise ValueError("solution fields disagree on the item count")
+            raise DomainError("solution fields disagree on the item count")
         if phi.shape != (m, m):
-            raise ValueError("phi shape does not match the factor count")
+            raise DomainError("phi shape does not match the factor count")
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "loadings", L)
         object.__setattr__(self, "eigenvalues", lam)

@@ -128,26 +128,13 @@ class AnalysisView:
 
     ``data`` is the table handed to downstream statistics: listwise views
     contain only complete rows, pairwise views keep NaN and defer exclusion
-    to each item pair. ``pair_n[i, j]`` counts complete rows for that pair
-    (pairwise only; None otherwise).
+    to each item pair. ``effective_n`` is the rows kept (listwise, strict)
+    or the smallest count of rows complete on an item pair (pairwise).
     """
 
-    dataset: SurveyDataset
-    policy: str
+    items: tuple[str, ...]
     data: np.ndarray = field(repr=False)
-    respondents: tuple[str, ...]
-    pair_n: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def items(self) -> tuple[str, ...]:
-        return self.dataset.items
-
-    @property
-    def effective_n(self) -> int:
-        """Listwise/strict: rows kept. Pairwise: the smallest per-pair count."""
-        if self.pair_n is None:
-            return len(self.respondents)
-        return int(self.pair_n.min())
+    effective_n: int
 
 
 def parse_likert(text: str) -> tuple[int, int]:
@@ -342,17 +329,15 @@ def complete_cases(ds: SurveyDataset, policy: str = "listwise") -> AnalysisView:
             raise MissingDataError(
                 f"missing cell at respondent {ds.respondents[i]!r}, item {ds.items[j]!r}"
             )
-        return AnalysisView(ds, policy, ds.values, ds.respondents)
+        return AnalysisView(ds.items, ds.values, ds.n)
     if policy == "listwise":
         keep = ~missing.any(axis=1)
         if ds.n and not keep.any():
             raise EmptyAfterDeletion("every respondent has at least one missing cell")
-        kept_ids = tuple(r for r, k in zip(ds.respondents, keep) if k)
-        return AnalysisView(ds, policy, ds.values[keep], kept_ids)
-    # pairwise: keep all rows, record per-pair complete counts
-    present = ~missing
-    pair_n = (present.astype(int).T @ present.astype(int))
-    return AnalysisView(ds, policy, ds.values, ds.respondents, pair_n=pair_n)
+        return AnalysisView(ds.items, ds.values[keep], int(keep.sum()))
+    # pairwise: keep all rows; n is the smallest per-pair complete count
+    w = (~missing).astype(int)
+    return AnalysisView(ds.items, ds.values, int((w.T @ w).min(initial=ds.n)))
 
 
 @dataclass(frozen=True)

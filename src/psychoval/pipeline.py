@@ -93,11 +93,15 @@ class FactorScale:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Everything one validation run produced, in stage order."""
+    """Everything one validation run produced, in stage order.
+
+    The fields are the report's top-level keys, in order; only the
+    solution is laid out apart from its fields (see solution_to_dict).
+    """
 
     dataset: dict
     adequacy: AdequacyReport
-    prune_steps: tuple[PruneStep, ...]
+    prune_trail: tuple[PruneStep, ...]
     solution: FactorSolution
     scales: tuple[FactorScale, ...]
     advice: SampleAdequacyAdvice
@@ -106,24 +110,11 @@ class ValidationReport:
     stages: tuple[str, ...] = STAGES
 
     def to_dict(self) -> dict:
-        ade = self.adequacy
-        # adequacy is laid out apart from AdequacyReport's fields
-        bartlett = {"chi2": ade.bartlett_chi2, "df": ade.bartlett_df, "p": ade.bartlett_p}
-        return _record({
-            "dataset": self.dataset,
-            "adequacy": {
-                "bartlett": bartlett,
-                "kmo_overall": ade.kmo_overall,
-                "msa": ade.msa_per_item,
-            },
-            "prune_trail": self.prune_steps,
-            "solution": _solution_layout(self.solution),
-            "scales": self.scales,
-            "advice": self.advice,
-            "warnings": self.warnings,
-            "config": self.config,
-            "stages": self.stages,
-        })
+        return {
+            f.name: solution_to_dict(self.solution) if f.name == "solution"
+            else _record(getattr(self, f.name))
+            for f in fields(self)
+        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValidationReport):
@@ -133,11 +124,7 @@ class ValidationReport:
 
 def solution_to_dict(sol: FactorSolution) -> dict:
     """The stable JSON form of a factor solution (row-major matrices)."""
-    return _record(_solution_layout(sol))
-
-
-def _solution_layout(sol: FactorSolution) -> dict:
-    return {
+    return _record({
         "extraction": sol.extraction,
         "rotation": sol.rotation,
         "m": sol.m,
@@ -147,7 +134,7 @@ def _solution_layout(sol: FactorSolution) -> dict:
         "phi": sol.phi,
         "communalities": dict(zip(sol.items, sol.communalities.tolist())),
         "variance_explained": sol.variance_explained,
-    }
+    })
 
 
 _AS_IS = frozenset({str, bool, int, type(None)})
@@ -229,15 +216,7 @@ def run_validation(
 
     with stage("kmo"):
         kmo_overall, msa, _ = kmo(R, list(view.items))
-    adequacy = AdequacyReport(
-        n=n_eff,
-        p=ds.p,
-        bartlett_chi2=chi2,
-        bartlett_df=df,
-        bartlett_p=pval,
-        kmo_overall=kmo_overall,
-        msa_per_item=msa,
-    )
+    adequacy = AdequacyReport({"chi2": chi2, "df": df, "p": pval}, kmo_overall, msa)
 
     with stage("prune"):
         trail = msa_prune(view, cfg.msa_threshold)
@@ -321,7 +300,7 @@ def run_validation(
     return ValidationReport(
         dataset=dataset_summary,
         adequacy=adequacy,
-        prune_steps=trail.steps,
+        prune_trail=trail.steps,
         solution=solution,
         scales=tuple(scales),
         advice=advice,
@@ -358,21 +337,12 @@ def report_from_json(payload: str | bytes) -> ValidationReport:
         phi=np.array(sol["phi"], dtype=float),
         communalities=np.array(list(sol["communalities"].values()), dtype=float),
     )
-    adequacy = AdequacyReport(
-        n=d["dataset"]["effective_n"],
-        p=d["dataset"]["p"],
-        bartlett_chi2=d["adequacy"]["bartlett"]["chi2"],
-        bartlett_df=d["adequacy"]["bartlett"]["df"],
-        bartlett_p=d["adequacy"]["bartlett"]["p"],
-        kmo_overall=d["adequacy"]["kmo_overall"],
-        msa_per_item=dict(d["adequacy"]["msa"]),
-    )
+    # report keys are field names, because _record wrote them
     return ValidationReport(
-        dataset=dict(d["dataset"]),
-        adequacy=adequacy,
-        prune_steps=tuple(PruneStep(**s) for s in d["prune_trail"]),
+        dataset=d["dataset"],
+        adequacy=AdequacyReport(**d["adequacy"]),
+        prune_trail=tuple(PruneStep(**s) for s in d["prune_trail"]),
         solution=solution,
-        # report keys are field names, because _record wrote them
         scales=tuple(
             FactorScale(**{**s, "items": tuple(s["items"])}) for s in d["scales"]
         ),

@@ -205,11 +205,27 @@ class TestMsaPruneAtScale:
         assert len(trail.steps) == 17
         cfg = PipelineConfig(policy="pairwise", msa_threshold=0.99, rotation="varimax")
         report = run_validation(noisy_600x20, cfg)
-        assert report.prune_steps == trail.steps
+        assert report.prune_trail == trail.steps
         assert report.warnings[0] == (
             "CannotReachThreshold: pruning stopped at 3 items with minimum MSA "
             "still below 0.99"
         )
+
+
+class TestEffectiveNAtScale:
+    """effective_n on the pairwise-prune shape: 600 x 20, 10 % of cells NA."""
+
+    @pytest.mark.parametrize("policy", ["listwise", "pairwise"])
+    def test_matches_oracle_and_report(self, noisy_600x20, policy):
+        present = ~np.isnan(noisy_600x20.values)
+        expected = {
+            "listwise": int(present.all(axis=1).sum()),
+            "pairwise": int((present.T.astype(float) @ present.astype(float)).min()),
+        }[policy]
+        assert complete_cases(noisy_600x20, policy).effective_n == expected
+        cfg = PipelineConfig(policy=policy, retention="fixed:4", rotation="varimax")
+        report = run_validation(noisy_600x20, cfg)
+        assert report.dataset["effective_n"] == expected
 
 
 class TestAdvice:

@@ -404,7 +404,7 @@ class TestSymEigenAtScale:
         assert np.max(np.abs(warm.reconstruct() - reduced)) < 1e-10
 
     def test_basis_shape_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"^basis shape \(2, 2\) does not match dimension 3$"):
             sym_eigen(SymMatrix(np.eye(3)), basis=np.eye(2))
 
     def test_sweep_budget_exhausted(self, numerics):
@@ -517,6 +517,22 @@ class TestNonFiniteMatrix:
         a[cell] = a[cell[::-1]] = bad
         with pytest.raises(DomainError, match="^matrix has a non-finite entry$"):
             kernel(SymMatrix(a))
+
+
+class TestShapeRefusals:
+    """A wrongly shaped kernel input raises DomainError, not a bare ValueError."""
+
+    def test_non_square_matrix(self):
+        with pytest.raises(DomainError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            SymMatrix(np.ones((2, 3)))
+
+    def test_asymmetric_matrix(self):
+        with pytest.raises(DomainError, match="^matrix is not symmetric$"):
+            SymMatrix([[1.0, 0.5], [0.2, 1.0]])
+
+    def test_table_not_two_dimensional(self):
+        with pytest.raises(DomainError, match=r"^expected a 2-d table, got shape \(5,\)$"):
+            correlation_matrix(np.ones(5))
 
 
 class TestInverse:

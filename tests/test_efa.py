@@ -33,7 +33,7 @@ from psychoval import (
 )
 from psychoval import efa
 from psychoval.efa import OBLIMIN_MAX_ITER, fixed_count
-from psychoval.errors import BadFactorCount, ConfigError, NoConvergence, TooFewItems
+from psychoval.errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems
 from tests import oracles
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import ATTENUATED_PHI, ROUND_TRIP_SEED
@@ -96,6 +96,18 @@ def make_solution(items, loadings, phi=None, eigenvalues=None):
         phi=np.eye(m) if phi is None else phi,
         communalities=(L ** 2).sum(axis=1),
     )
+
+
+class TestSolutionShape:
+    """FactorSolution refuses fields of disagreeing shape with DomainError."""
+
+    def test_item_count_disagrees(self):
+        with pytest.raises(DomainError, match="^solution fields disagree on the item count$"):
+            make_solution("ABC", np.ones((3, 1)), eigenvalues=np.ones(2))
+
+    def test_phi_shape_disagrees(self):
+        with pytest.raises(DomainError, match="^phi shape does not match the factor count$"):
+            make_solution("ABC", np.ones((3, 2)), phi=np.eye(3))
 
 
 class TestPca:

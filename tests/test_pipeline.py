@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from psychoval import (
+    AdequacyReport,
     FactorModelSpec,
     PipelineConfig,
     SurveyDataset,
+    ValidationReport,
     assign_items,
     complete_cases,
     correlation_matrix,
@@ -37,7 +39,9 @@ from psychoval.errors import (
     BadFactorCount,
     ConfigError,
     NoConvergence,
+    TooFewItems,
 )
+from psychoval.ingest import POLICIES
 from psychoval.pipeline import STAGES, _record, json_bytes
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import PRUNE_SEED
@@ -108,10 +112,17 @@ class TestSphericityGate:
         cfg = PipelineConfig(bartlett_alpha=0.999, msa_threshold=0.0,
                              rotation="none", retention="fixed:1")
         report = run_validation(noise_dataset, cfg)
-        assert report.adequacy.bartlett_p > 0.99
+        assert report.adequacy.bartlett["p"] > 0.99
 
 
 class TestStageTags:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_zero_items_refused_alike(self, policy):
+        ds = SurveyDataset((), ("r1", "r2", "r3"), np.empty((3, 0)), 1, 7)
+        with pytest.raises(TooFewItems, match="^bartlett needs >= 2 items, got 0$") as exc_info:
+            run_validation(ds, PipelineConfig(policy=policy))
+        assert exc_info.value.stage == "bartlett"
+
     def test_retention_error_tagged(self, two_factor_dataset):
         with pytest.raises(BadFactorCount) as exc_info:
             run_validation(two_factor_dataset, PipelineConfig(retention="fixed:9"))
@@ -165,7 +176,7 @@ class TestBudgetExhaustion:
         for cfg in (PipelineConfig(), PipelineConfig(rotation="varimax")):
             report = run_validation(instrument_600x20, cfg)
             assert report.solution.m == 4
-            assert report.prune_steps == ()
+            assert report.prune_trail == ()
 
     @pytest.mark.parametrize("case", BUDGETS)
     def test_exhausted_budget_raises_tagged(self, instrument_600x20, numerics, case):
@@ -252,13 +263,12 @@ def sym_eigenvalues(R):
 
 class TestPruneIntegration:
     def test_noise_item_removed_before_extraction(self, prune_report):
-        assert [s.item for s in prune_report.prune_steps] == ["G"]
+        assert [s.item for s in prune_report.prune_trail] == ["G"]
         assert tuple(prune_report.dataset["items_retained"]) == tuple("ABCDEF")
         assert prune_report.solution.items == tuple("ABCDEF")
 
     def test_adequacy_reports_full_item_set(self, prune_report):
-        assert prune_report.adequacy.p == 7
-        assert "G" in prune_report.adequacy.msa_per_item
+        assert list(prune_report.adequacy.msa) == list("ABCDEFG")
 
     def test_prune_trail_serialized(self, prune_report):
         doc = json.loads(render_report(prune_report, "json"))
@@ -293,6 +303,11 @@ class TestRendering:
                     "structure", "phi", "communalities",
                     "variance_explained"):
             assert key in sol
+
+    def test_report_fields_are_the_json_layout(self, small_round_trip):
+        doc = json.loads(render_report(small_round_trip, "json"))
+        assert [f.name for f in fields(ValidationReport)] == list(doc)
+        assert [f.name for f in fields(AdequacyReport)] == list(doc["adequacy"])
 
     def test_two_item_scale_serializes_null_alpha_if_deleted(self):
         L = np.zeros((4, 2))
@@ -469,9 +484,9 @@ class TestInvariance:
             ds.values[:, perm], ds.likert_min, ds.likert_max,
         )
         report = run_validation(permuted, cfg)
-        assert [s.item for s in report.prune_steps] == [s.item for s in base.prune_steps]
-        for item, value in base.adequacy.msa_per_item.items():
-            assert abs(report.adequacy.msa_per_item[item] - value) <= 1e-10
+        assert [s.item for s in report.prune_trail] == [s.item for s in base.prune_trail]
+        for item, value in base.adequacy.msa.items():
+            assert abs(report.adequacy.msa[item] - value) <= 1e-10
         assert np.max(np.abs(report.solution.eigenvalues - base.solution.eigenvalues)) <= 1e-10
         sol, ref = report.solution, base.solution
         assert set(sol.items) == set(ref.items) and sol.items != ref.items

@@ -58,7 +58,6 @@ class PruneTrail:
 
     steps: tuple[PruneStep, ...]
     retained: tuple[str, ...]
-    threshold: float
     termination: str  # "all_above_threshold" | "min_items_reached"
 
     @property
@@ -187,7 +186,6 @@ def msa_prune(view: AnalysisView, threshold: float = MSA_THRESHOLD) -> PruneTrai
     return PruneTrail(
         steps=tuple(steps),
         retained=tuple(items),
-        threshold=threshold,
         termination="all_above_threshold" if msa[worst] >= threshold else "min_items_reached",
     )
 

@@ -238,13 +238,10 @@ def main(argv=None) -> int:
         payload = args.handler(args)
         if not isinstance(payload, bytes):  # a walked record, rendered as asked
             payload = render(args.command, payload, args.format)
-    except PsychovalError as exc:
+    except (PsychovalError, OSError) as exc:
         stage = getattr(exc, "stage", None)
         suffix = f" [stage: {stage}]" if stage else ""
-        print(f"{exc.name}: {exc}{suffix}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}{suffix}", file=sys.stderr)
         return 1
     out = getattr(args, "out", None)
     if out:

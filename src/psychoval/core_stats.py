@@ -45,13 +45,14 @@ GAMMA_TOL = 1e-12
 GAMMA_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """A dense symmetric matrix with exact symmetry enforced at construction.
 
     The stored array is read-only; ``values[i, j] == values[j, i]`` holds
     bit-exactly because construction averages the two triangles. A NaN or
     infinite entry raises DomainError, so no kernel taking a SymMatrix sees one.
+    Equality compares values, so -0.0 equals 0.0; the class is not hashable.
     """
 
     values: np.ndarray
@@ -75,9 +76,6 @@ class SymMatrix:
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash((self.values.shape, self.values.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ class FactorSolution:
     communalities: np.ndarray
     convergence: dict = field(default_factory=dict)
     heywood: bool = False
-    rotation_matrix: np.ndarray | None = field(default=None, repr=False)
     structure: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,9 +69,6 @@ class FactorSolution:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "communalities", h2)
         object.__setattr__(self, "structure", _frozen(L @ phi))
-        if self.rotation_matrix is not None:
-            T = _frozen(np.asarray(self.rotation_matrix, dtype=float))
-            object.__setattr__(self, "rotation_matrix", T)
 
     @property
     def p(self) -> int:
@@ -309,7 +305,6 @@ def rotate_varimax(solution: FactorSolution) -> FactorSolution:
     h = np.sqrt((L**2).sum(axis=1))
     scale = np.where(h > 0, h, 1.0)
     L /= scale[:, None]
-    T = np.eye(m)
     crit = varimax_criterion(L, normalize=False)
     sweeps = 0
     for sweeps in range(1, VARIMAX_MAX_SWEEPS + 1):
@@ -331,7 +326,6 @@ def rotate_varimax(solution: FactorSolution) -> FactorSolution:
                 cs, sn = math.cos(angle), math.sin(angle)
                 rot = np.array([[cs, -sn], [sn, cs]])
                 L[:, [i, j]] = L[:, [i, j]] @ rot
-                T[:, [i, j]] = T[:, [i, j]] @ rot
         new_crit = varimax_criterion(L, normalize=False)
         improvement = new_crit - crit
         crit = new_crit
@@ -350,7 +344,6 @@ def rotate_varimax(solution: FactorSolution) -> FactorSolution:
         phi=np.eye(m),
         communalities=(L**2).sum(axis=1),
         convergence={"sweeps": sweeps, "criterion": crit},
-        rotation_matrix=T,
     )
     return sort_and_sign(rotated)
 
@@ -430,7 +423,6 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
         phi=phi,
         communalities=communalities,
         convergence={"iterations": iterations, "gradient_norm": s},
-        rotation_matrix=T,
     )
     return sort_and_sign(rotated)
 
@@ -445,15 +437,8 @@ def sort_and_sign(solution: FactorSolution) -> FactorSolution:
     order = np.argsort(-((L**2).sum(axis=0)), kind="stable")
     L = L[:, order]
     phi = solution.phi[np.ix_(order, order)]
-    T = solution.rotation_matrix
-    if T is not None:
-        T = T[:, order]
     signs = lead_signs(L)
-    L = L * signs
-    phi = phi * np.outer(signs, signs)
-    if T is not None:
-        T = T * signs
-    return replace(solution, loadings=L, phi=phi, rotation_matrix=T)
+    return replace(solution, loadings=L * signs, phi=phi * np.outer(signs, signs))
 
 
 def assign_items(

@@ -12,10 +12,6 @@ from contextlib import contextmanager
 class PsychovalError(Exception):
     """Base class for all anticipated analysis errors."""
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
 
 @contextmanager
 def stage(name: str):

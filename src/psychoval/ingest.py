@@ -175,17 +175,14 @@ def load_csv(
     likert_min: int,
     likert_max: int,
     missing_token: str = MISSING_TOKEN,
-    reverse_coded: Sequence[str] = (),
 ) -> SurveyDataset:
     """Read a survey CSV into a validated SurveyDataset.
 
     First header cell names the respondent-id column, the rest are item ids.
     Cells must parse as integers or equal ``missing_token`` exactly.
-    Items listed in ``reverse_coded`` are reflected at load time:
-    v -> likert_min + likert_max - v.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded)
+        return _parse_csv(fh, likert_min, likert_max, missing_token)
 
 
 def loads_csv(
@@ -193,14 +190,13 @@ def loads_csv(
     likert_min: int,
     likert_max: int,
     missing_token: str = MISSING_TOKEN,
-    reverse_coded: Sequence[str] = (),
 ) -> SurveyDataset:
     """Same as load_csv but from an in-memory string."""
     fh = io.StringIO(text, newline="")  # untranslated line ends, as in load_csv
-    return _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded)
+    return _parse_csv(fh, likert_min, likert_max, missing_token)
 
 
-def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> SurveyDataset:
+def _parse_csv(fh, likert_min, likert_max, missing_token) -> SurveyDataset:
     check_likert(likert_min, likert_max, ordered=False)  # SurveyDataset checks the order
     reader = _records(csv.reader(fh))
     try:
@@ -212,10 +208,6 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
     items = [h.strip() for h in header[1:]]
     if len(set(items)) != len(items):
         raise DuplicateId("item", _first_duplicate(items))
-    unknown_reversed = [r for r in reverse_coded if r not in items]
-    if unknown_reversed:
-        raise ConfigError(f"reverse-coded items not in header: {unknown_reversed}")
-    reflect = sorted({items.index(r) for r in reverse_coded})
 
     respondents: list[str] = []
     seen_ids: set[str] = set()
@@ -238,15 +230,10 @@ def _parse_csv(fh, likert_min, likert_max, missing_token, reverse_coded) -> Surv
         respondents.append(rid)
         rows.append(row)
 
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(items)))
-    if reflect:  # NaN stays NaN; exact on integer cells, as the sum or the span is within 2^53
-        cells, total = values[:, reflect], likert_min + likert_max
-        values[:, reflect] = (total - cells if abs(total) <= LIKERT_LIMIT
-                              else likert_max - (cells - likert_min))
     return SurveyDataset(
         items=tuple(items),
         respondents=tuple(respondents),
-        values=values,
+        values=np.array(rows, dtype=float) if rows else np.empty((0, len(items))),
         likert_min=likert_min,
         likert_max=likert_max,
     )
@@ -278,16 +265,15 @@ def _records(reader):
         raise ParseError(reader.line_num, "", str(exc)) from None
 
 
-def to_csv(ds: SurveyDataset, id_column: str = "respondent",
-           missing_token: str = MISSING_TOKEN) -> str:
+def to_csv(ds: SurveyDataset, missing_token: str = MISSING_TOKEN) -> str:
     """Serialize a dataset back to the CSV dialect read by load_csv.
 
-    Integer cells, LF newlines; loading the output reproduces the dataset
-    (round-trip identity).
+    A ``respondent`` id column, integer cells, LF newlines; loading the
+    output reproduces the dataset (round-trip identity).
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([id_column, *ds.items])
+    writer.writerow(["respondent", *ds.items])
     token = _CellTokens(missing_token).__getitem__
     writer.writerows(
         [rid, *map(token, row.tolist())] for rid, row in zip(ds.respondents, ds.values)

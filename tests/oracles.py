@@ -23,7 +23,6 @@ import numpy as np
 
 from psychoval.core_stats import _round_robin
 from psychoval.errors import (
-    ConfigError,
     DuplicateId,
     EmptyDataset,
     NoConvergence,
@@ -223,8 +222,8 @@ def generate_rowwise(spec) -> np.ndarray:
 
 
 def loads_csv_per_cell(text: str, likert_min: int, likert_max: int,
-                       missing_token: str = "NA", reverse_coded=()) -> SurveyDataset:
-    """``loads_csv`` checking, converting and reflecting one cell at a time."""
+                       missing_token: str = "NA") -> SurveyDataset:
+    """``loads_csv`` checking and converting one cell at a time."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         try:
@@ -237,10 +236,6 @@ def loads_csv_per_cell(text: str, likert_min: int, likert_max: int,
         duplicates = [it for k, it in enumerate(items) if it in items[:k]]
         if duplicates:
             raise DuplicateId("item", duplicates[0])
-        unknown_reversed = [r for r in reverse_coded if r not in items]
-        if unknown_reversed:
-            raise ConfigError(f"reverse-coded items not in header: {unknown_reversed}")
-        reflect = {items.index(r) for r in reverse_coded}
         respondents, rows = [], []
         for lineno, record in enumerate(reader, start=2):
             if not record or all(not c.strip() for c in record):
@@ -262,8 +257,6 @@ def loads_csv_per_cell(text: str, likert_min: int, likert_max: int,
                     raise ParseError(lineno, items[j], cell) from None
                 if value < likert_min or value > likert_max:
                     raise RangeError(lineno, items[j], value)
-                if j in reflect:
-                    value = likert_min + likert_max - value
                 row.append(float(value))
             respondents.append(rid)
             rows.append(row)
@@ -274,11 +267,11 @@ def loads_csv_per_cell(text: str, likert_min: int, likert_max: int,
                          values=values, likert_min=likert_min, likert_max=likert_max)
 
 
-def to_csv_per_cell(ds, id_column: str = "respondent", missing_token: str = "NA") -> str:
+def to_csv_per_cell(ds, missing_token: str = "NA") -> str:
     """CSV text of a dataset, formatting each cell on its own."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([id_column, *ds.items])
+    writer.writerow(["respondent", *ds.items])
     for i, rid in enumerate(ds.respondents):
         cells = [
             missing_token if math.isnan(v) else str(int(v)) for v in ds.values[i]

@@ -507,6 +507,11 @@ class TestSymEigenMemo:
         sym_eigen(SymMatrix(B))
         assert _cold_eigen.cache_info().misses == misses + 1
 
+    def test_sym_matrix_is_not_hashable(self):
+        # equal matrices with -0.0 and 0.0 would hash apart
+        with pytest.raises(TypeError, match="unhashable type: 'SymMatrix'"):
+            hash(SymMatrix(np.eye(2)))
+
 
 class TestNonFiniteMatrix:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

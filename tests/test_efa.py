@@ -331,8 +331,11 @@ class TestVarimax:
 
     def test_rotation_matrix_orthonormal(self, two_factor_dataset):
         R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))
-        rotated = rotate_varimax(extract_paf(R, 2, items=ITEMS6))
-        T = rotated.rotation_matrix
+        sol = extract_paf(R, 2, items=ITEMS6)
+        rotated = rotate_varimax(sol)
+        # the T with rotated = unrotated @ T, sorting and signs included
+        T = np.linalg.lstsq(sol.loadings, rotated.loadings, rcond=None)[0]
+        assert np.max(np.abs(sol.loadings @ T - rotated.loadings)) < 1e-10
         assert np.max(np.abs(T.T @ T - np.eye(2))) < 1e-10
 
     def test_criterion_never_decreases(self, two_factor_dataset):

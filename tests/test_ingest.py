@@ -59,36 +59,19 @@ class TestParsing:
 
     def test_round_trip_is_identity(self):
         ds = loads_csv(CSV_10, 1, 7, missing_token="NA")
-        text = to_csv(ds, id_column="id")
+        text = to_csv(ds)
         again = loads_csv(text, 1, 7)
         assert again.items == ds.items
         assert again.respondents == ds.respondents
         assert np.array_equal(again.values, ds.values, equal_nan=True)
         # and serialization itself is a fixed point
-        assert to_csv(again, id_column="id") == text
-
-    def test_reverse_coding_reflects_at_load(self):
-        ds = loads_csv("id,A,B\nr1,1,1\nr2,2,4\nr3,7,2\n", 1, 7,
-                       reverse_coded=["B"])
-        assert list(ds.values[:, 0]) == [1.0, 2.0, 7.0]
-        assert list(ds.values[:, 1]) == [7.0, 4.0, 6.0]  # v -> 1 + 7 - v
-
-    def test_double_reverse_is_identity(self):
-        once = loads_csv(CSV_10, 1, 7, reverse_coded=["A"])
-        text = to_csv(once, id_column="id")
-        twice = loads_csv(text, 1, 7, reverse_coded=["A"])
-        plain = loads_csv(CSV_10, 1, 7)
-        assert np.array_equal(twice.values, plain.values, equal_nan=True)
+        assert to_csv(again) == text
 
     def test_out_of_bounds_value(self):
         with pytest.raises(RangeError):
             loads_csv("id,A\nr1,8\nr2,3\nr3,3\n", 1, 7)
         with pytest.raises(RangeError):
             loads_csv("id,A\nr1,0\nr2,3\nr3,3\n", 1, 7)
-
-    def test_unknown_reverse_coded_item(self):
-        with pytest.raises(ConfigError, match=r"reverse-coded items not in header: \['Z'\]"):
-            loads_csv(CSV_10, 1, 7, reverse_coded=["Z"])
 
     def test_unparseable_cell(self):
         with pytest.raises(ParseError):
@@ -179,13 +162,10 @@ class TestToCsv:
         respondents = tuple(f"r{i}" if i % 3 else f"r {i},x" for i in range(60))
         return SurveyDataset(items, respondents, values, 1, 5)
 
-    @pytest.mark.parametrize("id_column, missing_token", [
-        ("respondent", "NA"), ("id,col", ""), ("id", "-99"),
-    ])
-    def test_same_text_as_per_cell_formatting(self, id_column, missing_token):
+    @pytest.mark.parametrize("missing_token", ["NA", "", "-99"])
+    def test_same_text_as_per_cell_formatting(self, missing_token):
         ds = self.dataset()
-        assert to_csv(ds, id_column, missing_token) == to_csv_per_cell(
-            ds, id_column, missing_token)
+        assert to_csv(ds, missing_token) == to_csv_per_cell(ds, missing_token)
 
     def test_quoted_ids_and_missing_cells_round_trip(self):
         ds = self.dataset()

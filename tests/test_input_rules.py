@@ -162,14 +162,6 @@ class TestLikertLimit:
         ds = loads_csv(f"id,A,B\nr1,{EDGE},0\nr2,{EDGE - 1},1\n", 0, EDGE)
         assert ds.values[:, 0].tolist() == [EDGE, EDGE - 1]
 
-    @pytest.mark.parametrize("lo, hi", [(EDGE - 3, EDGE), (-EDGE, -EDGE + 3), (-EDGE, EDGE)])
-    def test_reflection_at_the_limit_is_exact(self, lo, hi):
-        # the sum of the bounds is not a float for the first two, the span for the last
-        text = f"id,A,B\nr1,{lo},{hi}\nr2,{hi},{lo}\nr3,{lo + 1},NA\n"
-        got = loads_csv(text, lo, hi, reverse_coded=["A"])
-        expected = oracles.loads_csv_per_cell(text, lo, hi, reverse_coded=["A"])
-        np.testing.assert_array_equal(got.values, expected.values)
-
     def test_order_is_still_checked_after_the_cells(self):
         # a cell outside reversed bounds is reported first, as cell by cell
         with pytest.raises(RangeError):

@@ -45,12 +45,11 @@ CSV = st.one_of(
     st.integers(-2, 9),
     st.integers(-2, 9),
     st.sampled_from(["NA", "", ".", "x"]),
-    st.lists(st.sampled_from(["A", "B", "Z", ""]), max_size=2),
 )
 @FUZZ
-def test_loads_csv_raises_only_domain_errors(text, lo, hi, missing, reverse):
+def test_loads_csv_raises_only_domain_errors(text, lo, hi, missing):
     try:
-        loads_csv(text, lo, hi, missing_token=missing, reverse_coded=reverse)
+        loads_csv(text, lo, hi, missing_token=missing)
     except PsychovalError:
         pass
 
@@ -73,12 +72,11 @@ def grids(draw):
     rows = draw(st.lists(st.lists(cells, min_size=3, max_size=3), max_size=6))
     text = "id,A,B,C\n" + "".join(f"r{k},{','.join(r)}\n" for k, r in enumerate(rows))
     bounds = draw(st.sampled_from([(0, 7), (-2, 9), (1, 5)]))
-    return text, bounds, missing, draw(st.lists(st.sampled_from("ABC"), max_size=2))
+    return text, bounds, missing
 
 
 DOCUMENTS = st.one_of(
-    st.tuples(CSV, st.tuples(st.integers(-2, 9), st.integers(-2, 9)), MISSING,
-              st.lists(st.sampled_from(["A", "B", "Z", ""]), max_size=2)),
+    st.tuples(CSV, st.tuples(st.integers(-2, 9), st.integers(-2, 9)), MISSING),
     grids(),
 )
 
@@ -86,13 +84,12 @@ DOCUMENTS = st.one_of(
 @given(DOCUMENTS)
 @FUZZ
 def test_loads_csv_matches_per_cell_oracle(document):
-    # the token map and the reflection in numpy give the cells, or the
-    # first error, of checking one cell at a time
-    text, bounds, missing, reverse = document
-    got = parse_outcome(loads_csv, text, *bounds, missing_token=missing,
-                        reverse_coded=reverse)
+    # the token map gives the cells, or the first error, of checking one
+    # cell at a time
+    text, bounds, missing = document
+    got = parse_outcome(loads_csv, text, *bounds, missing_token=missing)
     expected = parse_outcome(oracles.loads_csv_per_cell, text, *bounds,
-                             missing_token=missing, reverse_coded=reverse)
+                             missing_token=missing)
     if isinstance(expected, tuple):
         assert got == expected
     else:

@@ -24,9 +24,10 @@ from .core_stats import (
     log_determinant,
 )
 from .errors import (
-    AssumptionsNotMet, ConfigError, NotPositiveDefinite, SampleTooSmall, TooFewItems,
+    AssumptionsNotMet, ConfigError, DomainError, NotPositiveDefinite, SampleTooSmall, TooFewItems,
 )
 from .ingest import AnalysisView
+from .rng import check_real
 
 MIN_ITEMS_AFTER_PRUNE = 3
 MSA_THRESHOLD = 0.5
@@ -99,19 +100,26 @@ def bartlett_sphericity(R: SymMatrix, n: int) -> tuple[float, int, float]:
 
 def check_alpha(alpha: float) -> None:
     """Reject a Bartlett significance level outside (0, 1), NaN included."""
+    check_real(alpha, "bartlett_alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("bartlett_alpha must lie in (0, 1)")
 
 
 def check_msa_threshold(threshold: float) -> None:
     """Reject an MSA pruning threshold outside [0, 1), NaN included."""
+    check_real(threshold, "msa_threshold")
     if not 0.0 <= threshold < 1.0:
         raise ConfigError("msa_threshold must lie in [0, 1)")
 
 
 def sphericity_gate(p: float, alpha: float) -> None:
-    """Raise AssumptionsNotMet when Bartlett's p-value exceeds a checked alpha."""
+    """Raise AssumptionsNotMet when Bartlett's p-value exceeds a checked alpha.
+
+    A p-value outside [0, 1], NaN included, raises DomainError.
+    """
     check_alpha(alpha)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p-value {p!r} outside [0, 1]")
     if p > alpha:
         raise AssumptionsNotMet(
             f"sphericity not significant (p = {p:.6g} > alpha = {alpha:g})"

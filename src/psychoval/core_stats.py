@@ -33,6 +33,9 @@ from .errors import (
 # Relative cutoff below which an eigenvalue is treated as zero.
 SINGULARITY_RTOL = 1e-10
 
+# Largest |a - a.T|, relative to max(1, max |a|), that still counts as symmetric.
+SYMMETRY_RTOL = 1e-8
+
 # Jacobi sweep budget and off-diagonal convergence target.
 JACOBI_MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12
@@ -64,8 +67,7 @@ class SymMatrix:
         # before the symmetry test, which a NaN passes
         if not np.isfinite(a).all():
             raise DomainError("matrix has a non-finite entry")
-        if a.size and np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
-            raise DomainError("matrix is not symmetric")
+        check_symmetric(a, "matrix")
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
@@ -76,6 +78,12 @@ class SymMatrix:
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and np.array_equal(self.values, other.values)
+
+
+def check_symmetric(a: np.ndarray, what: str) -> None:
+    """DomainError unless the finite square array a is symmetric to SYMMETRY_RTOL."""
+    if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * max(1.0, np.max(np.abs(a))):
+        raise DomainError(f"{what} is not symmetric")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core_stats import SymMatrix, inverse, item_labels, lead_signs, sym_eigen
 from .errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems, stage
+from .rng import as_int, check_real
 
 EXTRACTIONS = ("paf", "pca")
 ROTATIONS = ("oblimin", "varimax", "none")
@@ -107,7 +108,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _check_m(m: int, p: int) -> None:
-    if not 1 <= m <= p:
+    if not 1 <= as_int(m, "factor count") <= p:
         raise BadFactorCount(f"factor count {m} outside [1, {p}]")
 
 
@@ -225,6 +226,7 @@ def check_options(
         raise ConfigError(f"unknown extraction {extraction!r}")
     if rotation not in ROTATIONS:
         raise ConfigError(f"unknown rotation {rotation!r}")
+    check_real(gamma, "gamma")
     if not math.isfinite(gamma):
         raise ConfigError("gamma must be finite")
     return fixed_count(retention)
@@ -232,6 +234,7 @@ def check_options(
 
 def check_cutoff(cutoff: float) -> None:
     """Reject a loading cutoff outside (0, 1), NaN included."""
+    check_real(cutoff, "loading_cutoff")
     if not 0.0 < cutoff < 1.0:
         raise ConfigError("loading_cutoff must lie in (0, 1)")
 

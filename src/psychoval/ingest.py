@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ from .errors import (
     TooFewItems,
     UnknownItem,
 )
+from .rng import as_int
 
 POLICIES = ("listwise", "pairwise", "strict")
 MISSING_TOKEN = "NA"
@@ -149,9 +151,16 @@ def parse_likert(text: str) -> tuple[int, int]:
 
 
 def check_likert(likert_min: int, likert_max: int, ordered: bool = True) -> None:
-    """Reject a bound beyond ±LIKERT_LIMIT or NaN, and, if ordered, min >= max."""
-    if not all(-LIKERT_LIMIT <= b <= LIKERT_LIMIT for b in (likert_min, likert_max)):
+    """Reject a bound that is not an integer within ±LIKERT_LIMIT, and, if ordered, min >= max.
+
+    A NaN or a non-number fails the limit; a float within it fails as_int.
+    """
+    bounds = (likert_min, likert_max)
+    if not all(isinstance(b, numbers.Real) and -LIKERT_LIMIT <= b <= LIKERT_LIMIT
+               for b in bounds):
         raise ConfigError("likert bounds must lie within [-2^53, 2^53]")
+    for b in bounds:
+        as_int(b, "likert bound")
     if ordered and likert_min >= likert_max:
         raise ConfigError("likert_min must be strictly below likert_max")
 

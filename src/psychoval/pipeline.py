@@ -70,6 +70,8 @@ class PipelineConfig:
     force: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.force, bool):
+            raise ConfigError(f"force must be True or False, got {self.force!r}")
         check_policy(self.policy)
         check_alpha(self.bartlett_alpha)
         check_msa_threshold(self.msa_threshold)

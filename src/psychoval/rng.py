@@ -18,6 +18,7 @@ and spare, but computes them in blocks by lane jump-ahead (``lanes.py``).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -50,6 +51,12 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_real(value, what: str) -> None:
+    """Refuse anything but a real number, numpy's included, with ConfigError; a bool too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -98,7 +105,7 @@ class Rng:
 
     def normals(self, count: int) -> np.ndarray:
         """The next ``count`` normal deviates, equal to ``count`` calls of normal()."""
-        if count < 0:
+        if as_int(count, "normal count") < 0:
             raise ConfigError(f"normal count must be nonnegative, got {count}")
         # imported on first use, so `import psychoval` neither loads nor compiles it
         from .lanes import polar_normals

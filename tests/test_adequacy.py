@@ -21,7 +21,8 @@ from psychoval import (
     run_validation,
     sample_adequacy_advice,
 )
-from psychoval.errors import NotPositiveDefinite, SampleTooSmall, TooFewItems
+from psychoval.adequacy import sphericity_gate
+from psychoval.errors import DomainError, NotPositiveDefinite, SampleTooSmall, TooFewItems
 from tests import oracles
 from tests.frozen import PRUNE_SEED
 
@@ -43,6 +44,11 @@ def prune_fixture_view():
 
 
 class TestBartlett:
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5])
+    def test_gate_refuses_p_outside_unit_interval(self, p):
+        with pytest.raises(DomainError, match=r"^p-value .+ outside \[0, 1\]$"):
+            sphericity_gate(p, 0.05)
+
     def test_identity_matrix(self):
         chi2, df, p = bartlett_sphericity(SymMatrix(np.eye(4)), 100)
         assert chi2 == 0.0

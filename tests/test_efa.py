@@ -158,6 +158,15 @@ class TestPca:
         with pytest.raises(BadFactorCount):
             extract_pca(SymMatrix(np.eye(3)), 4)
 
+    @pytest.mark.parametrize("m", [1.5, "1", None])
+    @pytest.mark.parametrize("extract", [extract_pca, extract_paf])
+    def test_non_integer_m_rejected(self, extract, m):
+        with pytest.raises(ConfigError, match="^factor count must be an integer, got "):
+            extract(SymMatrix(np.eye(3)), m)
+
+    def test_numpy_integer_m_accepted(self):
+        assert extract_pca(SymMatrix(np.eye(3)), np.int64(2)).m == 2
+
 
 class TestPaf:
     def test_single_factor_population_recovery(self):

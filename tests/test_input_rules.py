@@ -149,6 +149,16 @@ class TestLikertLimit:
         with pytest.raises(ConfigError, match=r"likert bounds must lie within \[-2\^53, 2\^53\]"):
             LIKERT_TAKERS[name](*bounds)
 
+    @pytest.mark.parametrize("bounds", [(1.5, 7), (1, 7.0)])
+    @pytest.mark.parametrize("name", ["SurveyDataset", "loads_csv", "FactorModelSpec"])
+    def test_non_integer_bound_is_config_error(self, name, bounds):
+        with pytest.raises(ConfigError, match="^likert bound must be an integer, got "):
+            LIKERT_TAKERS[name](*bounds)
+
+    def test_numpy_integer_bounds_accepted(self):
+        ds = loads_csv("id,A,B\nr1,1,2\nr2,2,1\n", np.int64(1), np.int32(7))
+        assert (ds.likert_min, ds.likert_max) == (1, 7)
+
     def test_nan_bound_is_config_error(self):
         with pytest.raises(ConfigError, match="likert bounds must lie within"):
             _dataset(1, float("nan"))

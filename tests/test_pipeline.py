@@ -407,6 +407,24 @@ class TestConfigValidation:
             gate(view, value)
         assert str(gated.value) == str(config.value)
 
+    @pytest.mark.parametrize("value", ["false", "", 0, 1, None])
+    def test_non_bool_force_rejected(self, value):
+        # a truthy "false" would otherwise carry a noise survey past the gate
+        with pytest.raises(ConfigError, match=f"^force must be True or False, got {value!r}$"):
+            PipelineConfig(force=value)
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+    @pytest.mark.parametrize("field",
+                             ["bartlett_alpha", "msa_threshold", "gamma", "loading_cutoff"])
+    def test_non_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a number, got "):
+            PipelineConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = PipelineConfig(bartlett_alpha=np.float32(0.05), msa_threshold=np.float64(0.5),
+                             gamma=np.int64(0), loading_cutoff=np.float64(0.4))
+        assert cfg.gamma == 0
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("rotation", ["oblimin", "varimax", "none"])
     def test_non_finite_gamma_rejected(self, gamma, rotation):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from psychoval import (
     ScaleDefinition,
     SurveyDataset,
+    SymMatrix,
     alpha_from_covariance,
     cronbach_alpha,
     loads_csv,
@@ -71,6 +72,22 @@ class TestAlphaInput:
     def test_non_finite_entry_refused(self, bad):
         with pytest.raises(DomainError, match="^covariance matrix has a non-finite entry$"):
             alpha_from_covariance([[1.0, bad], [bad, 1.0]])
+
+    def test_asymmetric_matrix_refused(self):
+        with pytest.raises(DomainError, match="^covariance matrix is not symmetric$"):
+            alpha_from_covariance([[1, .9, 0], [.1, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("skew, refused",
+                             [(1e-12, False), (1e-9, False), (1e-7, True), (1e-3, True)])
+    def test_symmetry_tolerance_is_sym_matrix_s(self, skew, refused):
+        # the tolerance is relative to max(1, max |entry|) = 2 here
+        cov = np.array([[2.0, 0.5], [0.5 + skew, 1.0]])
+        for check in (SymMatrix, alpha_from_covariance):
+            if refused:
+                with pytest.raises(DomainError, match="matrix is not symmetric$"):
+                    check(cov)
+            else:
+                check(cov)
 
     @pytest.mark.parametrize("cov", [[1.0, 2.0], np.ones((2, 3))], ids=["1-d", "2x3"])
     def test_non_square_input_refused(self, cov):

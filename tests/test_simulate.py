@@ -110,6 +110,11 @@ class TestRng:
         expected = generate(FactorModelSpec(loadings=two_block_loadings(), n=40, seed=3))
         assert np.array_equal(generate(spec).values, expected.values)
 
+    @pytest.mark.parametrize("count", [2.5, "3", None])
+    def test_non_integer_normal_count_rejected(self, count):
+        with pytest.raises(ConfigError, match="^normal count must be an integer, got "):
+            Rng(1).normals(count)
+
     @pytest.mark.parametrize("seed", [1.5, "3", None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="^seed must be an integer, got "):

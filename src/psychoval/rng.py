@@ -54,7 +54,7 @@ def as_int(value, what: str) -> int:
 
 
 def check_real(value, what: str) -> None:
-    """Refuse anything but a real number, numpy's included, with ConfigError; a bool too."""
+    """ConfigError unless ``value`` is a real number, numpy's included; a bool is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
 

@@ -100,7 +100,7 @@ def check_prune_fixture(n: int, seed: int):
     ds = generate(spec)
     view = complete_cases(ds, "listwise")
     R = correlation_matrix(view.data, list(items))
-    _, msa, _ = kmo(R, list(items))
+    _, msa = kmo(R, list(items))
     return msa
 
 

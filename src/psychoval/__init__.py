@@ -63,7 +63,6 @@ from .pipeline import (
     PipelineConfig,
     ValidationReport,
     render_report,
-    report_from_json,
     run_validation,
 )
 from .reliability import (
@@ -139,7 +138,6 @@ __all__ = [
     "regularized_gamma_p",
     "regularized_gamma_q",
     "render_report",
-    "report_from_json",
     "retain_kaiser",
     "rotate_oblimin",
     "rotate_varimax",

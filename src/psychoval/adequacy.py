@@ -61,10 +61,6 @@ class PruneTrail:
     retained: tuple[str, ...]
     termination: str  # "all_above_threshold" | "min_items_reached"
 
-    @property
-    def removed(self) -> tuple[str, ...]:
-        return tuple(s.item for s in self.steps)
-
 
 @dataclass(frozen=True)
 class SampleAdequacyAdvice:
@@ -126,9 +122,8 @@ def sphericity_gate(p: float, alpha: float) -> None:
         )
 
 
-def kmo(R: SymMatrix, items: list[str] | None = None
-        ) -> tuple[float, dict[str, float], SymMatrix]:
-    """Overall KMO, per-item MSA, and the anti-image matrix.
+def kmo(R: SymMatrix, items: list[str] | None = None) -> tuple[float, dict[str, float]]:
+    """Overall KMO and per-item MSA.
 
     With S = R^-1, the partial correlation of items i and j given the rest
     is q_ij = -S_ij / sqrt(S_ii * S_jj). KMO compares squared raw against
@@ -150,12 +145,11 @@ def kmo(R: SymMatrix, items: list[str] | None = None
             f"{float(s_diag.min()):.3e}"
         )
     d = 1.0 / np.sqrt(s_diag)
+    # exactly symmetric, as s is and d_i * d_j == d_j * d_i
     q = -s * np.outer(d, d)
-    np.fill_diagonal(q, 1.0)
-    anti_image = SymMatrix(q)
 
     r2 = R.values**2
-    q2 = anti_image.values**2
+    q2 = q**2
     np.fill_diagonal(r2, 0.0)
     np.fill_diagonal(q2, 0.0)
 
@@ -163,7 +157,7 @@ def kmo(R: SymMatrix, items: list[str] | None = None
     row_r2 = r2.sum(axis=1)
     row_q2 = q2.sum(axis=1)
     msa = {name: float(row_r2[j] / (row_r2[j] + row_q2[j])) for j, name in enumerate(names)}
-    return overall, msa, anti_image
+    return overall, msa
 
 
 def msa_prune(view: AnalysisView, threshold: float = MSA_THRESHOLD) -> PruneTrail:
@@ -177,14 +171,14 @@ def msa_prune(view: AnalysisView, threshold: float = MSA_THRESHOLD) -> PruneTrai
     check_msa_threshold(threshold)
     column = {it: j for j, it in enumerate(view.items)}
 
-    def adequacy(items: list[str]) -> tuple[float, dict[str, float], SymMatrix]:
+    def adequacy(items: list[str]) -> tuple[float, dict[str, float]]:
         R = correlation_matrix(view.data[:, [column[it] for it in items]], items)
         return kmo(R, items)
 
     items = list(view.items)
     steps: list[PruneStep] = []
     while True:
-        _, msa, _ = adequacy(items)
+        _, msa = adequacy(items)
         # min() keeps the first minimum, so ties resolve by item order
         worst = min(items, key=msa.__getitem__)
         if msa[worst] >= threshold or len(items) <= MIN_ITEMS_AFTER_PRUNE:

@@ -199,7 +199,7 @@ def _cmd_retest(args) -> list:
 def _cmd_kmo(args) -> dict:
     view, R = correlate(_load(args, args.input), args.policy)
     with stage("kmo"):
-        overall, msa, _ = kmo(R, list(view.items))
+        overall, msa = kmo(R, list(view.items))
     return _record({"kmo_overall": overall, "msa": msa})
 
 

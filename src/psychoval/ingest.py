@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -88,20 +88,6 @@ class SurveyDataset:
     @property
     def p(self) -> int:
         return len(self.items)
-
-    def column(self, item: str) -> np.ndarray:
-        return self.values[:, self.items.index(item)]
-
-    def subset(self, items: Sequence[str]) -> "SurveyDataset":
-        """Dataset restricted to the given items, order preserved as given."""
-        idx = [self.items.index(it) for it in items]
-        return SurveyDataset(
-            items=tuple(items),
-            respondents=self.respondents,
-            values=self.values[:, idx],
-            likert_min=self.likert_min,
-            likert_max=self.likert_max,
-        )
 
 
 @dataclass(frozen=True)

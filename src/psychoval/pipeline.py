@@ -118,11 +118,6 @@ class ValidationReport:
             for f in fields(self)
         }
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValidationReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
 
 def solution_to_dict(sol: FactorSolution) -> dict:
     """The stable JSON form of a factor solution (row-major matrices)."""
@@ -217,7 +212,7 @@ def run_validation(
             warnings.append(f"AssumptionsNotMet: {exc}; continuing because force is set")
 
     with stage("kmo"):
-        kmo_overall, msa, _ = kmo(R, list(view.items))
+        kmo_overall, msa = kmo(R, list(view.items))
     adequacy = AdequacyReport({"chi2": chi2, "df": df, "p": pval}, kmo_overall, msa)
 
     with stage("prune"):
@@ -323,36 +318,6 @@ def render(command: str, record, format: str) -> bytes:
     if format == "text":
         return ("\n".join(_TEXT[command](record)) + "\n").encode("utf-8")
     raise ConfigError(f"unknown report format {format!r}")
-
-
-def report_from_json(payload: str | bytes) -> ValidationReport:
-    """Rebuild a ValidationReport from its JSON rendering."""
-    d = json.loads(payload)
-    sol = d["solution"]
-    items = tuple(sol["communalities"].keys())
-    solution = FactorSolution(
-        items=items,
-        extraction=sol["extraction"],
-        rotation=sol["rotation"],
-        loadings=np.array(sol["loadings"], dtype=float),
-        eigenvalues=np.array(sol["eigenvalues"], dtype=float),
-        phi=np.array(sol["phi"], dtype=float),
-        communalities=np.array(list(sol["communalities"].values()), dtype=float),
-    )
-    # report keys are field names, because _record wrote them
-    return ValidationReport(
-        dataset=d["dataset"],
-        adequacy=AdequacyReport(**d["adequacy"]),
-        prune_trail=tuple(PruneStep(**s) for s in d["prune_trail"]),
-        solution=solution,
-        scales=tuple(
-            FactorScale(**{**s, "items": tuple(s["items"])}) for s in d["scales"]
-        ),
-        advice=SampleAdequacyAdvice(**d["advice"]),
-        warnings=tuple(d["warnings"]),
-        config=PipelineConfig(**d["config"]),
-        stages=tuple(d["stages"]),
-    )
 
 
 def _cell(value, spec: str = ".4f") -> str:

@@ -162,16 +162,16 @@ def test_c06_kmo_and_pruning():
                            items=tuple("ABCDEFG"))
     view = complete_cases(generate(spec), "listwise")
     R = correlation_matrix(view.data, list(view.items))
-    _, msa, _ = kmo(R, list(view.items))
+    _, msa = kmo(R, list(view.items))
     assert min(msa, key=msa.get) == "G"
 
     trail = msa_prune(view, threshold=0.5)
-    assert trail.removed[0] == "G"
+    assert trail.steps[0].item == "G"
     R2 = correlation_matrix(
         view.data[:, [view.items.index(i) for i in trail.retained]],
         list(trail.retained),
     )
-    _, msa_after, _ = kmo(R2, list(trail.retained))
+    _, msa_after = kmo(R2, list(trail.retained))
     assert all(v >= 0.5 for v in msa_after.values())
 
     for seed, p in ((21, 3), (22, 4), (23, 4)):
@@ -180,8 +180,7 @@ def test_c06_kmo_and_pruning():
         cov = M @ M.T + 0.5 * np.eye(p)
         sd = np.sqrt(np.diag(cov))
         corr = cov / np.outer(sd, sd)
-        overall, per_item, _ = kmo(SymMatrix(corr),
-                                   [f"I{j}" for j in range(p)])
+        overall, per_item = kmo(SymMatrix(corr), [f"I{j}" for j in range(p)])
         exp_overall, exp_msa = oracles.kmo_definitional(corr)
         assert overall == pytest.approx(exp_overall, abs=1e-9)
         assert list(per_item.values()) == pytest.approx(exp_msa, abs=1e-9)

@@ -86,7 +86,7 @@ class TestKmo:
     def test_equicorrelated_closed_form(self):
         # p=3, r=0.5: every partial correlation is -1/3, so
         # KMO = (6 * 0.25) / (6 * 0.25 + 6 * (1/9)) = 9/13
-        overall, msa, _ = kmo(SymMatrix(equicorrelated(3, 0.5)), ["A", "B", "C"])
+        overall, msa = kmo(SymMatrix(equicorrelated(3, 0.5)), ["A", "B", "C"])
         assert overall == pytest.approx(9 / 13, abs=1e-9)
         for v in msa.values():
             assert v == pytest.approx(9 / 13, abs=1e-9)
@@ -98,21 +98,15 @@ class TestKmo:
         cov = M @ M.T + 0.5 * np.eye(p)
         sd = np.sqrt(np.diag(cov))
         R = cov / np.outer(sd, sd)
-        overall, msa, _ = kmo(SymMatrix(R), [f"I{j}" for j in range(p)])
+        overall, msa = kmo(SymMatrix(R), [f"I{j}" for j in range(p)])
         exp_overall, exp_msa = oracles.kmo_definitional(R)
         assert overall == pytest.approx(exp_overall, abs=1e-9)
         assert list(msa.values()) == pytest.approx(exp_msa, abs=1e-9)
 
     def test_values_bounded(self):
-        overall, msa, _ = kmo(SymMatrix(equicorrelated(5, 0.4)), list("ABCDE"))
+        overall, msa = kmo(SymMatrix(equicorrelated(5, 0.4)), list("ABCDE"))
         assert 0.0 <= overall <= 1.0
         assert all(0.0 <= v <= 1.0 for v in msa.values())
-
-    def test_anti_image_unit_diagonal_symmetric(self):
-        _, _, anti = kmo(SymMatrix(equicorrelated(4, 0.3)), list("ABCD"))
-        A = anti.values
-        assert np.allclose(np.diag(A), 1.0, atol=1e-12)
-        assert np.allclose(A, A.T, atol=1e-12)
 
     def test_indefinite_matrix_raises(self):
         # eigenvalues 1.9, 1.9, -0.8; every diagonal entry of R^-1 is -5/76
@@ -125,7 +119,7 @@ class TestKmo:
             kmo(SymMatrix(np.eye(1)), ["A"])
 
     def test_two_items_is_enough(self):
-        overall, msa, _ = kmo(SymMatrix(equicorrelated(2, 0.5)), ["A", "B"])
+        overall, msa = kmo(SymMatrix(equicorrelated(2, 0.5)), ["A", "B"])
         # p=2: the partial correlation equals -r, so every KMO value is 1/2
         assert overall == pytest.approx(0.5, abs=1e-12)
         assert list(msa.values()) == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -133,7 +127,7 @@ class TestKmo:
     def test_noise_item_has_lowest_msa(self):
         view = prune_fixture_view()
         R = correlation_matrix(view.data, list(view.items))
-        _, msa, _ = kmo(R, list(view.items))
+        _, msa = kmo(R, list(view.items))
         assert min(msa, key=msa.get) == "G"
         assert msa["G"] < 0.5
         assert all(v >= 0.55 for it, v in msa.items() if it != "G")
@@ -152,19 +146,19 @@ class TestMsaPrune:
     def test_noise_item_pruned_first_and_kmo_rises(self):
         view = prune_fixture_view()
         R = correlation_matrix(view.data, list(view.items))
-        before, _, _ = kmo(R, list(view.items))
+        before, _ = kmo(R, list(view.items))
         trail = msa_prune(view, threshold=0.5)
-        assert trail.removed == ("G",)
+        assert [s.item for s in trail.steps] == ["G"]
         assert trail.retained == tuple("ABCDEF")
         assert trail.steps[0].kmo_after > before
         # after pruning, everything clears the bar
         R2 = correlation_matrix(view.data[:, :6], list("ABCDEF"))
-        _, msa2, _ = kmo(R2, list("ABCDEF"))
+        _, msa2 = kmo(R2, list("ABCDEF"))
         assert all(v >= 0.5 for v in msa2.values())
 
     def test_zero_threshold_disables_pruning(self):
         trail = msa_prune(prune_fixture_view(), threshold=0.0)
-        assert trail.removed == ()
+        assert trail.steps == ()
 
     def test_unreachable_threshold_returns_trail(self):
         view = prune_fixture_view()
@@ -195,11 +189,12 @@ class TestMsaPruneAtScale:
         trail = msa_prune(view)
         assert trail.termination == "all_above_threshold"
         assert len(trail.steps) >= 2
-        assert set(trail.removed) <= {"item17", "item18", "item19", "item20"}
+        removed = [s.item for s in trail.steps]
+        assert set(removed) <= {"item17", "item18", "item19", "item20"}
         for k, step in enumerate(trail.steps):
-            kept = [it for it in view.items if it not in trail.removed[:k + 1]]
+            kept = [it for it in view.items if it not in removed[:k + 1]]
             idx = [view.items.index(it) for it in kept]
-            overall, _, _ = kmo(correlation_matrix(view.data[:, idx], kept), kept)
+            overall, _ = kmo(correlation_matrix(view.data[:, idx], kept), kept)
             assert step.kmo_after == overall
         assert trail.retained == tuple(kept)
 

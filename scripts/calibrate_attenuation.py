@@ -3,28 +3,43 @@
 Likert discretization shrinks latent correlations, so round-trip tests
 cannot compare recovered loadings against the generator's latent values
 directly. This script estimates the attenuated targets empirically at
-large n and checks the seeded fixtures the test suite freezes. Run it from
-the repository root:
+large n and checks the seeded fixtures the test suite freezes, at the
+seeds tests/frozen.py pins. Run it from the repository root:
 
     python3 scripts/calibrate_attenuation.py
 
 The printed constants are frozen in tests/frozen.py; re-run this script
-whenever the generator, thresholds, or fixture seeds change.
+whenever the generator, thresholds, or fixture seeds change. It exits 1
+when a target differs from its frozen value or a fixture misses its
+tolerance.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from psychoval import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from psychoval import (  # noqa: E402
     FactorModelSpec,
     PipelineConfig,
     correlation_matrix,
     generate,
     population_correlation,
     run_validation,
+)
+from tests.frozen import (  # noqa: E402
+    ATTENUATED_LOADING,
+    ATTENUATED_PHI,
+    NOISE_SEED,
+    PRUNE_SEED,
+    ROUND_TRIP_SEED,
+    SIM_CORR_SEED,
 )
 
 ITEMS = tuple("ABCDEF")
@@ -104,7 +119,7 @@ def check_prune_fixture(n: int, seed: int):
     return msa
 
 
-def main() -> None:
+def main() -> int:
     t0 = time.time()
     mean_r, loading = calibrate_orthogonal(n=200_000, seed=12345)
     print(f"attenuated within-block r  : {mean_r:.4f}")
@@ -112,19 +127,33 @@ def main() -> None:
     phi = calibrate_oblique(n=200_000, seed=12345)
     print(f"attenuated phi target      : {phi:.4f}")
 
-    print(f"c1 max |loading-target| @seed 20260515: "
-          f"{check_round_trip(20260515, round(loading, 4)):.4f} (tolerance 0.10)")
-    print(f"sim corr bound @n=5000 seed 777: "
-          f"{check_sample_corr_bound(5000, 777):.4f} (tolerance 0.06)")
-    p_noise = check_noise_fixture(500, 4242)
-    print(f"noise fixture bartlett p @seed 4242: {p_noise:.4f} (want > 0.05)")
-    msa = check_prune_fixture(400, 99)
+    round_trip = check_round_trip(ROUND_TRIP_SEED, round(loading, 4))
+    print(f"c1 max |loading-target| @seed {ROUND_TRIP_SEED}: "
+          f"{round_trip:.4f} (tolerance 0.10)")
+    corr_bound = check_sample_corr_bound(5000, SIM_CORR_SEED)
+    print(f"sim corr bound @n=5000 seed {SIM_CORR_SEED}: "
+          f"{corr_bound:.4f} (tolerance 0.06)")
+    p_noise = check_noise_fixture(500, NOISE_SEED)
+    print(f"noise fixture bartlett p @seed {NOISE_SEED}: {p_noise:.4f} (want > 0.05)")
+    msa = check_prune_fixture(400, PRUNE_SEED)
     ranked = sorted(msa, key=msa.get)
-    print(f"prune fixture msa @seed 99: min item {ranked[0]} "
+    print(f"prune fixture msa @seed {PRUNE_SEED}: min item {ranked[0]} "
           f"({msa[ranked[0]]:.4f}); all: "
           + " ".join(f"{k}={v:.3f}" for k, v in msa.items()))
     print(f"elapsed {time.time() - t0:.1f}s")
 
+    failed = [name for name, ok in (
+        ("loading target", round(loading, 4) == ATTENUATED_LOADING),
+        ("phi target", round(phi, 4) == ATTENUATED_PHI),
+        ("round trip", round_trip < 0.10),
+        ("sim corr bound", corr_bound < 0.06),
+        ("noise fixture", p_noise > 0.05),
+        ("prune fixture", ranked[0] == "G" and msa["G"] < 0.5),
+    ) if not ok]
+    if failed:
+        print("differs from tests/frozen.py: " + ", ".join(failed))
+    return 1 if failed else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,7 +27,7 @@ from .errors import (
     AssumptionsNotMet, ConfigError, DomainError, NotPositiveDefinite, SampleTooSmall, TooFewItems,
 )
 from .ingest import AnalysisView
-from .rng import check_real
+from .rng import as_int, check_real
 
 MIN_ITEMS_AFTER_PRUNE = 3
 MSA_THRESHOLD = 0.5
@@ -80,11 +80,13 @@ def bartlett_sphericity(R: SymMatrix, n: int) -> tuple[float, int, float]:
     chi2 = -(n - 1 - (2p + 5)/6) * ln|R| with df = p(p-1)/2. An identity
     matrix gives chi2 = 0, p-value 1; any correlation structure pushes the
     determinant below 1 and the statistic up. Below 2 items there is no
-    correlation to test (df = 0), so it raises TooFewItems.
+    correlation to test (df = 0), so it raises TooFewItems. A sample size
+    n that is not an integer raises ConfigError.
     """
     p = R.dim
     if p < 2:
         raise TooFewItems(f"bartlett needs >= 2 items, got {p}")
+    n = as_int(n, "sample size n")
     if n <= p:
         raise SampleTooSmall(f"n = {n} must exceed the item count p = {p}")
     log_det = log_determinant(R)

@@ -29,6 +29,7 @@ from .errors import (
     SingularMatrix,
     ZeroVariance,
 )
+from .rng import check_real
 
 # Relative cutoff below which an eigenvalue is treated as zero.
 SINGULARITY_RTOL = 1e-10
@@ -61,7 +62,7 @@ class SymMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
+        a = as_float_array(self.values, "matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
         # before the symmetry test, which a NaN passes
@@ -78,6 +79,14 @@ class SymMatrix:
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and np.array_equal(self.values, other.values)
+
+
+def as_float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; DomainError if an entry is not a number."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be an array of numbers") from None
 
 
 def check_symmetric(a: np.ndarray, what: str) -> None:
@@ -126,8 +135,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     either vector is constant. The result is clipped to [-1, 1] to absorb
     last-bit rounding.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    xv = as_float_array(x, "first vector")
+    yv = as_float_array(y, "second vector")
     if xv.ndim != 1 or yv.ndim != 1 or xv.shape != yv.shape:
         raise LengthMismatch(f"vector lengths {xv.shape} and {yv.shape} differ")
     if xv.size < MIN_ROWS:
@@ -168,7 +177,7 @@ def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> 
     other data the shift keeps the one-pass sums accurate (Chan, Golub and
     LeVeque 1983).
     """
-    a = np.asarray(data, dtype=float)
+    a = as_float_array(data, "table")
     if a.ndim != 2:
         raise DomainError(f"expected a 2-d table, got shape {a.shape}")
     n, p = a.shape
@@ -389,7 +398,7 @@ def sym_eigen(A: SymMatrix, basis: np.ndarray | None = None) -> EigenDecompositi
     p = A.dim
     if basis is None:
         return _cold_eigen(A.values.tobytes(), p)
-    v = np.array(basis, dtype=float)
+    v = as_float_array(basis, "basis")
     if v.shape != (p, p):
         raise DomainError(f"basis shape {v.shape} does not match dimension {p}")
     a = v.T @ A.values @ v
@@ -499,6 +508,8 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 
 
 def _check_gamma_args(a: float, x: float) -> None:
+    check_real(a, "shape parameter")
+    check_real(x, "argument")
     # written so that a NaN fails each test
     if not 0.0 < a < math.inf:
         raise DomainError(f"shape parameter must be positive and finite, got {a}")
@@ -530,8 +541,10 @@ def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(chi2_df > x), monotone decreasing in x.
 
     x = 0 returns exactly 1.0 and x = inf returns 0.0; a NaN x raises
-    DomainError.
+    DomainError, and an x or df that is not a number ConfigError.
     """
+    check_real(x, "chi-square statistic")
+    check_real(df, "degrees of freedom")
     if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
     if df < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_stats import SymMatrix, inverse, item_labels, lead_signs, sym_eigen
+from .core_stats import SymMatrix, as_float_array, inverse, item_labels, lead_signs, sym_eigen
 from .errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems, stage
 from .rng import as_int, check_real
 
@@ -55,10 +55,10 @@ class FactorSolution:
     structure: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        L = _frozen(np.asarray(self.loadings, dtype=float))
-        lam = _frozen(np.asarray(self.eigenvalues, dtype=float))
-        phi = _frozen(np.asarray(self.phi, dtype=float))
-        h2 = _frozen(np.asarray(self.communalities, dtype=float))
+        L = _frozen(as_float_array(self.loadings, "loadings"))
+        lam = _frozen(as_float_array(self.eigenvalues, "eigenvalues"))
+        phi = _frozen(as_float_array(self.phi, "phi"))
+        h2 = _frozen(as_float_array(self.communalities, "communalities"))
         p, m = L.shape
         if len(self.items) != p or lam.shape != (p,) or h2.shape != (p,):
             raise DomainError("solution fields disagree on the item count")
@@ -198,12 +198,14 @@ def retain_kaiser(eigenvalues) -> int:
     The caller can detect the forced case by checking that no eigenvalue
     exceeds 1 even though 1 factor is retained.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = as_float_array(eigenvalues, "eigenvalues")
     return max(int(np.sum(lam > 1.0)), 1)
 
 
 def fixed_count(retention: str) -> int | None:
     """Parse a retention rule: None for "kaiser", k for "fixed:<k>"."""
+    if not isinstance(retention, str):
+        raise ConfigError(f"retention must be a string, got {retention!r}")
     if retention == "kaiser":
         return None
     head, sep, tail = retention.partition(":")
@@ -283,7 +285,7 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     With Kaiser normalization (the default, matching the optimizer) rows
     are scaled to unit communality first.
     """
-    L = np.asarray(loadings, dtype=float)
+    L = as_float_array(loadings, "loadings")
     if normalize:
         h = np.sqrt((L**2).sum(axis=1))
         L = L / np.where(h > 0, h, 1.0)[:, None]

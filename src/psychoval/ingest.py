@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .core_stats import as_float_array
 from .errors import (
     ConfigError,
     DuplicateId,
@@ -58,7 +59,7 @@ class SurveyDataset:
             raise DuplicateId("item", _first_duplicate(self.items))
         if len(set(self.respondents)) != len(self.respondents):
             raise DuplicateId("respondent", _first_duplicate(self.respondents))
-        a = np.asarray(self.values, dtype=float)
+        a = as_float_array(self.values, "values")
         if a.shape != (len(self.respondents), len(self.items)):
             raise ConfigError(
                 f"values shape {a.shape} does not match "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import MIN_ROWS, check_symmetric, item_labels, pearson
+from .core_stats import MIN_ROWS, as_float_array, check_symmetric, item_labels, pearson
 from .errors import DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
 
@@ -85,7 +85,7 @@ def alpha_from_covariance(
     items give alpha 1, mutually uncorrelated equal-variance items give 0).
     Anything but a finite, symmetric, square, 2-d matrix raises DomainError.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = as_float_array(cov, "covariance matrix")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DomainError(f"expected a square covariance matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_stats import SymMatrix, item_labels
+from .core_stats import SymMatrix, as_float_array, item_labels
 from .errors import ConfigError, NotPositiveDefinite, UniquenessNegative
 from .ingest import DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, split_items
 from .rng import Rng, as_int
@@ -98,11 +98,11 @@ class FactorModelSpec:
     items: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        L = np.asarray(self.loadings, dtype=float)
+        L = as_float_array(self.loadings, "loadings")
         if L.ndim != 2 or L.size == 0:
             raise ConfigError("loadings must be a nonempty p x m matrix")
         p, m = L.shape
-        phi = np.eye(m) if self.phi is None else np.asarray(self.phi, dtype=float)
+        phi = np.eye(m) if self.phi is None else as_float_array(self.phi, "phi")
         if phi.shape != (m, m):
             raise ConfigError("phi shape does not match the factor count")
         for name, a in (("loadings", L), ("phi", phi)):
@@ -150,10 +150,12 @@ class FactorModelSpec:
         if raw is None:
             shared = equal_probability_thresholds(self.likert_min, self.likert_max)
             per_item = [shared] * p
-        elif raw and np.isscalar(raw[0]):
-            per_item = [tuple(float(t) for t in raw)] * p
+        elif np.isscalar(raw):
+            raise ConfigError(f"thresholds must be a sequence of cut points, got {raw!r}")
+        elif len(raw) and np.isscalar(raw[0]):
+            per_item = [tuple(as_float_array(raw, "thresholds").tolist())] * p
         else:
-            per_item = [tuple(float(t) for t in row) for row in raw]
+            per_item = [tuple(as_float_array(row, "thresholds").tolist()) for row in raw]
         if len(per_item) != p:
             raise ConfigError("need one threshold row per item")
         for j, row in enumerate(per_item):

@@ -1,9 +1,11 @@
-"""Input rules with one owner each: item labels, the sign convention, Likert bounds.
+"""Input rules with one owner each: item labels, the sign convention, Likert
+bounds, numeric arrays.
 
 Every function that takes item labels goes through ``core_stats.item_labels``;
 every sign-fixed matrix through ``core_stats.lead_signs``; every Likert bound,
 whether from a dataset, a CSV, a model or ``--likert``, through
-``ingest.check_likert``.
+``ingest.check_likert``; every array argument through
+``core_stats.as_float_array``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ import pytest
 
 from psychoval import (
     FactorModelSpec,
+    FactorSolution,
+    PipelineConfig,
     SurveyDataset,
     alpha_from_covariance,
+    bartlett_sphericity,
+    chi_square_sf,
     correlation_matrix,
     extract_paf,
     extract_pca,
@@ -22,10 +28,16 @@ from psychoval import (
     kmo,
     loads_csv,
     parse_model,
+    pearson,
+    regularized_gamma_p,
+    regularized_gamma_q,
+    retain_kaiser,
+    sym_eigen,
+    varimax_criterion,
 )
 from psychoval.cli import main
 from psychoval.core_stats import SymMatrix, item_labels, lead_signs
-from psychoval.errors import ConfigError, RangeError, ZeroVariance
+from psychoval.errors import ConfigError, DomainError, RangeError, ZeroVariance
 from psychoval.ingest import LIKERT_LIMIT, parse_likert, split_items
 
 from . import oracles
@@ -204,3 +216,79 @@ class TestLikertLimit:
             "psychoval validate: error: argument --likert: "
             "likert bounds must lie within [-2^53, 2^53]"
         )
+
+
+ARRAY_TAKERS = {
+    "SymMatrix": lambda: SymMatrix([["a"]]),
+    "correlation_matrix": lambda: correlation_matrix(np.full((4, 2), "x")),
+    "correlation_matrix.ragged": lambda: correlation_matrix([[1, 2], [3]]),
+    "pearson": lambda: pearson(["a", "b", "c"], [1, 2, 3]),
+    "alpha_from_covariance": lambda: alpha_from_covariance([["a", "0"], ["0", "b"]]),
+    "SurveyDataset": lambda: SurveyDataset(("A",), ("r1",), [["x"]], 1, 7),
+    "FactorModelSpec.loadings": lambda: FactorModelSpec(loadings=[["a"]]),
+    "FactorModelSpec.phi": lambda: FactorModelSpec(loadings=[[0.5]], phi=[["a"]]),
+    "FactorModelSpec.thresholds": lambda: FactorModelSpec(
+        loadings=[[0.5]], likert_min=1, likert_max=2, thresholds=["a"]
+    ),
+    "FactorSolution": lambda: FactorSolution(
+        ("A",), "pca", "none", [["a"]], [1.0], [[1.0]], [0.5]
+    ),
+    "sym_eigen.basis": lambda: sym_eigen(R4, basis=np.full((P, P), "b")),
+    "retain_kaiser": lambda: retain_kaiser(["a", 2.0]),
+    "varimax_criterion": lambda: varimax_criterion([["a", 0.5]]),
+}
+
+
+class TestNumericArrays:
+    @pytest.mark.parametrize("name", ARRAY_TAKERS)
+    def test_non_numeric_entry_is_domain_error(self, name):
+        with pytest.raises(DomainError, match="must be an array of numbers$"):
+            ARRAY_TAKERS[name]()
+
+    @pytest.mark.parametrize("thresholds", [5, "abc"])
+    def test_scalar_thresholds_are_config_error(self, thresholds):
+        with pytest.raises(ConfigError, match="^thresholds must be a sequence of cut points"):
+            FactorModelSpec(loadings=[[0.5]], likert_min=1, likert_max=2,
+                            thresholds=thresholds)
+
+    def test_threshold_array_is_one_shared_row(self):
+        spec = FactorModelSpec(loadings=np.full((2, 1), 0.5), likert_min=1, likert_max=3,
+                               thresholds=np.array([-0.5, 0.5]))
+        assert spec.thresholds == ((-0.5, 0.5), (-0.5, 0.5))
+
+
+class TestScalarArguments:
+    @pytest.mark.parametrize("n", ["300", 300.5, None])
+    def test_bartlett_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="^sample size n must be an integer, got "):
+            bartlett_sphericity(R4, n)
+
+    def test_bartlett_numpy_integer_sample_size(self):
+        assert bartlett_sphericity(R4, np.int64(300)) == bartlett_sphericity(R4, 300)
+
+    @pytest.mark.parametrize("args,what", [
+        (("3", 2), "chi-square statistic"),
+        ((3.0, "2"), "degrees of freedom"),
+        ((None, 2), "chi-square statistic"),
+    ])
+    def test_chi_square_sf_refuses_non_numbers(self, args, what):
+        with pytest.raises(ConfigError, match=f"^{what} must be a number, got "):
+            chi_square_sf(*args)
+
+    @pytest.mark.parametrize("gamma", [regularized_gamma_p, regularized_gamma_q])
+    @pytest.mark.parametrize("args,what", [
+        (("1", 2.0), "shape parameter"),
+        ((1.0, "2"), "argument"),
+    ])
+    def test_incomplete_gamma_refuses_non_numbers(self, gamma, args, what):
+        with pytest.raises(ConfigError, match=f"^{what} must be a number, got "):
+            gamma(*args)
+
+    @pytest.mark.parametrize("retention", [None, 3, ("fixed", 2)])
+    def test_pipeline_config_retention_must_be_a_string(self, retention):
+        with pytest.raises(ConfigError, match="^retention must be a string, got "):
+            PipelineConfig(retention=retention)
+
+    def test_fit_efa_retention_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="^retention must be a string, got 3$"):
+            fit_efa(R4, retention=3)

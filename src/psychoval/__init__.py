@@ -28,8 +28,6 @@ from .core_stats import (
     inverse,
     log_determinant,
     pearson,
-    regularized_gamma_p,
-    regularized_gamma_q,
     sym_eigen,
 )
 from .efa import (
@@ -75,9 +73,7 @@ from .reliability import (
 from .rng import Rng, derive_seed, splitmix64
 from .simulate import (
     FactorModelSpec,
-    category_probabilities,
     equal_probability_thresholds,
-    expected_item_means,
     generate,
     load_model,
     parse_model,
@@ -109,7 +105,6 @@ __all__ = [
     "alpha_from_covariance",
     "assign_items",
     "bartlett_sphericity",
-    "category_probabilities",
     "chi_square_sf",
     "complete_cases",
     "correlation_matrix",
@@ -118,7 +113,6 @@ __all__ = [
     "describe",
     "equal_probability_thresholds",
     "errors",
-    "expected_item_means",
     "extract_paf",
     "extract_pca",
     "fit_efa",
@@ -135,8 +129,6 @@ __all__ = [
     "parse_scales",
     "pearson",
     "population_correlation",
-    "regularized_gamma_p",
-    "regularized_gamma_q",
     "render_report",
     "retain_kaiser",
     "rotate_oblimin",

@@ -107,10 +107,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
 
 def item_labels(items: Sequence[str] | None, p: int) -> tuple[str, ...]:
     """The labels of p items, item1..itemp for None; ConfigError unless p given."""
@@ -507,48 +503,25 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     raise NoConvergence("incomplete gamma continued fraction did not converge")
 
 
-def _check_gamma_args(a: float, x: float) -> None:
-    check_real(a, "shape parameter")
-    check_real(x, "argument")
-    # written so that a NaN fails each test
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"shape parameter must be positive and finite, got {a}")
-    if not x >= 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x), 0 < a < inf, 0 <= x <= inf."""
-    _check_gamma_args(a, x)
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    if x == math.inf:
-        return 1.0
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma function Q(a, x) = 1 - P(a, x)."""
-    _check_gamma_args(a, x)
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    if x == math.inf:
-        return 0.0
-    return _gamma_q_contfrac(a, x)
-
-
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(chi2_df > x), monotone decreasing in x.
 
-    x = 0 returns exactly 1.0 and x = inf returns 0.0; a NaN x raises
-    DomainError, and an x or df that is not a number ConfigError.
+    x = 0 returns exactly 1.0 and x = inf returns 0.0; a NaN x or a NaN or
+    infinite df raises DomainError, and an x or df that is not a number
+    ConfigError.
     """
     check_real(x, "chi-square statistic")
     check_real(df, "degrees of freedom")
     if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
+    # written so that a NaN fails the test
+    if not 1 <= df < math.inf:
+        raise DomainError(f"degrees of freedom must be finite and >= 1, got {df}")
     if x == 0.0:
         return 1.0
-    return regularized_gamma_q(df / 2.0, x / 2.0)
+    if x == math.inf:
+        return 0.0
+    a, x = df / 2.0, x / 2.0
+    if x < a + 1.0:
+        return 1.0 - _gamma_p_series(a, x)
+    return _gamma_q_contfrac(a, x)

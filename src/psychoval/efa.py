@@ -80,17 +80,9 @@ class FactorSolution:
         return self.loadings.shape[1]
 
     @property
-    def uniquenesses(self) -> np.ndarray:
-        return 1.0 - self.communalities
-
-    @property
     def variance_explained(self) -> np.ndarray:
         """Per-factor proportion of total variance: column SSQ over p."""
         return (self.loadings**2).sum(axis=0) / self.p
-
-    def reproduced(self) -> np.ndarray:
-        """Model-implied matrix loadings @ phi @ loadings.T + diag(uniqueness)."""
-        return self.loadings @ self.phi @ self.loadings.T + np.diag(self.uniquenesses)
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,6 @@ class ItemAssignment:
     item: str
     factor: int | None  # 0-based factor index; None when unassigned
     status: str  # "assigned" | "cross_loaded" | "unassigned"
-    loading: float  # the signed primary pattern loading
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -373,9 +364,11 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     penalty = np.eye(p) - gamma * np.ones((p, p)) / p
 
     def criterion(L: np.ndarray) -> tuple[float, np.ndarray]:
-        L2 = L * L
-        X = L2 @ neutral if gamma == 0.0 else penalty @ L2 @ neutral
-        return float((L2 * X).sum() / 4.0), L * X
+        # an overflow shows as a non-finite gradient norm, which stops the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            L2 = L * L
+            X = L2 @ neutral if gamma == 0.0 else penalty @ L2 @ neutral
+            return float((L2 * X).sum() / 4.0), L * X
 
     T = np.eye(m)
     Ti = np.eye(m)
@@ -462,9 +455,9 @@ def assign_items(
         magnitudes = np.abs(row)
         k = int(np.argmax(magnitudes))
         if magnitudes[k] < cutoff:
-            out[item] = ItemAssignment(item, None, "unassigned", float(row[k]))
+            out[item] = ItemAssignment(item, None, "unassigned")
             continue
         rest = np.delete(magnitudes, k)
         status = "cross_loaded" if rest.size and rest.max() >= cutoff else "assigned"
-        out[item] = ItemAssignment(item, k, status, float(row[k]))
+        out[item] = ItemAssignment(item, k, status)
     return out

@@ -110,7 +110,8 @@ def alpha_from_covariance(
     for j, name in enumerate(names):
         rest = [i for i in range(k) if i != j]
         # corrected item-total: item vs sum of the remaining items
-        rest_var = float(cov[np.ix_(rest, rest)].sum())
+        rest_cov = cov[np.ix_(rest, rest)]
+        rest_var = float(rest_cov.sum())
         cov_j_rest = float(cov[j, rest].sum())
         if rest_var <= 0.0:
             raise ZeroVariance("remainder score")
@@ -118,7 +119,7 @@ def alpha_from_covariance(
         if k == 2:
             if_deleted[name] = math.nan
         else:
-            if_deleted[name] = _alpha_raw_from_cov(cov[np.ix_(rest, rest)])
+            if_deleted[name] = _alpha_raw_from_cov(rest_cov)
 
     return AlphaReport(
         scale=scale_name,

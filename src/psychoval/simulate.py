@@ -148,17 +148,19 @@ class FactorModelSpec:
         need = self.likert_max - self.likert_min
         raw = self.thresholds
         if raw is None:
-            shared = equal_probability_thresholds(self.likert_min, self.likert_max)
-            per_item = [shared] * p
-        elif np.isscalar(raw):
+            per_item = [equal_probability_thresholds(self.likert_min, self.likert_max)] * p
+        # np.ndim refuses a ragged list, which is a sequence all the same
+        elif not isinstance(raw, (list, tuple)) and np.ndim(raw) == 0:
             raise ConfigError(f"thresholds must be a sequence of cut points, got {raw!r}")
-        elif len(raw) and np.isscalar(raw[0]):
-            per_item = [tuple(as_float_array(raw, "thresholds").tolist())] * p
+        elif len(raw) and np.ndim(raw[0]) == 0:
+            per_item = [as_float_array(raw, "thresholds")] * p
         else:
-            per_item = [tuple(as_float_array(row, "thresholds").tolist()) for row in raw]
+            per_item = [as_float_array(row, "thresholds") for row in raw]
         if len(per_item) != p:
             raise ConfigError("need one threshold row per item")
         for j, row in enumerate(per_item):
+            if np.ndim(row) != 1:
+                raise ConfigError(f"item {j}: thresholds must be a row of cut points")
             if len(row) != need:
                 raise ConfigError(
                     f"item {j}: expected {need} thresholds, got {len(row)}"
@@ -167,7 +169,7 @@ class FactorModelSpec:
                 raise ConfigError(f"item {j}: thresholds must be finite")
             if any(b <= a for a, b in zip(row, row[1:])):
                 raise ConfigError(f"item {j}: thresholds must strictly increase")
-        return tuple(per_item)
+        return tuple(tuple(map(float, row)) for row in per_item)
 
     @property
     def p(self) -> int:
@@ -188,23 +190,6 @@ def population_correlation(spec: FactorModelSpec) -> SymMatrix:
     R = spec.loadings @ spec.phi @ spec.loadings.T + np.diag(1.0 - h2)
     np.fill_diagonal(R, 1.0)
     return SymMatrix(R)
-
-
-def category_probabilities(spec: FactorModelSpec) -> np.ndarray:
-    """Per-item closed-form category probabilities implied by the thresholds."""
-    k = spec.likert_max - spec.likert_min + 1
-    probs = np.empty((spec.p, k))
-    for j, cuts in enumerate(spec.thresholds):
-        cdf = [0.0] + [standard_normal_cdf(t) for t in cuts] + [1.0]
-        probs[j] = np.diff(cdf)
-    return probs
-
-
-def expected_item_means(spec: FactorModelSpec) -> np.ndarray:
-    """Threshold-implied expectation of each observed item."""
-    probs = category_probabilities(spec)
-    categories = np.arange(spec.likert_min, spec.likert_max + 1, dtype=float)
-    return probs @ categories
 
 
 def generate(spec: FactorModelSpec) -> SurveyDataset:

@@ -6,8 +6,10 @@ quadrature) and deliberately shares no code with the package, so agreement
 between the two is evidence, not tautology. The simulator oracles are the
 exception: they are the package's earlier one-value-at-a-time code, built
 on the scalar ``Rng.normal`` that ``TestRng`` pins to the published
-recurrences, and they check the batched paths against it. The Jacobi and
-CSV oracles are likewise the package's earlier round and per-cell parser,
+recurrences, and they check the batched paths against it. The
+reconstruction, the reproduced matrix and the threshold-implied category
+moments are the defining formulas, applied to the package's results. The
+Jacobi and CSV oracles are likewise the package's earlier round and per-cell parser,
 kept so that the faster paths can be held to the same bits and errors, and
 the sign oracle is the earlier per-column loop of ``sort_and_sign``.
 """
@@ -153,6 +155,34 @@ def eigenvector_3x3(a, eigenvalue) -> np.ndarray:
     if v[lead] < 0:
         v = -v
     return v
+
+
+def eigen_reconstruction(dec) -> np.ndarray:
+    """V diag(lambda) V^T of an eigendecomposition."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues) @ v.T
+
+
+def reproduced_matrix(sol) -> np.ndarray:
+    """Model-implied matrix L Phi L^T + diag(1 - h2) of a factor solution."""
+    L = sol.loadings
+    return L @ sol.phi @ L.T + np.diag(1.0 - sol.communalities)
+
+
+def category_probabilities(spec) -> np.ndarray:
+    """Per-item category probabilities implied by a spec's thresholds."""
+    k = spec.likert_max - spec.likert_min + 1
+    probs = np.empty((spec.p, k))
+    for j, cuts in enumerate(spec.thresholds):
+        cdf = [0.0] + [0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in cuts] + [1.0]
+        probs[j] = np.diff(cdf)
+    return probs
+
+
+def expected_item_means(spec) -> np.ndarray:
+    """Threshold-implied expectation of each observed item."""
+    categories = np.arange(spec.likert_min, spec.likert_max + 1, dtype=float)
+    return category_probabilities(spec) @ categories
 
 
 def chi2_sf_quadrature(x: float, df: int, panels: int = 20000) -> float:

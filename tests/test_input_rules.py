@@ -29,8 +29,6 @@ from psychoval import (
     loads_csv,
     parse_model,
     pearson,
-    regularized_gamma_p,
-    regularized_gamma_q,
     retain_kaiser,
     sym_eigen,
     varimax_criterion,
@@ -274,15 +272,6 @@ class TestScalarArguments:
     def test_chi_square_sf_refuses_non_numbers(self, args, what):
         with pytest.raises(ConfigError, match=f"^{what} must be a number, got "):
             chi_square_sf(*args)
-
-    @pytest.mark.parametrize("gamma", [regularized_gamma_p, regularized_gamma_q])
-    @pytest.mark.parametrize("args,what", [
-        (("1", 2.0), "shape parameter"),
-        ((1.0, "2"), "argument"),
-    ])
-    def test_incomplete_gamma_refuses_non_numbers(self, gamma, args, what):
-        with pytest.raises(ConfigError, match=f"^{what} must be a number, got "):
-            gamma(*args)
 
     @pytest.mark.parametrize("retention", [None, 3, ("fixed", 2)])
     def test_pipeline_config_retention_must_be_a_string(self, retention):

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from psychoval import (
     FactorModelSpec,
     Rng,
-    category_probabilities,
     correlation_matrix,
     derive_seed,
     equal_probability_thresholds,
-    expected_item_means,
     generate,
     load_model,
     parse_model,
@@ -31,7 +29,7 @@ from psychoval.simulate import MAX_CATEGORIES
 from psychoval.rng import SPLITMIX_GAMMA
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import SIM_CORR_SEED
-from tests.oracles import generate_rowwise
+from tests.oracles import category_probabilities, expected_item_means, generate_rowwise
 
 MASK = (1 << 64) - 1
 # the one seed whose splitmix64 output is zero, so Rng takes ZERO_STATE_SUBSTITUTE
@@ -286,6 +284,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="^item 1: thresholds must be finite$"):
             FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
                             likert_min=1, likert_max=3, thresholds=rows)
+
+    @pytest.mark.parametrize("rows, likert_max, item", [
+        ([(-0.5, 0.5), 5, (-0.2, 0.4)], 3, 1),
+        ([[[-0.5]], [[0.1]], [[0.2]]], 2, 0),
+    ])
+    def test_per_item_row_must_be_one_dimensional(self, rows, likert_max, item):
+        with pytest.raises(ConfigError,
+                           match=f"^item {item}: thresholds must be a row of cut points$"):
+            FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
+                            likert_min=1, likert_max=likert_max, thresholds=rows)
+
+    def test_zero_dimensional_array_is_not_a_row(self):
+        with pytest.raises(ConfigError, match="^thresholds must be a sequence of cut points"):
+            FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
+                            likert_min=1, likert_max=3, thresholds=np.array(0.5))
+
+    def test_zero_dimensional_cut_points_form_a_shared_row(self):
+        spec = FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10, likert_min=1,
+                               likert_max=3, thresholds=[np.array(-0.5), np.array(0.5)])
+        assert spec.thresholds == ((-0.5, 0.5),) * 3
 
     def test_per_item_rows_in_model_file(self):
         text = ("n: 20\nlikert: 1:3\nloadings:\n  0.6\n  0.5\n"

@@ -584,6 +584,18 @@ class TestChiSquareTail:
     def test_zero_statistic(self):
         assert chi_square_sf(0.0, 4) == 1.0
 
+    @pytest.mark.parametrize("df", [1, 3, 14, 190])
+    def test_zero_statistic_has_unit_tail(self, df):
+        assert chi_square_sf(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 3, 14, 15, 190])
+    def test_branches_meet_at_the_switch(self, df):
+        # x/2 = df/2 + 1 is where the series hands over to the continued
+        # fraction; one ulp below it the two must give the same tail
+        x = df + 2.0
+        below = chi_square_sf(math.nextafter(x, 0.0), df)
+        assert below == pytest.approx(chi_square_sf(x, df), abs=1e-11)
+
     def test_df2_closed_form(self):
         # sf(x; 2) = exp(-x/2), so x = 2 ln 20 gives exactly 0.05
         assert chi_square_sf(2 * math.log(20), 2) == pytest.approx(0.05, abs=1e-12)

@@ -31,6 +31,7 @@ DEMO = "data/demo_survey.csv"
 NOISE = "data/noise_survey.csv"
 ONE = "data/one_item_survey.csv"
 GAP = "data/gap_survey.csv"
+WIDE = "data/wide_survey.csv"
 SCALES = "data/demo_scales.txt"
 POLICIES = ("listwise", "pairwise", "strict")
 
@@ -127,6 +128,9 @@ def _invocations() -> list[tuple[str, ...]]:
         ("frobnicate",),
         (),
     ]
+    # twenty items and four factors: PAF on its subspace path
+    for command in ("validate", "efa"):
+        runs.append((command, "-i", WIDE, "--retention", "fixed:4", "-f", "json"))
     return runs
 
 

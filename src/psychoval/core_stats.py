@@ -123,6 +123,16 @@ def lead_signs(columns: np.ndarray) -> np.ndarray:
     return np.where(columns[lead, np.arange(columns.shape[1])] < 0.0, -1.0, 1.0)
 
 
+def fmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as elementwise products summed in a fixed order, with no BLAS call.
+
+    The products are laid out C-ordered, so the sums over the shared index
+    run in the same order whatever the memory layout of a and b, and the
+    bits do not depend on the machine's BLAS kernel.
+    """
+    return np.multiply(a[:, :, None], b[None, :, :], order="C").sum(axis=1)
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation of two equal-length vectors (n >= MIN_ROWS).
 

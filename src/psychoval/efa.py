@@ -15,7 +15,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_stats import SymMatrix, as_float_array, inverse, item_labels, lead_signs, sym_eigen
+from .core_stats import (
+    SymMatrix,
+    as_float_array,
+    fmatmul,
+    inverse,
+    item_labels,
+    lead_signs,
+    sym_eigen,
+)
 from .errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems, stage
 from .rng import as_int, check_real
 
@@ -23,6 +31,10 @@ EXTRACTIONS = ("paf", "pca")
 ROTATIONS = ("oblimin", "varimax", "none")
 PAF_TOL = 1e-4
 PAF_MAX_ITER = 1000
+# PAF iterates on b = m + PAF_RITZ_EXTRA Ritz vectors once p >= 2b
+PAF_RITZ_EXTRA = 4
+# a Gram-Schmidt column shrunk below this fraction of its norm has collapsed
+GS_BREAKDOWN_RTOL = 1e-10
 VARIMAX_TOL = 1e-8
 VARIMAX_MAX_SWEEPS = 100
 OBLIMIN_GTOL = 1e-6
@@ -128,16 +140,22 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
 
     Initial communalities are squared multiple correlations
     1 - 1/(R^-1)_jj. Each pass replaces diag(R) with the current
-    communalities, eigendecomposes, clamps negative eigenvalues to zero,
-    and recomputes communalities as row sums of squared loadings, until
-    max |delta h2| < PAF_TOL; PAF_MAX_ITER passes without that raise
+    communalities, finds the top m eigenpairs, clamps negative eigenvalues
+    to zero, and recomputes communalities as row sums of squared loadings,
+    until max |delta h2| < PAF_TOL; PAF_MAX_ITER passes without that raise
     NoConvergence. A communality exceeding 1 is clamped to 1 with the row
     rescaled (Heywood case, flagged, never silent).
+
+    With p >= 2b items, b = m + PAF_RITZ_EXTRA, a pass takes one subspace
+    step on a p x b block started from R's top b eigenvectors and
+    decomposes only the b x b Ritz matrix; otherwise, or once a
+    Gram-Schmidt column collapses, it decomposes the p x p reduced matrix,
+    warm-started from the last full pass's eigenvectors, if any.
     """
     p = R.dim
     names = item_labels(items, p)
     _check_m(m, p)
-    full_spectrum = sym_eigen(R).eigenvalues
+    spectrum = sym_eigen(R)
     smc = 1.0 - 1.0 / np.diag(inverse(R).values)
     h2 = np.clip(smc, 0.0, 1.0)
     heywood = False
@@ -145,15 +163,23 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     loadings = np.zeros((p, m))
     delta = math.inf
     iterations = 0
+    b = m + PAF_RITZ_EXTRA
+    block = spectrum.eigenvectors[:, :b] if p >= 2 * b else None
     basis = None
     for iterations in range(1, PAF_MAX_ITER + 1):
         np.fill_diagonal(reduced, h2)
-        # only the diagonal changed, so the last eigenvectors nearly
-        # diagonalize the new reduced matrix
-        eig = sym_eigen(SymMatrix(reduced), basis=basis)
-        basis = eig.eigenvectors
-        lam = np.clip(eig.eigenvalues[:m], 0.0, None)
-        loadings = eig.eigenvectors[:, :m] * np.sqrt(lam)
+        ritz = None if block is None else _ritz_step(reduced, block)
+        if ritz is None:
+            # the full path; only the diagonal changed, so the last
+            # eigenvectors nearly diagonalize the new reduced matrix
+            block = None
+            eig = sym_eigen(SymMatrix(reduced), basis=basis)
+            lam, vectors = eig.eigenvalues, eig.eigenvectors
+            basis = vectors
+        else:
+            lam, vectors = ritz
+            block = vectors
+        loadings = vectors[:, :m] * np.sqrt(np.clip(lam[:m], 0.0, None))
         new_h2 = (loadings**2).sum(axis=1)
         over = new_h2 > 1.0
         if np.any(over):
@@ -175,12 +201,47 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
         extraction="paf",
         rotation="none",
         loadings=loadings,
-        eigenvalues=full_spectrum,
+        eigenvalues=spectrum.eigenvalues,
         phi=np.eye(m),
         communalities=h2,
         convergence={"iterations": iterations, "delta": delta},
         heywood=heywood,
     )
+
+
+def _ritz_step(a: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """One subspace step of a on an orthonormal p x b block, then Rayleigh-Ritz.
+
+    Returns the Ritz values (descending) and the sign-fixed Ritz vectors,
+    or None when Gram-Schmidt finds a column of a @ block in the span of
+    the earlier ones.
+    """
+    q = _orthonormalize(fmatmul(a, block))
+    if q is None:
+        return None
+    # SymMatrix averages the two triangles of the rounded Ritz matrix
+    eig = sym_eigen(SymMatrix(fmatmul(q.T, fmatmul(a, q))))
+    vectors = fmatmul(q, eig.eigenvectors)
+    return eig.eigenvalues, vectors * lead_signs(vectors)
+
+
+def _orthonormalize(z: np.ndarray) -> np.ndarray | None:
+    """z's columns made orthonormal by modified Gram-Schmidt, run twice.
+
+    None when a column's norm after projection falls to GS_BREAKDOWN_RTOL
+    of its norm before it.
+    """
+    rows = np.array(z.T)  # one vector per contiguous row
+    for _ in range(2):
+        before = np.sqrt((rows * rows).sum(axis=1))
+        for j in range(rows.shape[0]):
+            norm = math.sqrt((rows[j] * rows[j]).sum())
+            if not norm > GS_BREAKDOWN_RTOL * before[j]:
+                return None
+            rows[j] /= norm
+            rest = rows[j + 1 :]
+            rest -= (rest * rows[j]).sum(axis=1)[:, None] * rows[j]
+    return rows.T
 
 
 def retain_kaiser(eigenvalues) -> int:

@@ -11,7 +11,9 @@ reconstruction, the reproduced matrix and the threshold-implied category
 moments are the defining formulas, applied to the package's results. The
 Jacobi and CSV oracles are likewise the package's earlier round and per-cell parser,
 kept so that the faster paths can be held to the same bits and errors, and
-the sign oracle is the earlier per-column loop of ``sort_and_sign``.
+the sign oracle is the earlier per-column loop of ``sort_and_sign``. The
+PAF oracle is the package's earlier extraction loop, which decomposes the
+full p x p reduced matrix on every pass.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from psychoval.core_stats import _round_robin
+from psychoval.core_stats import SymMatrix, _round_robin, inverse, sym_eigen
+from psychoval.efa import FactorSolution
 from psychoval.errors import (
     DuplicateId,
     EmptyDataset,
@@ -381,3 +384,42 @@ def jacobi_interleaved(a, v, tol: float, max_sweeps: int):
                 raise NoConvergence(f"off-diagonal max {off:.3e}", residual=off)
     work = buffers[cur]
     return work[:p, :p], work[n:, :p]
+
+
+def extract_paf_full(R: SymMatrix, m: int, tol: float, max_iter: int) -> FactorSolution:
+    """PAF from SMC communalities, one warm-started p x p Jacobi per pass."""
+    p = R.dim
+    full_spectrum = sym_eigen(R).eigenvalues
+    h2 = np.clip(1.0 - 1.0 / np.diag(inverse(R).values), 0.0, 1.0)
+    heywood = False
+    reduced = R.values.copy()
+    basis = None
+    for iterations in range(1, max_iter + 1):
+        np.fill_diagonal(reduced, h2)
+        eig = sym_eigen(SymMatrix(reduced), basis=basis)
+        basis = eig.eigenvectors
+        lam = np.clip(eig.eigenvalues[:m], 0.0, None)
+        loadings = eig.eigenvectors[:, :m] * np.sqrt(lam)
+        new_h2 = (loadings**2).sum(axis=1)
+        over = new_h2 > 1.0
+        if np.any(over):
+            heywood = True
+            loadings[over] /= np.sqrt(new_h2[over])[:, None]
+            new_h2 = np.minimum(new_h2, 1.0)
+        delta = float(np.max(np.abs(new_h2 - h2)))
+        h2 = new_h2
+        if delta < tol:
+            break
+    else:
+        raise NoConvergence(f"PAF: delta {delta:.3e}", residual=delta)
+    return FactorSolution(
+        items=tuple(f"item{j + 1}" for j in range(p)),
+        extraction="paf",
+        rotation="none",
+        loadings=loadings,
+        eigenvalues=full_spectrum,
+        phi=np.eye(m),
+        communalities=h2,
+        convergence={"iterations": iterations, "delta": delta},
+        heywood=heywood,
+    )

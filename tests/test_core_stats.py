@@ -33,6 +33,7 @@ from psychoval.core_stats import (
     _jacobi_sweeps,
     _round_robin,
     _sweep_moves,
+    fmatmul,
 )
 from psychoval.errors import (
     DomainError,
@@ -509,6 +510,36 @@ class TestSymEigenMemo:
         # equal matrices with -0.0 and 0.0 would hash apart
         with pytest.raises(TypeError, match="unhashable type: 'SymMatrix'"):
             hash(SymMatrix(np.eye(2)))
+
+
+class TestFmatmul:
+    """The fixed-order product agrees with BLAS and ignores memory layout."""
+
+    SHAPES = [(20, 20, 8), (80, 80, 12), (8, 20, 8), (5, 3, 1), (1, 7, 4)]
+
+    @pytest.mark.parametrize("p, k, q", SHAPES)
+    def test_matches_blas_product(self, p, k, q):
+        rng = np.random.default_rng(p * 1000 + k * 10 + q)
+        a, b = rng.normal(size=(p, k)), rng.normal(size=(k, q))
+        expected = a @ b
+        scale = np.abs(a) @ np.abs(b)  # bounds each entry's rounding
+        assert np.all(np.abs(fmatmul(a, b) - expected) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("p, k, q", SHAPES)
+    def test_same_bits_for_every_layout(self, p, k, q):
+        rng = np.random.default_rng(p + k + q)
+        a, b = rng.normal(size=(p, k)), rng.normal(size=(k, q))
+        reference = fmatmul(a, b)
+        layouts = [
+            (np.asfortranarray(a), np.asfortranarray(b)),
+            (np.asfortranarray(a), b),
+            (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T),
+            (np.flipud(np.flipud(a).copy()), np.fliplr(np.fliplr(b).copy())),
+            (np.repeat(a, 2, axis=1)[:, ::2], np.repeat(b, 2, axis=0)[::2]),
+        ]
+        for x, y in layouts:
+            assert np.array_equal(x, a) and np.array_equal(y, b)
+            assert fmatmul(x, y).tobytes() == reference.tobytes()
 
 
 class TestNonFiniteMatrix:

@@ -31,7 +31,7 @@ from psychoval import (
     sym_eigen,
     varimax_criterion,
 )
-from psychoval import efa
+from psychoval import core_stats, efa
 from psychoval.efa import OBLIMIN_MAX_ITER, fixed_count
 from psychoval.errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems
 from tests import oracles
@@ -230,6 +230,100 @@ class TestPaf:
         )
         assert np.all(sol.communalities >= 0.0)
         assert np.all(sol.communalities <= 1.0 + 1e-12)
+
+    def test_identity_of_twenty_items_gives_null_factor(self):
+        # the reduced matrix is zero, so the first Gram-Schmidt column has
+        # norm 0: the run continues on the full path
+        sol = extract_paf(SymMatrix(np.eye(20)), 1)
+        assert np.max(np.abs(sol.loadings)) < 1e-6
+        assert np.max(sol.communalities) < 1e-6
+
+    def test_zero_loading_items_fall_back_to_full_path(self, numerics):
+        # four factors of four items plus four independent items: reduced @ Q
+        # is exactly zero on R's eigenvectors of the independent items
+        L = np.zeros((20, 4))
+        for k in range(4):
+            L[4 * k:4 * k + 4, k] = np.linspace(0.60, 0.74, 4)
+        numerics(efa, PAF_TOL=1e-10)
+        R = population_matrix(L)
+        sol = extract_paf(R, 4)
+        full = oracles.extract_paf_full(R, 4, 1e-10, efa.PAF_MAX_ITER)
+        assert np.array_equal(sol.loadings, full.loadings)
+        assert np.array_equal(sol.communalities, full.communalities)
+        assert np.allclose(np.abs(sol.loadings).max(axis=0), 0.74, atol=1e-6)
+
+
+def sample_matrix(n: int, p: int, m: int, seed: int) -> SymMatrix:
+    """Correlation matrix of a seeded 7-point draw from a random simple structure."""
+    L = cluster_loadings(np.random.default_rng(seed), p, m)
+    spec = FactorModelSpec(loadings=L, n=n, seed=seed, likert_min=1, likert_max=7)
+    return correlation_matrix(generate(spec).values)
+
+
+def projector(L: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(L)
+    return q @ q.T
+
+
+class TestPafSubspace:
+    """PAF on b = m + 4 Ritz vectors against the full p x p oracle."""
+
+    def test_tight_tolerance_matches_full_path(self, numerics):
+        numerics(efa, PAF_TOL=1e-10)
+        R = sample_matrix(600, 20, 4, seed=5)
+        sol = extract_paf(R, 4)
+        full = oracles.extract_paf_full(R, 4, 1e-10, efa.PAF_MAX_ITER)
+        assert np.max(np.abs(sol.loadings - full.loadings)) < 1e-8
+
+    @pytest.mark.parametrize("n, p, m", [(1000, 20, 4), (2000, 40, 5)])
+    def test_default_tolerance_agrees_with_full_path(self, n, p, m):
+        R = sample_matrix(n, p, m, seed=p)
+        sol = extract_paf(R, m)
+        full = oracles.extract_paf_full(R, m, efa.PAF_TOL, efa.PAF_MAX_ITER)
+        assert np.max(np.abs(sol.communalities - full.communalities)) < efa.PAF_TOL
+        assert np.max(np.abs(projector(sol.loadings) - projector(full.loadings))) < 1e-3
+        assert np.array_equal(sol.eigenvalues, full.eigenvalues)
+
+    def test_below_guard_is_the_full_path(self):
+        m = 4
+        p = 2 * (m + efa.PAF_RITZ_EXTRA) - 1
+        R = sample_matrix(800, p, m, seed=3)
+        sol = extract_paf(R, m)
+        full = oracles.extract_paf_full(R, m, efa.PAF_TOL, efa.PAF_MAX_ITER)
+        assert np.array_equal(sol.loadings, full.loadings)
+        assert np.array_equal(sol.communalities, full.communalities)
+        assert sol.convergence == full.convergence
+
+    def test_budget_exhausted_raises_with_residual(self, numerics):
+        numerics(efa, PAF_MAX_ITER=2)
+        with pytest.raises(NoConvergence, match=r"after 2 iterations$") as exc_info:
+            extract_paf(sample_matrix(600, 20, 4, seed=5), 4)
+        assert exc_info.value.residual >= efa.PAF_TOL
+
+    @pytest.mark.parametrize(
+        "R, m, ritz",
+        [
+            (sample_matrix(600, 20, 4, seed=5), 4, True),
+            (sample_matrix(800, 15, 4, seed=3), 4, False),
+            (SymMatrix(np.eye(20)), 1, False),
+        ],
+        ids=["subspace", "below-guard", "fallback"],
+    )
+    def test_sym_eigen_calls(self, monkeypatch, R, m, ritz):
+        # perfbench's identity: two calls on R (spectrum, inverse), then one per pass
+        sizes = []
+
+        def counted(A, basis=None):
+            sizes.append(A.dim)
+            return sym_eigen(A, basis=basis)
+
+        monkeypatch.setattr(efa, "sym_eigen", counted)
+        monkeypatch.setattr(core_stats, "sym_eigen", counted)
+        sol = extract_paf(R, m)
+        assert len(sizes) == 2 + sol.convergence["iterations"]
+        assert sizes[:2] == [R.dim, R.dim]
+        pass_size = m + efa.PAF_RITZ_EXTRA if ritz else R.dim
+        assert sizes[2:] == [pass_size] * sol.convergence["iterations"]
 
 
 class TestRetention:

@@ -131,6 +131,12 @@ def _invocations() -> list[tuple[str, ...]]:
     # twenty items and four factors: PAF on its subspace path
     for command in ("validate", "efa"):
         runs.append((command, "-i", WIDE, "--retention", "fixed:4", "-f", "json"))
+    # Kaiser keeps four factors in validate and six in efa, whose
+    # over-extracted run gives the subspace path up; validate --retention
+    # fixed:6 (18 items after pruning) takes the full path and fails
+    for retention in ("kaiser", "fixed:6"):
+        for command in ("validate", "efa"):
+            runs.append((command, "-i", WIDE, "--retention", retention, "-f", "json"))
     return runs
 
 

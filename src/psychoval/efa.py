@@ -33,6 +33,12 @@ PAF_TOL = 1e-4
 PAF_MAX_ITER = 1000
 # PAF iterates on b = m + PAF_RITZ_EXTRA Ritz vectors once p >= 2b
 PAF_RITZ_EXTRA = 4
+# the subspace path gives a run up after this many passes (set for the
+# default PAF_TOL: pairwise-prune's runs stop within 18)
+PAF_RITZ_MAX_ITER = 50
+# and stops only on top-m Ritz vectors within PAF_RITZ_ANGLE * PAF_TOL of
+# an invariant subspace (pairwise-prune's stops: at most 0.064)
+PAF_RITZ_ANGLE = 0.1
 # a Gram-Schmidt column shrunk below this fraction of its norm has collapsed
 GS_BREAKDOWN_RTOL = 1e-10
 VARIMAX_TOL = 1e-8
@@ -146,11 +152,12 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     NoConvergence. A communality exceeding 1 is clamped to 1 with the row
     rescaled (Heywood case, flagged, never silent).
 
-    With p >= 2b items, b = m + PAF_RITZ_EXTRA, a pass takes one subspace
-    step on a p x b block started from R's top b eigenvectors and
-    decomposes only the b x b Ritz matrix; otherwise, or once a
-    Gram-Schmidt column collapses, it decomposes the p x p reduced matrix,
-    warm-started from the last full pass's eigenvectors, if any.
+    With p >= 2b items, b = m + PAF_RITZ_EXTRA, the run first takes the
+    subspace path (``_paf_subspace``), which decomposes only a b x b Ritz
+    matrix per pass. If that path gives the run up, PAF starts over from
+    the SMC communalities on the full path, which decomposes the p x p
+    reduced matrix per pass, so such a run gives the full path's bits.
+    ``convergence["iterations"]`` counts the passes of both paths.
     """
     p = R.dim
     names = item_labels(items, p)
@@ -158,44 +165,14 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     spectrum = sym_eigen(R)
     smc = 1.0 - 1.0 / np.diag(inverse(R).values)
     h2 = np.clip(smc, 0.0, 1.0)
-    heywood = False
-    reduced = R.values.copy()
-    loadings = np.zeros((p, m))
-    delta = math.inf
-    iterations = 0
     b = m + PAF_RITZ_EXTRA
-    block = spectrum.eigenvectors[:, :b] if p >= 2 * b else None
-    basis = None
-    for iterations in range(1, PAF_MAX_ITER + 1):
-        np.fill_diagonal(reduced, h2)
-        ritz = None if block is None else _ritz_step(reduced, block)
-        if ritz is None:
-            # the full path; only the diagonal changed, so the last
-            # eigenvectors nearly diagonalize the new reduced matrix
-            block = None
-            eig = sym_eigen(SymMatrix(reduced), basis=basis)
-            lam, vectors = eig.eigenvalues, eig.eigenvectors
-            basis = vectors
-        else:
-            lam, vectors = ritz
-            block = vectors
-        loadings = vectors[:, :m] * np.sqrt(np.clip(lam[:m], 0.0, None))
-        new_h2 = (loadings**2).sum(axis=1)
-        over = new_h2 > 1.0
-        if np.any(over):
-            heywood = True
-            loadings[over] /= np.sqrt(new_h2[over])[:, None]
-            new_h2 = np.minimum(new_h2, 1.0)
-        delta = float(np.max(np.abs(new_h2 - h2)))
-        h2 = new_h2
-        if delta < PAF_TOL:
-            break
-    else:
-        raise NoConvergence(
-            f"principal axis factoring: max |delta h2| = {delta:.3e} "
-            f"after {PAF_MAX_ITER} iterations",
-            residual=delta,
-        )
+    fit, passes = None, 0
+    if p >= 2 * b:
+        fit, passes = _paf_subspace(R.values, h2, m, spectrum.eigenvectors[:, :b])
+    if fit is None:
+        fit, full_passes = _paf_full(R.values, h2, m)
+        passes += full_passes
+    loadings, h2, heywood, delta = fit
     return FactorSolution(
         items=names,
         extraction="paf",
@@ -204,25 +181,99 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
         eigenvalues=spectrum.eigenvalues,
         phi=np.eye(m),
         communalities=h2,
-        convergence={"iterations": iterations, "delta": delta},
+        convergence={"iterations": passes, "delta": delta},
         heywood=heywood,
     )
 
 
-def _ritz_step(a: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _paf_full(values: np.ndarray, h2: np.ndarray, m: int):
+    """PAF passes on the p x p reduced matrix: ((loadings, h2, heywood, delta), passes)."""
+    reduced = values.copy()
+    heywood = False
+    delta = math.inf
+    basis = None
+    for passes in range(1, PAF_MAX_ITER + 1):
+        np.fill_diagonal(reduced, h2)
+        # only the diagonal changed, so the last eigenvectors nearly
+        # diagonalize the new reduced matrix
+        eig = sym_eigen(SymMatrix(reduced), basis=basis)
+        basis = eig.eigenvectors
+        loadings, new_h2, clamped = _paf_loadings(eig.eigenvalues, eig.eigenvectors, m)
+        heywood = heywood or clamped
+        delta = float(np.max(np.abs(new_h2 - h2)))
+        h2 = new_h2
+        if delta < PAF_TOL:
+            return (loadings, h2, heywood, delta), passes
+    raise NoConvergence(
+        f"principal axis factoring: max |delta h2| = {delta:.3e} "
+        f"after {PAF_MAX_ITER} iterations",
+        residual=delta,
+    )
+
+
+def _paf_subspace(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray):
+    """PAF passes on a p x b block started from ``block``: (fit or None, passes).
+
+    The fit is None, the run given up, when a Gram-Schmidt column
+    collapses, when the run has not stopped within PAF_RITZ_MAX_ITER
+    passes, or when its Ritz vectors at the stop are not within
+    PAF_RITZ_ANGLE * PAF_TOL of an invariant subspace: one subspace step
+    per pass tracks the eigenvalues largest in magnitude, so on an
+    over-extracted model, whose m-th eigenvalue is small and close to the
+    next, the block lags the reduced matrix it stops on.
+    """
+    reduced = values.copy()
+    heywood = False
+    passes = 0
+    for passes in range(1, min(PAF_RITZ_MAX_ITER, PAF_MAX_ITER) + 1):
+        np.fill_diagonal(reduced, h2)
+        ritz = _ritz_step(reduced, block, m)
+        if ritz is None:
+            return None, passes - 1
+        lam, block, angle = ritz
+        loadings, new_h2, clamped = _paf_loadings(lam, block, m)
+        heywood = heywood or clamped
+        delta = float(np.max(np.abs(new_h2 - h2)))
+        h2 = new_h2
+        if delta < PAF_TOL:
+            fit = (loadings, h2, heywood, delta) if angle < PAF_RITZ_ANGLE * PAF_TOL else None
+            return fit, passes
+    return None, passes
+
+
+def _paf_loadings(lam: np.ndarray, vectors: np.ndarray, m: int):
+    """Loadings of the top m eigenpairs, Heywood rows clamped: (loadings, h2, clamped)."""
+    loadings = vectors[:, :m] * np.sqrt(np.clip(lam[:m], 0.0, None))
+    h2 = (loadings**2).sum(axis=1)
+    over = h2 > 1.0
+    if not np.any(over):
+        return loadings, h2, False
+    loadings[over] /= np.sqrt(h2[over])[:, None]
+    return loadings, np.minimum(h2, 1.0), True
+
+
+def _ritz_step(a: np.ndarray, block: np.ndarray, m: int):
     """One subspace step of a on an orthonormal p x b block, then Rayleigh-Ritz.
 
-    Returns the Ritz values (descending) and the sign-fixed Ritz vectors,
+    Returns the Ritz values (descending), the sign-fixed Ritz vectors and
+    |a V - V Theta|_F / (theta_m - theta_m+1) over the top m of them, which
+    bounds the sine of their angle to an invariant subspace of a
+    (Davis-Kahan, with theta_m+1 standing in for the rest of a's spectrum);
     or None when Gram-Schmidt finds a column of a @ block in the span of
     the earlier ones.
     """
     q = _orthonormalize(fmatmul(a, block))
     if q is None:
         return None
+    aq = fmatmul(a, q)
     # SymMatrix averages the two triangles of the rounded Ritz matrix
-    eig = sym_eigen(SymMatrix(fmatmul(q.T, fmatmul(a, q))))
+    eig = sym_eigen(SymMatrix(fmatmul(q.T, aq)))
+    theta = eig.eigenvalues
     vectors = fmatmul(q, eig.eigenvectors)
-    return eig.eigenvalues, vectors * lead_signs(vectors)
+    r = fmatmul(aq, eig.eigenvectors[:, :m]) - vectors[:, :m] * theta[:m]
+    gap = theta[m - 1] - theta[m]
+    angle = math.sqrt((r * r).sum()) / gap if gap > 0.0 else math.inf
+    return theta, vectors * lead_signs(vectors), angle
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray | None:

@@ -13,7 +13,8 @@ Jacobi and CSV oracles are likewise the package's earlier round and per-cell par
 kept so that the faster paths can be held to the same bits and errors, and
 the sign oracle is the earlier per-column loop of ``sort_and_sign``. The
 PAF oracle is the package's earlier extraction loop, which decomposes the
-full p x p reduced matrix on every pass.
+full p x p reduced matrix on every pass; ``paf_step`` is one such pass
+written from the definition with numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -423,3 +424,13 @@ def extract_paf_full(R: SymMatrix, m: int, tol: float, max_iter: int) -> FactorS
         convergence={"iterations": iterations, "delta": delta},
         heywood=heywood,
     )
+
+
+def paf_step(R: SymMatrix, h2, m: int) -> np.ndarray:
+    """Communalities after one PAF pass from h2, Heywood rows clamped to 1."""
+    reduced = R.values.copy()
+    np.fill_diagonal(reduced, h2)
+    lam, vectors = np.linalg.eigh(reduced)
+    top = np.argsort(lam)[::-1][:m]
+    loadings = vectors[:, top] * np.sqrt(np.clip(lam[top], 0.0, None))
+    return np.minimum((loadings**2).sum(axis=1), 1.0)

@@ -233,7 +233,7 @@ class TestPaf:
 
     def test_identity_of_twenty_items_gives_null_factor(self):
         # the reduced matrix is zero, so the first Gram-Schmidt column has
-        # norm 0: the run continues on the full path
+        # norm 0: the run starts over on the full path
         sol = extract_paf(SymMatrix(np.eye(20)), 1)
         assert np.max(np.abs(sol.loadings)) < 1e-6
         assert np.max(sol.communalities) < 1e-6
@@ -265,24 +265,77 @@ def projector(L: np.ndarray) -> np.ndarray:
     return q @ q.T
 
 
+def cyclic_matrix(n: int, p: int, m: int, seed: int) -> SymMatrix:
+    """Correlation matrix of a seeded 5-point draw; item j loads on factor j mod m."""
+    L = np.zeros((p, m))
+    L[np.arange(p), np.arange(p) % m] = np.linspace(0.6, 0.8, m)[np.arange(p) % m]
+    spec = FactorModelSpec(loadings=L, n=n, seed=seed, likert_min=1, likert_max=5)
+    return correlation_matrix(generate(spec).values)
+
+
+@pytest.fixture
+def eigen_sizes(monkeypatch):
+    """The dimension of every sym_eigen call made through efa and core_stats."""
+    sizes = []
+
+    def counted(A, basis=None):
+        sizes.append(A.dim)
+        return sym_eigen(A, basis=basis)
+
+    monkeypatch.setattr(efa, "sym_eigen", counted)
+    monkeypatch.setattr(core_stats, "sym_eigen", counted)
+    return sizes
+
+
 class TestPafSubspace:
     """PAF on b = m + 4 Ritz vectors against the full p x p oracle."""
 
-    def test_tight_tolerance_matches_full_path(self, numerics):
-        numerics(efa, PAF_TOL=1e-10)
-        R = sample_matrix(600, 20, 4, seed=5)
-        sol = extract_paf(R, 4)
-        full = oracles.extract_paf_full(R, 4, 1e-10, efa.PAF_MAX_ITER)
+    @pytest.mark.parametrize("n, p, m, seed", [(600, 20, 4, 5), (1000, 20, 4, 20), (2000, 40, 5, 40)])
+    def test_tight_tolerance_matches_full_path(self, numerics, eigen_sizes, n, p, m, seed):
+        # the pass budget is set for the default tolerance; lift it here
+        numerics(efa, PAF_TOL=1e-10, PAF_RITZ_MAX_ITER=efa.PAF_MAX_ITER)
+        R = sample_matrix(n, p, m, seed)
+        sol = extract_paf(R, m)
+        assert eigen_sizes[2:] == [m + efa.PAF_RITZ_EXTRA] * sol.convergence["iterations"]
+        full = oracles.extract_paf_full(R, m, 1e-10, efa.PAF_MAX_ITER)
         assert np.max(np.abs(sol.loadings - full.loadings)) < 1e-8
+        assert np.max(np.abs(sol.communalities - full.communalities)) < 1e-8
 
     @pytest.mark.parametrize("n, p, m", [(1000, 20, 4), (2000, 40, 5)])
-    def test_default_tolerance_agrees_with_full_path(self, n, p, m):
+    def test_default_tolerance_stop_passes_the_full_test(self, eigen_sizes, n, p, m):
+        # Each path stops on a step below PAF_TOL, so their answers need not
+        # be within PAF_TOL of each other. What the Ritz check guarantees is
+        # that the subspace answer is a stop for the full path too: one more
+        # full pass from it moves no communality by PAF_TOL.
         R = sample_matrix(n, p, m, seed=p)
         sol = extract_paf(R, m)
+        assert eigen_sizes[2:] == [m + efa.PAF_RITZ_EXTRA] * sol.convergence["iterations"]
+        step = oracles.paf_step(R, sol.communalities, m) - sol.communalities
+        assert np.max(np.abs(step)) < efa.PAF_TOL
         full = oracles.extract_paf_full(R, m, efa.PAF_TOL, efa.PAF_MAX_ITER)
-        assert np.max(np.abs(sol.communalities - full.communalities)) < efa.PAF_TOL
         assert np.max(np.abs(projector(sol.loadings) - projector(full.loadings))) < 1e-3
         assert np.array_equal(sol.eigenvalues, full.eigenvalues)
+
+    @pytest.mark.parametrize(
+        "R",
+        [cyclic_matrix(600, 20, 4, seed=4), cyclic_matrix(600, 20, 4, seed=18),
+         sample_matrix(600, 20, 4, seed=4)],
+        ids=["cyclic-4", "cyclic-18", "cluster-4"],
+    )
+    def test_over_extraction_gives_the_full_path_bits(self, eigen_sizes, R):
+        # six factors where four exist: the subspace path gave up on these,
+        # by its pass budget or its Ritz check, and the run starts over on
+        # the full path (without that, cyclic-4 ran out of passes, cyclic-18
+        # ended 0.44 from the full path in a communality, cluster-4 7.6e-4)
+        sol = extract_paf(R, 6)
+        passes = eigen_sizes[2:]
+        full = oracles.extract_paf_full(R, 6, efa.PAF_TOL, efa.PAF_MAX_ITER)
+        assert np.array_equal(sol.loadings, full.loadings)
+        assert np.array_equal(sol.communalities, full.communalities)
+        assert sol.heywood == full.heywood
+        ritz = sol.convergence["iterations"] - full.convergence["iterations"]
+        assert ritz > 0
+        assert passes == [10] * ritz + [20] * full.convergence["iterations"]
 
     def test_below_guard_is_the_full_path(self):
         m = 4
@@ -294,11 +347,13 @@ class TestPafSubspace:
         assert np.array_equal(sol.communalities, full.communalities)
         assert sol.convergence == full.convergence
 
-    def test_budget_exhausted_raises_with_residual(self, numerics):
+    def test_budget_exhausted_raises_with_residual(self, numerics, eigen_sizes):
+        # two subspace passes, then two full passes from the start
         numerics(efa, PAF_MAX_ITER=2)
         with pytest.raises(NoConvergence, match=r"after 2 iterations$") as exc_info:
             extract_paf(sample_matrix(600, 20, 4, seed=5), 4)
         assert exc_info.value.residual >= efa.PAF_TOL
+        assert eigen_sizes[2:] == [8, 8, 20, 20]
 
     @pytest.mark.parametrize(
         "R, m, ritz",
@@ -309,21 +364,13 @@ class TestPafSubspace:
         ],
         ids=["subspace", "below-guard", "fallback"],
     )
-    def test_sym_eigen_calls(self, monkeypatch, R, m, ritz):
+    def test_sym_eigen_calls(self, eigen_sizes, R, m, ritz):
         # perfbench's identity: two calls on R (spectrum, inverse), then one per pass
-        sizes = []
-
-        def counted(A, basis=None):
-            sizes.append(A.dim)
-            return sym_eigen(A, basis=basis)
-
-        monkeypatch.setattr(efa, "sym_eigen", counted)
-        monkeypatch.setattr(core_stats, "sym_eigen", counted)
         sol = extract_paf(R, m)
-        assert len(sizes) == 2 + sol.convergence["iterations"]
-        assert sizes[:2] == [R.dim, R.dim]
+        assert len(eigen_sizes) == 2 + sol.convergence["iterations"]
+        assert eigen_sizes[:2] == [R.dim, R.dim]
         pass_size = m + efa.PAF_RITZ_EXTRA if ritz else R.dim
-        assert sizes[2:] == [pass_size] * sol.convergence["iterations"]
+        assert eigen_sizes[2:] == [pass_size] * sol.convergence["iterations"]
 
 
 class TestRetention:

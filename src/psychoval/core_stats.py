@@ -31,7 +31,7 @@ from .errors import (
 )
 from .rng import check_real
 
-# Relative cutoff below which an eigenvalue is treated as zero.
+# Relative cutoff below which an eigenvalue or a Gram-Schmidt column norm counts as zero.
 SINGULARITY_RTOL = 1e-10
 
 # Largest |a - a.T|, relative to max(1, max |a|), that still counts as symmetric.
@@ -316,28 +316,25 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
     X, where X' swaps them, C = [c; c] and S = [-s; s]. The angles are
     Python floats, whose +, -, *, / and sqrt round as numpy's do, and only
     elementwise ufuncs touch the numbers, so every rotation is
-    bit-reproducible. The rounds work on two buffers in turn, each move
-    gathering the next round's order from one into the other; a and v
-    enter in round 0's order and leave in the natural one.
+    bit-reproducible. All rounds work on one array, each move gathering
+    the next round's order in place (numpy.take buffers its output); a
+    and v enter in round 0's order and leave in the natural one.
     """
     p = a.shape[0]
     n = p + (p & 1)
     h = n // 2
     order = np.r_[0:p:2, 1:p:2]  # round 0 order; an odd p's padding stays at n - 1
-    buffers = (np.zeros((n + p, n)), np.empty((n + p, n)))
-    buffers[0][:p, :p] = a[np.ix_(order, order)]
-    buffers[0][n:, :p] = v[:, order]
-    views = [(work.reshape(-1), work[:n].reshape(2, h, n), work.reshape(n + p, 2, h))
-             for work in buffers]
+    work = np.zeros((n + p, n))
+    work[:p, :p] = a[np.ix_(order, order)]
+    work[n:, :p] = v[:, order]
+    flat, rows, cols = work.reshape(-1), work[:n].reshape(2, h, n), work.reshape(n + p, 2, h)
     gather, zero = _pivots(n)
     sqrt, copysign = math.sqrt, math.copysign
-    cur = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(JACOBI_MAX_SWEEPS):
-            if _off_diagonal_max(buffers[cur][:n]) < JACOBI_TOL:
+            if _off_diagonal_max(work[:n]) < JACOBI_TOL:
                 break
             for move in _sweep_moves(p):
-                flat, rows, cols = views[cur]
                 cs, ns, ss = [], [], []
                 for aij, aii, ajj in zip(*flat.take(gather).tolist()):
                     # rotation angles from the classic two-sided formula,
@@ -364,11 +361,10 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
                 np.add(cos[:, :, None] * rows, sin[:, :, None] * rows[::-1], out=rows)
                 np.add(cols * cos, cols[:, ::-1] * sin, out=cols)
                 flat[zero] = 0.0
-                cur = 1 - cur
-                np.take(flat, move, out=views[cur][0])
+                np.take(flat, move, out=flat)
         else:
             # budget exhausted: the final sweep may still have converged
-            off = _off_diagonal_max(buffers[cur][:n])
+            off = _off_diagonal_max(work[:n])
             if off >= JACOBI_TOL:
                 raise NoConvergence(
                     f"Jacobi: {JACOBI_MAX_SWEEPS} sweeps exhausted "
@@ -376,7 +372,6 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
                     residual=off,
                 )
     back = np.argsort(order)
-    work = buffers[cur]
     return work[:p, :p][np.ix_(back, back)], work[n:, :p][:, back]
 
 
@@ -439,26 +434,19 @@ def _diagonalize(a: np.ndarray, v: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
-def _eigen_checked(A: SymMatrix) -> EigenDecomposition:
-    eig = sym_eigen(A)
-    lam = eig.eigenvalues
-    largest = float(np.max(np.abs(lam))) if lam.size else 0.0
-    smallest = float(np.min(np.abs(lam))) if lam.size else 0.0
-    if lam.size == 0 or smallest < SINGULARITY_RTOL * largest or largest == 0.0:
-        raise SingularMatrix(smallest)
-    return eig
-
-
 def inverse(A: SymMatrix) -> SymMatrix:
     """Inverse of a nonsingular symmetric matrix via its eigendecomposition.
 
     Raises SingularMatrix when the smallest |eigenvalue| falls below the
     relative singularity threshold.
     """
-    eig = _eigen_checked(A)
+    eig = sym_eigen(A)
+    magnitudes = np.abs(eig.eigenvalues)
+    smallest = float(magnitudes.min()) if magnitudes.size else 0.0
+    if smallest == 0.0 or smallest < SINGULARITY_RTOL * float(magnitudes.max()):
+        raise SingularMatrix(smallest)
     v = eig.eigenvectors
-    inv = (v / eig.eigenvalues) @ v.T
-    return SymMatrix(inv)
+    return SymMatrix((v / eig.eigenvalues) @ v.T)
 
 
 def log_determinant(A: SymMatrix) -> float:
@@ -475,9 +463,7 @@ def log_determinant(A: SymMatrix) -> float:
 # --- incomplete gamma / chi-square -------------------------------------------
 
 def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized gamma P(a, x) by series; accurate for x < a + 1."""
-    if x == 0.0:
-        return 0.0
+    """Lower regularized gamma P(a, x) by series; accurate for 0 < x < a + 1."""
     term = 1.0 / a
     total = term
     for n in range(1, GAMMA_MAX_ITER + 1):

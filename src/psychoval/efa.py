@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core_stats import (
+    SINGULARITY_RTOL,
     SymMatrix,
     as_float_array,
     fmatmul,
@@ -39,8 +40,6 @@ PAF_RITZ_MAX_ITER = 50
 # and stops only on top-m Ritz vectors within PAF_RITZ_ANGLE * PAF_TOL of
 # an invariant subspace (pairwise-prune's stops: at most 0.064)
 PAF_RITZ_ANGLE = 0.1
-# a Gram-Schmidt column shrunk below this fraction of its norm has collapsed
-GS_BREAKDOWN_RTOL = 1e-10
 VARIMAX_TOL = 1e-8
 VARIMAX_MAX_SWEEPS = 100
 OBLIMIN_GTOL = 1e-6
@@ -279,7 +278,7 @@ def _ritz_step(a: np.ndarray, block: np.ndarray, m: int):
 def _orthonormalize(z: np.ndarray) -> np.ndarray | None:
     """z's columns made orthonormal by modified Gram-Schmidt, run twice.
 
-    None when a column's norm after projection falls to GS_BREAKDOWN_RTOL
+    None when a column's norm after projection falls to SINGULARITY_RTOL
     of its norm before it.
     """
     rows = np.array(z.T)  # one vector per contiguous row
@@ -287,7 +286,7 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray | None:
         before = np.sqrt((rows * rows).sum(axis=1))
         for j in range(rows.shape[0]):
             norm = math.sqrt((rows[j] * rows[j]).sum())
-            if not norm > GS_BREAKDOWN_RTOL * before[j]:
+            if not norm > SINGULARITY_RTOL * before[j]:
                 return None
             rows[j] /= norm
             rest = rows[j + 1 :]

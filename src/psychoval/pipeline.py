@@ -2,7 +2,7 @@
 
 run_validation executes the fixed stage sequence (missing-data policy,
 correlation, sphericity gate, sampling adequacy, item pruning, retention,
-extraction, rotation, canonical form, item assignment, per-factor alpha,
+extraction, rotation and canonical form, item assignment, per-factor alpha,
 sample-size advice) and returns a ValidationReport that serializes to a
 stable JSON schema. Identical inputs and configuration produce identical
 report bytes.
@@ -48,7 +48,6 @@ STAGES = (
     "retention",
     "extraction",
     "rotation",
-    "canonicalize",
     "assignment",
     "reliability",
     "advice",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,7 +31,7 @@ from psychoval import (
     sort_and_sign,
     to_csv,
 )
-from psychoval import core_stats, efa
+from psychoval import core_stats, efa, errors, pipeline
 from psychoval.adequacy import sphericity_gate
 from psychoval.cli import main
 from psychoval.errors import (
@@ -144,6 +145,20 @@ class TestStageTags:
         with pytest.raises(NoConvergence) as exc_info:
             run_validation(two_factor_dataset, cfg)
         assert exc_info.value.stage == stage
+
+    def test_report_lists_the_stages_that_ran(self, monkeypatch, two_factor_dataset):
+        ran = []
+
+        @contextmanager
+        def recording(name):
+            ran.append(name)
+            with errors.stage(name):
+                yield
+
+        monkeypatch.setattr(pipeline, "stage", recording)
+        monkeypatch.setattr(efa, "stage", recording)
+        report = run_validation(two_factor_dataset)
+        assert tuple(ran) == report.stages
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,8 @@ NOISE = "data/noise_survey.csv"
 ONE = "data/one_item_survey.csv"
 GAP = "data/gap_survey.csv"
 WIDE = "data/wide_survey.csv"
+PAIR = "data/anticorrelated_pair_survey.csv"
+UNCORRELATED = "data/uncorrelated_item_survey.csv"
 SCALES = "data/demo_scales.txt"
 POLICIES = ("listwise", "pairwise", "strict")
 
@@ -137,6 +139,11 @@ def _invocations() -> list[tuple[str, ...]]:
     for retention in ("kaiser", "fixed:6"):
         for command in ("validate", "efa"):
             runs.append((command, "-i", WIDE, "--retention", retention, "-f", "json"))
+    # y = 8 - 2x: the standardized total score has zero variance
+    runs.append(("alpha", "-i", PAIR, "--items", "x,y"))
+    # item c has r = 0 to a and b, so its MSA would be 0/0
+    for command in ("kmo", "validate"):
+        runs.append((command, "-i", UNCORRELATED, "-f", "json"))
     return runs
 
 

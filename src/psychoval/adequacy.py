@@ -131,14 +131,23 @@ def kmo(R: SymMatrix, items: list[str] | None = None) -> tuple[float, dict[str, 
     is q_ij = -S_ij / sqrt(S_ii * S_jj). KMO compares squared raw against
     squared partial correlations: sum r^2 / (sum r^2 + sum q^2) over
     off-diagonal entries, overall and restricted to each item's row.
-    Raises TooFewItems below 2 items (no off-diagonal entries) and
-    NotPositiveDefinite when a diagonal entry of R^-1 is not positive,
-    which only an indefinite R allows.
+    Raises TooFewItems below 2 items (no off-diagonal entries),
+    DomainError for an item uncorrelated with every other one (its MSA
+    would be 0/0), and NotPositiveDefinite when a diagonal entry of R^-1
+    is not positive, which only an indefinite R allows.
     """
     p = R.dim
     if p < 2:
         raise TooFewItems(f"kmo needs >= 2 items, got {p}")
     names = item_labels(items, p)
+    r2 = R.values**2
+    np.fill_diagonal(r2, 0.0)
+    row_r2 = r2.sum(axis=1)
+    for j in np.flatnonzero(row_r2 == 0.0)[:1]:
+        raise DomainError(
+            f"item {names[j]!r} has zero correlation with every other item; "
+            "its MSA is undefined"
+        )
     s = inverse(R).values
     s_diag = np.diag(s)
     if np.any(s_diag <= 0.0):
@@ -150,13 +159,10 @@ def kmo(R: SymMatrix, items: list[str] | None = None) -> tuple[float, dict[str, 
     # exactly symmetric, as s is and d_i * d_j == d_j * d_i
     q = -s * np.outer(d, d)
 
-    r2 = R.values**2
     q2 = q**2
-    np.fill_diagonal(r2, 0.0)
     np.fill_diagonal(q2, 0.0)
 
     overall = float(r2.sum() / (r2.sum() + q2.sum()))
-    row_r2 = r2.sum(axis=1)
     row_q2 = q2.sum(axis=1)
     msa = {name: float(row_r2[j] / (row_r2[j] + row_q2[j])) for j, name in enumerate(names)}
     return overall, msa

@@ -69,7 +69,11 @@ def _alpha_raw_from_cov(cov: np.ndarray) -> float:
 def _alpha_std_from_corr(corr: np.ndarray) -> float:
     k = corr.shape[0]
     off = (float(corr.sum()) - k) / (k * (k - 1.0))
-    return k * off / (1.0 + (k - 1.0) * off)
+    # the standardized total's variance over k
+    spread = 1.0 + (k - 1.0) * off
+    if spread == 0.0:
+        raise ZeroVariance("standardized total score")
+    return k * off / spread
 
 
 def alpha_from_covariance(

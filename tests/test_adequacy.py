@@ -17,6 +17,7 @@ from psychoval import (
     correlation_matrix,
     generate,
     kmo,
+    load_csv,
     msa_prune,
     run_validation,
     sample_adequacy_advice,
@@ -123,6 +124,21 @@ class TestKmo:
         # p=2: the partial correlation equals -r, so every KMO value is 1/2
         assert overall == pytest.approx(0.5, abs=1e-12)
         assert list(msa.values()) == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["identity", "uncorrelated item"])
+    def test_item_uncorrelated_with_the_rest_refused(self, data_dir, which):
+        # its MSA is 0/0; with R = I the overall ratio is too
+        if which == "identity":
+            R, items, first = SymMatrix(np.eye(3)), list("ABC"), "A"
+        else:
+            view = complete_cases(load_csv(data_dir / "uncorrelated_item_survey.csv", 1, 7),
+                                  "listwise")
+            R, items, first = correlation_matrix(view.data, list(view.items)), list("abc"), "c"
+            assert R.values[0, 1] == pytest.approx(0.8, abs=1e-12)
+            assert R.values[2, 0] == R.values[2, 1] == 0.0
+        with pytest.raises(DomainError, match=f"^item '{first}' has zero correlation "
+                                              "with every other item; its MSA is undefined$"):
+            kmo(R, items)
 
     def test_noise_item_has_lowest_msa(self):
         view = prune_fixture_view()

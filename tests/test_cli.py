@@ -453,6 +453,22 @@ class TestBadInputMessages:
                              str(data_dir / "one_item_survey.csv"), "-f", fmt)
         assert (code, out, err) == (1, "", line + "\n")
 
+    def test_zero_variance_standardized_total(self, capsys, data_dir):
+        code, out, err = run(capsys, "alpha", "-i", str(data_dir / "anticorrelated_pair_survey.csv"),
+                             "--items", "x,y")
+        assert (code, out, err) == (
+            1, "", "ZeroVariance: standardized total score has zero variance\n"
+        )
+
+    @pytest.mark.parametrize("command", ["kmo", "validate"])
+    def test_item_uncorrelated_with_the_rest(self, capsys, data_dir, command):
+        code, out, err = run(capsys, command, "-i", str(data_dir / "uncorrelated_item_survey.csv"),
+                             "-f", "json")
+        assert (code, out, err) == (1, "", (
+            "DomainError: item 'c' has zero correlation with every other item; "
+            "its MSA is undefined [stage: kmo]\n"
+        ))
+
 
 # the pipeline stages each analysis subcommand runs
 SUBCOMMAND_STAGES = {

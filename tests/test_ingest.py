@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -79,6 +80,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             loads_csv("id,A\nr1,2.5\n", 1, 7)
 
+    def test_cell_past_the_field_size_limit(self):
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError) as info:
+            loads_csv(f"id,A\nr1,3\nr2,{'1' * (limit + 1)}\n", 1, 7)
+        assert str(info.value) == (
+            f"row 3, column '': cannot parse 'field larger than field limit ({limit})'"
+        )
+
     def test_duplicate_ids(self):
         with pytest.raises(DuplicateId):
             loads_csv("id,A\nr1,1\nr1,2\n", 1, 7)
@@ -122,6 +131,15 @@ class TestDatasetConstruction:
         with pytest.raises(ConfigError, match=r"values shape \(1, 2\) does not match"):
             SurveyDataset(("A",), ("r1",), np.array([[3.0, 4.0]]), 1, 7)
 
+    @pytest.mark.parametrize("items, respondents, kind, ident", [
+        (("A", "B", "A"), ("r1", "r2"), "item", "A"),
+        (("A", "B", "C"), ("r1", "r1"), "respondent", "r1"),
+    ], ids=["item", "respondent"])
+    def test_duplicate_ids_refused(self, items, respondents, kind, ident):
+        with pytest.raises(DuplicateId, match=f"^duplicate {kind} id '{ident}'$") as info:
+            SurveyDataset(items, respondents, np.ones((2, 3)), 1, 7)
+        assert (info.value.kind, info.value.ident) == (kind, ident)
+
     def test_first_response_outside_bounds(self):
         values = np.array([[3.0, np.nan], [9.0, 0.0]])
         with pytest.raises(RangeError) as info:
@@ -139,7 +157,8 @@ class TestDatasetConstruction:
         ds = SurveyDataset(("A", "B"), ("r1", "r2", "r3"), values, -1, 7)
         assert np.array_equal(ds.values, values, equal_nan=True)
 
-    @pytest.mark.parametrize("name", ["demo", "noise", "one_item", "gap"])
+    @pytest.mark.parametrize("name", ["demo", "noise", "one_item", "gap", "anticorrelated_pair",
+                                      "uncorrelated_item"])
     def test_committed_surveys_load(self, data_dir, name):
         ds = load_csv(data_dir / f"{name}_survey.csv", 1, 7)
         assert ds.n > 0

@@ -248,6 +248,24 @@ class TestConfigPassThrough:
         assert render_report(first, "json") == render_report(second, "json")
 
 
+class TestSolutionWarnings:
+    # one strong and one flat factor, 1..5, over-extracted to three factors
+    LOADINGS = np.array([[.95, 0], [.9, 0], [.3, 0], [0, .7], [0, .7], [0, .7]])
+
+    @pytest.mark.parametrize("seed, warning", [
+        (3, "HeywoodCase: a communality reached 1 during factoring and was clamped"),
+        (0, "SampleSizeCaution: advisory heuristic: low mean communality"),
+    ], ids=["heywood", "sample-size"])
+    def test_warning_reported(self, seed, warning):
+        spec = FactorModelSpec(loadings=self.LOADINGS, n=200, seed=seed,
+                               likert_min=1, likert_max=5)
+        report = run_validation(generate(spec),
+                                PipelineConfig(retention="fixed:3", force=True))
+        assert [w for w in report.warnings if w.startswith(warning)]
+        assert report.solution.heywood == (seed == 3)
+        assert report.advice.caution == (seed == 0)
+
+
 class TestComposition:
     def test_manual_stage_composition_matches_pipeline(self, two_factor_dataset):
         cfg = PipelineConfig()  # paf + oblimin + kaiser

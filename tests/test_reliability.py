@@ -18,7 +18,9 @@ from psychoval import (
     loads_csv,
 )
 from psychoval import test_retest as retest
-from psychoval.errors import DomainError, NoOverlap, TooFewItems, ZeroVariance
+from psychoval.errors import (
+    DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance,
+)
 from tests import oracles
 
 
@@ -89,6 +91,11 @@ class TestAlphaInput:
             else:
                 check(cov)
 
+    def test_zero_variance_standardized_total_refused(self):
+        # r = -1 = -1/(k - 1): the standardized scores sum to a constant
+        with pytest.raises(ZeroVariance, match="^standardized total score has zero variance$"):
+            alpha_from_covariance([[1, -2], [-2, 4]])
+
     @pytest.mark.parametrize("cov", [[1.0, 2.0], np.ones((2, 3))], ids=["1-d", "2x3"])
     def test_non_square_input_refused(self, cov):
         with pytest.raises(DomainError, match="^expected a square covariance matrix"):
@@ -146,6 +153,11 @@ class TestAlphaSamplePath:
         ds = likert_dataset([[1.0], [2.0], [3.0]])
         with pytest.raises(TooFewItems):
             cronbach_alpha(ds, ScaleDefinition("s", ("I1",)))
+
+    def test_too_few_complete_rows(self):
+        ds = loads_csv("id,A,B\nr1,1,2\nr2,2,NA\nr3,3,1\nr4,NA,4\n", 1, 7)
+        with pytest.raises(InsufficientRows, match="^scale 's' has 2 complete rows, need 3$"):
+            cronbach_alpha(ds, ScaleDefinition("s", ("A", "B")))
 
     def test_constant_item_rejected(self):
         ds = likert_dataset([[1, 4], [2, 4], [3, 4]])

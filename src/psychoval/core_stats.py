@@ -31,7 +31,7 @@ from .errors import (
 )
 from .rng import check_real
 
-# Relative cutoff below which an eigenvalue or a Gram-Schmidt column norm counts as zero.
+# Relative cutoff below which an eigenvalue, a variance or a vector norm counts as zero.
 SINGULARITY_RTOL = 1e-10
 
 # Largest |a - a.T|, relative to max(1, max |a|), that still counts as symmetric.

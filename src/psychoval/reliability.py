@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import MIN_ROWS, as_float_array, check_symmetric, item_labels, pearson
+from .core_stats import (
+    MIN_ROWS, SINGULARITY_RTOL, as_float_array, check_symmetric, item_labels, pearson,
+)
 from .errors import DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
 
@@ -61,7 +63,8 @@ def _alpha_raw_from_cov(cov: np.ndarray) -> float:
     k = cov.shape[0]
     total_var = float(cov.sum())
     item_var = float(np.trace(cov))
-    if total_var == 0.0:
+    # a relative zero: rounding in the covariances leaves a few ulps
+    if abs(total_var) < SINGULARITY_RTOL * item_var:
         raise ZeroVariance("total score")
     return (k / (k - 1.0)) * (1.0 - item_var / total_var)
 
@@ -69,9 +72,9 @@ def _alpha_raw_from_cov(cov: np.ndarray) -> float:
 def _alpha_std_from_corr(corr: np.ndarray) -> float:
     k = corr.shape[0]
     off = (float(corr.sum()) - k) / (k * (k - 1.0))
-    # the standardized total's variance over k
+    # the standardized total's variance over the summed item variances, k
     spread = 1.0 + (k - 1.0) * off
-    if spread == 0.0:
+    if abs(spread) < SINGULARITY_RTOL:
         raise ZeroVariance("standardized total score")
     return k * off / spread
 
@@ -117,7 +120,7 @@ def alpha_from_covariance(
         rest_cov = cov[np.ix_(rest, rest)]
         rest_var = float(rest_cov.sum())
         cov_j_rest = float(cov[j, rest].sum())
-        if rest_var <= 0.0:
+        if rest_var < SINGULARITY_RTOL * float(np.trace(rest_cov)):
             raise ZeroVariance("remainder score")
         item_total[name] = cov_j_rest / math.sqrt(variances[j] * rest_var)
         if k == 2:

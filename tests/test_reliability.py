@@ -154,6 +154,17 @@ class TestAlphaSamplePath:
         with pytest.raises(TooFewItems):
             cronbach_alpha(ds, ScaleDefinition("s", ("I1",)))
 
+    @pytest.mark.parametrize("others, what", [
+        ([[6, 6, 6, 6, 5]], "total score"),
+        ([[5, 5, 5, 5, 3]], "standardized total score"),
+        ([[6, 6, 6, 6, 5], [1, 2, 3, 4, 5]], "remainder score"),
+    ], ids=["raw", "standardized", "remainder"])
+    def test_zero_variance_total_under_rounding_refused(self, others, what):
+        # 7 - x and 7 - 2x: np.cov leaves the zero variance a few ulps off
+        ds = likert_dataset(np.column_stack([[1, 1, 1, 1, 2], *others]))
+        with pytest.raises(ZeroVariance, match=f"^{what} has zero variance$"):
+            cronbach_alpha(ds, ScaleDefinition("s", ds.items))
+
     def test_too_few_complete_rows(self):
         ds = loads_csv("id,A,B\nr1,1,2\nr2,2,NA\nr3,3,1\nr4,NA,4\n", 1, 7)
         with pytest.raises(InsufficientRows, match="^scale 's' has 2 complete rows, need 3$"):

@@ -27,7 +27,6 @@ from .core_stats import (
     correlation_matrix,
     inverse,
     log_determinant,
-    pearson,
     sym_eigen,
 )
 from .efa import (
@@ -127,7 +126,6 @@ __all__ = [
     "msa_prune",
     "parse_model",
     "parse_scales",
-    "pearson",
     "population_correlation",
     "render_report",
     "retain_kaiser",

@@ -1,13 +1,14 @@
 """Dense symmetric-matrix kernel and scalar statistics.
 
 Everything downstream (reliability, adequacy checks, factor extraction)
-rests on the handful of primitives in this module: Pearson correlation,
-correlation matrices with per-pair missing handling, a round-robin Jacobi
-eigensolver, eigen-based inversion / log-determinant, and the chi-square
-upper-tail probability via the regularized incomplete gamma function.
+rests on the handful of primitives in this module: pairwise covariances
+from exact Gram sums, correlation matrices with per-pair missing handling,
+a round-robin Jacobi eigensolver, eigen-based inversion / log-determinant,
+and the chi-square upper-tail probability via the regularized incomplete
+gamma function.
 
-All functions are pure; all variance-like quantities use the n-1
-(sample) denominator.
+All functions are pure; all variance-like quantities are sample ones,
+scaled by n(n - 1) where they come from the Gram sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InsufficientRows,
-    LengthMismatch,
     NoConvergence,
     NotPositiveDefinite,
     SingularMatrix,
@@ -133,32 +133,33 @@ def fmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.multiply(a[:, :, None], b[None, :, :], order="C").sum(axis=1)
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation of two equal-length vectors (n >= MIN_ROWS).
+def gram_covariances(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint counts, variances and covariances of every pair of columns.
 
-    Raises LengthMismatch for unequal or too-short input, DomainError for a
-    NaN or infinite value, and ZeroVariance, with ``position`` 0 or 1, when
-    either vector is constant. The result is clipped to [-1, 1] to absorb
-    last-bit rounding.
+    ``a`` is a finite respondents x items array, NaN where a cell is missing.
+    For each pair (i, j) over the rows where both are present, the three
+    p x p results hold the joint count n, the variance of item i and the
+    covariance, the last two scaled by n(n - 1).
+
+    They come from four masked Gram products of the presence mask W and
+    the shifted data Y = a - c (zero where missing), with c the rounded
+    available-case mean of each column: per pair, the joint count WᵀW, the
+    sums YᵀW and (Y∘Y)ᵀW and the cross products YᵀY, combined as
+    cov = n Σxy - Σx Σy and var = n Σx² - (Σx)². On integer responses with
+    an integer shift every one of these is an exact integer (far below 2⁵³
+    for Likert data), so they depend neither on summation order, memory
+    layout nor the BLAS kernel, and the sums of a column subset are a slice
+    of the full ones. On other data the shift keeps the one-pass sums
+    accurate (Chan, Golub and LeVeque 1983).
     """
-    xv = as_float_array(x, "first vector")
-    yv = as_float_array(y, "second vector")
-    if xv.ndim != 1 or yv.ndim != 1 or xv.shape != yv.shape:
-        raise LengthMismatch(f"vector lengths {xv.shape} and {yv.shape} differ")
-    if xv.size < MIN_ROWS:
-        raise LengthMismatch(f"need at least {MIN_ROWS} observations, got {xv.size}")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise DomainError("pearson needs finite values")
-    dx = xv - xv.mean()
-    dy = yv - yv.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0:
-        raise ZeroVariance("first vector", position=0)
-    if syy == 0.0:
-        raise ZeroVariance("second vector", position=1)
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    present = ~np.isnan(a)
+    w = present.astype(float)
+    cnt = w.T @ w
+    a0 = np.where(present, a, 0.0)
+    shift = np.round(a0.sum(axis=0) / np.maximum(np.diag(cnt), 1.0))
+    y = a0 - shift * w
+    sx = y.T @ w  # sx[i, j]: sum of item i over the rows shared with item j
+    return cnt, cnt * ((y * y).T @ w) - sx * sx, cnt * (y.T @ y) - sx * sx.T
 
 
 def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> SymMatrix:
@@ -172,28 +173,18 @@ def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> 
     pair must have MIN_ROWS joint rows and nonzero variance on both sides,
     else the first failing pair in row-major order is reported.
 
-    All pairs come from four masked Gram products of the presence mask W and
-    the shifted data Y = a - c (zero where missing), with c the rounded
-    available-case mean of each column: per pair, the joint count WᵀW, the
-    sums YᵀW and (Y∘Y)ᵀW and the cross products YᵀY, combined as
-    cov = n Σxy - Σx Σy and var = n Σx² - (Σx)². On integer responses with
-    an integer shift every one of these is an exact integer (far below 2⁵³
-    for Likert data), so R does not depend on summation order or memory
-    layout, and the R of a column subset is bit-identical to slicing R. On
-    other data the shift keeps the one-pass sums accurate (Chan, Golub and
-    LeVeque 1983).
+    The pairs come from the exact sums of ``gram_covariances``, so on integer
+    responses R does not depend on summation order or memory layout, and the
+    R of a column subset is bit-identical to slicing R.
     """
     a = as_float_array(data, "table")
     if a.ndim != 2:
         raise DomainError(f"expected a 2-d table, got shape {a.shape}")
-    n, p = a.shape
-    names = item_labels(items, p)
+    names = item_labels(items, a.shape[1])
     for j in np.flatnonzero(np.isinf(a).any(axis=0))[:1]:
         raise DomainError(f"item {names[j]!r} has an infinite value")
 
-    present = ~np.isnan(a)
-    w = present.astype(float)
-    cnt = w.T @ w
+    cnt, var, cov = gram_covariances(a)
     count = np.diag(cnt)
     # fmin/fmax skip NaN; an all-NaN column gives inf != -inf
     constant = (np.fmin.reduce(a, axis=0, initial=np.inf)
@@ -204,13 +195,6 @@ def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> 
                 f"item {names[j]!r} has {int(count[j])} observations, need {MIN_ROWS}"
             )
         raise ZeroVariance(f"item {names[j]!r}")
-
-    a0 = np.where(present, a, 0.0)
-    shift = np.round(a0.sum(axis=0) / np.maximum(count, 1.0))
-    y = a0 - shift * w
-    sx = y.T @ w  # sx[i, j]: sum of item i over the rows shared with item j
-    var = cnt * ((y * y).T @ w) - sx * sx
-    cov = cnt * (y.T @ y) - sx * sx.T
 
     bad = np.triu((cnt < MIN_ROWS) | (var <= 0.0) | (var.T <= 0.0), 1)
     for i, j in np.argwhere(bad)[:1]:

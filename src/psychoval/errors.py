@@ -73,19 +73,11 @@ class EmptyDataset(PsychovalError):
 
 # --- numeric preconditions --------------------------------------------------
 
-class LengthMismatch(PsychovalError):
-    """Vectors differ in length or are shorter than the minimum."""
-
-
 class ZeroVariance(PsychovalError):
-    """A constant vector where variation is required.
+    """A constant vector where variation is required."""
 
-    ``position`` is 0 or 1 when the vector is the first or second argument
-    of a two-vector statistic (``pearson``), else None.
-    """
-
-    def __init__(self, what, position=None):
-        self.what, self.position = what, position
+    def __init__(self, what):
+        self.what = what
         super().__init__(f"{what} has zero variance")
 
 

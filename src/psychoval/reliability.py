@@ -1,10 +1,11 @@
 """Reliability coefficients: internal consistency and test-retest stability.
 
 Cronbach's alpha is computed from the item covariance matrix, so the same
-kernel serves both observed data (sample covariances, n-1 denominator) and
-exact population matrices. Test-retest matches respondents across two
-administrations by strict id equality and correlates the repeated
-measurements.
+kernel serves both observed data (the n(n-1)-scaled Gram sums of
+``core_stats.gram_covariances``; every output is a ratio) and population
+matrices. Test-retest matches respondents across two administrations by
+strict id equality and correlates the repeated measurements, from the same
+Gram sums.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_stats import (
-    MIN_ROWS, SINGULARITY_RTOL, as_float_array, check_symmetric, item_labels, pearson,
+    MIN_ROWS, SINGULARITY_RTOL, as_float_array, check_symmetric, gram_covariances, item_labels,
 )
 from .errors import DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
-
-# pearson's ZeroVariance.position, named as the occasion it stands for
-_OCCASIONS = ("first", "second")
 
 
 @dataclass(frozen=True)
@@ -161,19 +159,10 @@ def cronbach_alpha(ds: SurveyDataset, scale: ScaleDefinition) -> AlphaReport:
         raise InsufficientRows(
             f"scale {scale.name!r} has {block.shape[0]} complete rows, need {MIN_ROWS}"
         )
-    # shifted to a zero minimum, so cells near 2^53 keep their spread exact
-    cov = np.cov(block - block.min(axis=0), rowvar=False, ddof=1)
+    _, _, cov = gram_covariances(block)
     return alpha_from_covariance(
         cov, items=list(scale.item_ids), scale_name=scale.name, n=block.shape[0]
     )
-
-
-def _retest_r(x: np.ndarray, y: np.ndarray, what: str) -> float:
-    """pearson across the two occasions; ZeroVariance names the constant one."""
-    try:
-        return pearson(x, y)
-    except ZeroVariance as exc:
-        raise ZeroVariance(f"{what} at the {_OCCASIONS[exc.position]} occasion") from None
 
 
 def test_retest(
@@ -199,25 +188,28 @@ def test_retest(
         cols = np.array([ds.items.index(it) for it in scale.item_ids], dtype=np.intp)
         return ds.values[np.ix_(rows, cols)]
 
-    a, b = occasion(ds_t1), occasion(ds_t2)
+    both = np.stack([occasion(ds_t1), occasion(ds_t2)], axis=2)
     # keep only respondents complete on the scale at both occasions
-    complete = ~(np.isnan(a).any(axis=1) | np.isnan(b).any(axis=1))
-    a, b = a[complete], b[complete]
-    n = len(a)
+    both = both[~np.isnan(both).any(axis=(1, 2))]
+    n = len(both)
     if n < MIN_ROWS:
         raise NoOverlap(f"only {n} respondents shared between occasions, need {MIN_ROWS}")
 
-    item_r = {
-        item: _retest_r(a[:, j], b[:, j], f"item {item!r}")
-        for j, item in enumerate(scale.item_ids)
-    }
-    total_r = _retest_r(a.sum(axis=1), b.sum(axis=1), "total score")
+    # item 1 at the first and the second occasion, item 2, ..., the total
+    # score last: the order in which a constant column is refused
+    both = np.concatenate([both, both.sum(axis=1, keepdims=True)], axis=1)
+    _, var, cov = gram_covariances(both.reshape(n, -1))
+    v = np.diag(var)
+    for j in np.flatnonzero(v <= 0.0)[:1]:
+        what = f"item {scale.item_ids[j // 2]!r}" if j < len(v) - 2 else "total score"
+        raise ZeroVariance(f"{what} at the {('first', 'second')[j % 2]} occasion")
+    r = np.clip(np.diag(cov, 1)[::2] / np.sqrt(v[::2] * v[1::2]), -1.0, 1.0)
 
     return RetestReport(
         scale=scale.name,
         matched_n=n,
         dropped_first=ds_t1.n - n,
         dropped_second=ds_t2.n - n,
-        item_r=item_r,
-        total_r=total_r,
+        item_r=dict(zip(scale.item_ids, r[:-1].tolist())),
+        total_r=float(r[-1]),
     )

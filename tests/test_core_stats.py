@@ -12,8 +12,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from psychoval import (
     SymMatrix,
@@ -22,7 +20,6 @@ from psychoval import (
     inverse,
     kmo,
     log_determinant,
-    pearson,
     sym_eigen,
 )
 from psychoval import core_stats
@@ -38,7 +35,6 @@ from psychoval.core_stats import (
 from psychoval.errors import (
     DomainError,
     InsufficientRows,
-    LengthMismatch,
     NoConvergence,
     NotPositiveDefinite,
     SingularMatrix,
@@ -55,77 +51,6 @@ def random_symmetric(rng: np.random.Generator, p: int = 3) -> np.ndarray:
 def random_spd(rng: np.random.Generator, p: int) -> np.ndarray:
     M = rng.uniform(-1.0, 1.0, size=(p, p))
     return M @ M.T + 0.5 * np.eye(p)
-
-
-class TestPearson:
-    def test_definitional_hand_value(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        y = [2.0, 1.0, 4.0, 3.0]
-        assert pearson(x, y) == pytest.approx(0.6, abs=1e-15)
-        assert pearson(x, y) == pytest.approx(
-            oracles.pearson_definitional(x, y), abs=1e-15
-        )
-
-    def test_matches_oracle_on_random_vectors(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            x = rng.normal(size=30)
-            y = rng.normal(size=30)
-            assert pearson(x, y) == pytest.approx(
-                oracles.pearson_definitional(x, y), abs=1e-12
-            )
-
-    def test_perfect_and_reflected(self):
-        x = [1.0, 2.0, 5.0, 9.0]
-        assert pearson(x, x) == 1.0
-        assert pearson(x, [-v for v in x]) == -1.0
-
-    def test_length_errors(self):
-        with pytest.raises(LengthMismatch):
-            pearson([1, 2, 3], [1, 2])
-        with pytest.raises(LengthMismatch):
-            pearson([1, 2], [1, 2])
-
-    def test_zero_variance(self):
-        with pytest.raises(ZeroVariance, match="^first vector has zero variance$") as info:
-            pearson([3, 3, 3, 3], [1, 2, 3, 4])
-        assert info.value.position == 0
-        with pytest.raises(ZeroVariance, match="^second vector has zero variance$") as info:
-            pearson([1, 2, 3, 4], [5, 5, 5, 5])
-        assert info.value.position == 1
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("position", [0, 1])
-    def test_non_finite_value_raises(self, bad, position):
-        # max(-1.0, nan) is -1.0, so a NaN once came back as a perfect -1
-        vectors = [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0]]
-        vectors[position][2] = bad
-        with pytest.raises(DomainError, match="^pearson needs finite values$"):
-            pearson(*vectors)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_symmetry_and_bounds(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=12)
-        y = rng.normal(size=12)
-        r = pearson(x, y)
-        assert r == pearson(y, x)
-        assert -1.0 <= r <= 1.0
-
-    @given(
-        st.integers(0, 2**31 - 1),
-        st.floats(0.1, 50.0),
-        st.floats(-100.0, 100.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_affine_invariance(self, seed, a, b):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=15)
-        y = rng.normal(size=15)
-        base = pearson(x, y)
-        assert pearson(a * x + b, y) == pytest.approx(base, abs=1e-10)
-        assert pearson(-a * x + b, y) == pytest.approx(-base, abs=1e-10)
 
 
 class TestCorrelationMatrix:

@@ -28,7 +28,6 @@ from psychoval import (
     kmo,
     loads_csv,
     parse_model,
-    pearson,
     retain_kaiser,
     sym_eigen,
     varimax_criterion,
@@ -220,7 +219,6 @@ ARRAY_TAKERS = {
     "SymMatrix": lambda: SymMatrix([["a"]]),
     "correlation_matrix": lambda: correlation_matrix(np.full((4, 2), "x")),
     "correlation_matrix.ragged": lambda: correlation_matrix([[1, 2], [3]]),
-    "pearson": lambda: pearson(["a", "b", "c"], [1, 2, 3]),
     "alpha_from_covariance": lambda: alpha_from_covariance([["a", "0"], ["0", "b"]]),
     "SurveyDataset": lambda: SurveyDataset(("A",), ("r1",), [["x"]], 1, 7),
     "FactorModelSpec.loadings": lambda: FactorModelSpec(loadings=[["a"]]),

@@ -160,7 +160,7 @@ class TestAlphaSamplePath:
         ([[6, 6, 6, 6, 5], [1, 2, 3, 4, 5]], "remainder score"),
     ], ids=["raw", "standardized", "remainder"])
     def test_zero_variance_total_under_rounding_refused(self, others, what):
-        # 7 - x and 7 - 2x: np.cov leaves the zero variance a few ulps off
+        # 7 - x and 7 - 2x: the Gram sums hold the zero variance exactly
         ds = likert_dataset(np.column_stack([[1, 1, 1, 1, 2], *others]))
         with pytest.raises(ZeroVariance, match=f"^{what} has zero variance$"):
             cronbach_alpha(ds, ScaleDefinition("s", ds.items))
@@ -176,7 +176,7 @@ class TestAlphaSamplePath:
             cronbach_alpha(ds, ScaleDefinition("s", ("I1", "I2")))
 
     def test_constant_item_near_two_to_the_53_rejected(self):
-        # np.cov rounds a column mean this large; the shift to a zero minimum does not
+        # the Gram sums shift by an integer near the mean, so the spread stays exact
         edge = 2**53
         data = np.column_stack([np.full(5, edge - 1.0), [0, 1, 2, 3, 4], [1, 0, 3, 2, 4]])
         ds = likert_dataset(data, items=("A", "B", "C"), likert=(0, edge))
@@ -184,7 +184,7 @@ class TestAlphaSamplePath:
             cronbach_alpha(ds, ScaleDefinition("s", ("A", "B", "C")))
 
     def test_translated_block_gives_the_same_bits(self):
-        # the shift to a zero minimum leaves the same block whatever the offset
+        # the Gram sums are exact integers whatever the offset
         data = random_likert(np.random.default_rng(34))
         scale = ScaleDefinition("s", ("I1", "I2", "I3", "I4"))
         edge = 2**53

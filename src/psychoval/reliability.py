@@ -57,24 +57,33 @@ class RetestReport:
     total_r: float
 
 
+def _not_psd(detail: str) -> DomainError:
+    return DomainError(f"covariance matrix is not positive semidefinite: {detail}")
+
+
+def _sum_variance(cov: np.ndarray, what: str) -> float:
+    """The variance of the items' sum; ZeroVariance at a relative zero, DomainError below."""
+    total = float(cov.sum())
+    # a relative zero: population input carries rounding in its entries
+    if abs(total) < SINGULARITY_RTOL * float(np.trace(cov)):
+        raise ZeroVariance(what)
+    if total < 0.0:
+        raise _not_psd(f"{what} has a negative variance")
+    return total
+
+
 def _alpha_raw_from_cov(cov: np.ndarray) -> float:
     k = cov.shape[0]
-    total_var = float(cov.sum())
-    item_var = float(np.trace(cov))
-    # a relative zero: rounding in the covariances leaves a few ulps
-    if abs(total_var) < SINGULARITY_RTOL * item_var:
-        raise ZeroVariance("total score")
-    return (k / (k - 1.0)) * (1.0 - item_var / total_var)
+    total = _sum_variance(cov, "total score")
+    # k/(k-1) (1 - trace/total) as one quotient: on exact sums identical items give 1
+    return k * (total - float(np.trace(cov))) / ((k - 1.0) * total)
 
 
 def _alpha_std_from_corr(corr: np.ndarray) -> float:
     k = corr.shape[0]
-    off = (float(corr.sum()) - k) / (k * (k - 1.0))
-    # the standardized total's variance over the summed item variances, k
-    spread = 1.0 + (k - 1.0) * off
-    if abs(spread) < SINGULARITY_RTOL:
-        raise ZeroVariance("standardized total score")
-    return k * off / spread
+    # the standardized total's variance is k (1 + (k - 1) off)
+    off = (_sum_variance(corr, "standardized total score") - k) / (k * (k - 1.0))
+    return k * off / (1.0 + (k - 1.0) * off)
 
 
 def alpha_from_covariance(
@@ -86,9 +95,12 @@ def alpha_from_covariance(
     """Cronbach's alpha from a k x k item covariance matrix.
 
     This is the exact-arithmetic path: feed it a population covariance
-    matrix and the usual identities hold to rounding error (all-equal
-    items give alpha 1, mutually uncorrelated equal-variance items give 0).
-    Anything but a finite, symmetric, square, 2-d matrix raises DomainError.
+    matrix, or any positive multiple of one, and the usual identities hold
+    to rounding error (identical items give alpha 1, mutually uncorrelated
+    equal-variance items give 0). Anything but a finite, symmetric, square,
+    2-d matrix raises DomainError, and so does one that is not positive
+    semidefinite by more than rounding wherever that shows: an implied
+    correlation beyond ±1 or a sum of items with negative variance.
     """
     cov = as_float_array(cov, "covariance matrix")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -105,8 +117,10 @@ def alpha_from_covariance(
         if v <= 0.0:
             raise ZeroVariance(f"item {name!r}")
 
-    sd = np.sqrt(variances)
-    corr = cov / np.outer(sd, sd)
+    corr = cov / np.sqrt(np.outer(variances, variances))
+    for i, j in np.argwhere(np.abs(corr) > 1.0 + SINGULARITY_RTOL)[:1]:
+        raise _not_psd(f"items {names[i]!r} and {names[j]!r} have r = {corr[i, j]:.4g}")
+    corr = np.clip(corr, -1.0, 1.0)
     alpha_raw = _alpha_raw_from_cov(cov)
     alpha_std = _alpha_std_from_corr(corr)
 
@@ -116,11 +130,11 @@ def alpha_from_covariance(
         rest = [i for i in range(k) if i != j]
         # corrected item-total: item vs sum of the remaining items
         rest_cov = cov[np.ix_(rest, rest)]
-        rest_var = float(rest_cov.sum())
-        cov_j_rest = float(cov[j, rest].sum())
-        if rest_var < SINGULARITY_RTOL * float(np.trace(rest_cov)):
-            raise ZeroVariance("remainder score")
-        item_total[name] = cov_j_rest / math.sqrt(variances[j] * rest_var)
+        r = float(cov[j, rest].sum()) / math.sqrt(
+            variances[j] * _sum_variance(rest_cov, "remainder score"))
+        if abs(r) > 1.0 + SINGULARITY_RTOL:
+            raise _not_psd(f"item {name!r} has r = {r:.4g} with the remainder score")
+        item_total[name] = min(1.0, max(-1.0, r))
         if k == 2:
             if_deleted[name] = math.nan
         else:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from itertools import groupby
 from pathlib import Path
 
@@ -546,3 +550,60 @@ class TestJsonKeyOrder:
         doc = json.loads(out)
         assert list(doc) == ["chi2", "df", "p"]
         assert doc["df"] == 15 and isinstance(doc["df"], int)
+
+
+def _dynamic_arch_openblas() -> bool:
+    """True when numpy runs on an OpenBLAS that picks its kernel at run time."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts"
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+def _cpu_has(feature: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get(feature))
+
+
+# the reliability runs of the digest whose JSON carries unrounded values
+RELIABILITY_JSON = [argv for argv in DIGEST.INVOCATIONS
+                    if argv[:1] in (("alpha",), ("retest",)) and "json" in argv]
+_CHILD = ("import json, sys\nfrom psychoval.cli import main\n"
+          "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n")
+
+
+def _outputs_under(coretype: str | None) -> bytes:
+    """stdout and stderr of RELIABILITY_JSON run in one process on one OpenBLAS kernel."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_CORETYPE", None)
+    env.pop(SEED_ENV, None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(RELIABILITY_JSON)],
+                          cwd=ROOT, env=env, capture_output=True, check=True)
+    return done.stdout + done.stderr
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not _dynamic_arch_openblas(),
+                    reason="needs an x86-64 DYNAMIC_ARCH OpenBLAS")
+class TestBlasKernelIndependence:
+    """alpha and retest print the same bytes on every OpenBLAS kernel."""
+
+    @pytest.fixture(scope="class")
+    def default_outputs(self):
+        return _outputs_under(None)
+
+    @pytest.mark.parametrize("coretype, feature", [("Prescott", "SSE3"), ("Haswell", "AVX2")])
+    def test_same_bytes_as_the_default_kernel(self, default_outputs, coretype, feature):
+        if not _cpu_has(feature):
+            pytest.skip(f"the {coretype} kernel needs {feature}")
+        assert len(RELIABILITY_JSON) == 4
+        assert _outputs_under(coretype) == default_outputs

@@ -39,10 +39,12 @@ def random_likert(rng: np.random.Generator, n=40, k=4) -> np.ndarray:
 
 class TestAlphaIdentities:
     def test_perfectly_correlated_items_give_one(self):
-        cov = np.ones((4, 4))  # identical items
-        rep = alpha_from_covariance(cov)
-        assert rep.alpha_raw == pytest.approx(1.0, abs=1e-9)
-        assert rep.alpha_standardized == pytest.approx(1.0, abs=1e-9)
+        # identical items; sd * sd once gave a standardized alpha of 1 + 2^-52 here
+        for cov in (np.ones((4, 4)), np.full((3, 3), 3.0)):
+            rep = alpha_from_covariance(cov)
+            assert rep.alpha_raw == 1.0
+            assert rep.alpha_standardized == 1.0
+            assert set(rep.item_total_correlations.values()) == {1.0}
 
     def test_uncorrelated_equal_variance_items_give_zero(self):
         rep = alpha_from_covariance(np.eye(5))
@@ -95,6 +97,31 @@ class TestAlphaInput:
         # r = -1 = -1/(k - 1): the standardized scores sum to a constant
         with pytest.raises(ZeroVariance, match="^standardized total score has zero variance$"):
             alpha_from_covariance([[1, -2], [-2, 4]])
+
+    def test_perfectly_anticorrelated_pair_has_zero_total_variance(self):
+        with pytest.raises(ZeroVariance, match="^total score has zero variance$"):
+            alpha_from_covariance([[1, -1], [-1, 1]])
+
+    @pytest.mark.parametrize("cov, detail", [
+        ([[1, -2], [-2, 1]], "items 'item1' and 'item2' have r = -2"),
+        (np.full((3, 3), -0.9) + 1.9 * np.eye(3), "total score has a negative variance"),
+        ([[100, -4, -4], [-4, 1, -0.9], [-4, -0.9, 1]],
+         "standardized total score has a negative variance"),
+        ([[1, .9, .9], [.9, 1, -.9], [.9, -.9, 1]],
+         "item 'item1' has r = 4.025 with the remainder score"),
+        ([[100, 5, 5, 5], [5, 1, -.9, -.9], [5, -.9, 1, -.9], [5, -.9, -.9, 1]],
+         "remainder score has a negative variance"),
+    ], ids=["pair", "total", "standardized", "item-total", "remainder"])
+    def test_not_positive_semidefinite_refused(self, cov, detail):
+        # each once gave an alpha or an item-total r beyond 1 in magnitude
+        with pytest.raises(DomainError) as info:
+            alpha_from_covariance(cov)
+        assert str(info.value) == f"covariance matrix is not positive semidefinite: {detail}"
+
+    def test_correlation_beyond_one_by_rounding_is_clipped(self):
+        rep = alpha_from_covariance([[1, 1 + 2**-52], [1 + 2**-52, 1]])
+        assert rep.alpha_standardized == 1.0
+        assert set(rep.item_total_correlations.values()) == {1.0}
 
     @pytest.mark.parametrize("cov", [[1.0, 2.0], np.ones((2, 3))], ids=["1-d", "2x3"])
     def test_non_square_input_refused(self, cov):
@@ -191,6 +218,14 @@ class TestAlphaSamplePath:
         far = likert_dataset(data + (edge - 7.0), likert=(0, edge))
         assert cronbach_alpha(far, scale) == cronbach_alpha(likert_dataset(data), scale)
 
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_identical_items_give_exactly_one(self, k):
+        # this column once gave a standardized alpha of 1 - 2^-52 at k = 2, a raw 1 + 2^-52 at 7
+        ds = likert_dataset(np.repeat([[1], [1], [2], [4]], k, axis=1))
+        rep = cronbach_alpha(ds, ScaleDefinition("s", ds.items))
+        assert (rep.alpha_raw, rep.alpha_standardized) == (1.0, 1.0)
+        assert set(rep.item_total_correlations.values()) == {1.0}
+
     def test_listwise_within_scale(self):
         # the missing row is dropped for the scale computation
         ds = loads_csv("id,A,B\nr1,1,2\nr2,2,3\nr3,NA,4\nr4,4,5\nr5,6,6\n", 1, 7)
@@ -251,6 +286,9 @@ class TestRetest:
         rep = retest(ds1, ds2, ScaleDefinition("s", ("A", "B", "C")))
         expected = oracles.pearson_definitional(d1.sum(axis=1), d2.sum(axis=1))
         assert rep.total_r == pytest.approx(expected, abs=1e-12)
+        for j, item in enumerate("ABC"):  # each item pairs with itself, not a neighbour
+            expected = oracles.pearson_definitional(d1[:, j], d2[:, j])
+            assert rep.item_r[item] == pytest.approx(expected, abs=1e-12)
 
     def test_missing_cells_drop_the_respondent(self):
         ds1 = self.csv(["1,2", "3,NA", "5,6", "7,1", "2,5"])
@@ -266,6 +304,8 @@ class TestRetest:
         (["1,1", "2,2", "3,3"], ["1,4", "2,4", "3,4"], "item 'B' at the second occasion"),
         (["1,4", "2,3", "3,2"], ["1,1", "2,3", "3,2"], "total score at the first occasion"),
         (["1,1", "2,3", "3,2"], ["2,4", "3,3", "4,2"], "total score at the second occasion"),
+        # A is constant at the second occasion, B at the first: A comes first
+        (["1,4", "2,4", "3,4"], ["2,1", "2,2", "2,3"], "item 'A' at the second occasion"),
     ))
     def test_constant_scores_name_the_occasion(self, first, second, message):
         with pytest.raises(ZeroVariance) as info:

@@ -583,7 +583,6 @@ def _outputs_under(coretype: str | None) -> bytes:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_CORETYPE", None)
-    env.pop(SEED_ENV, None)
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
     done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(RELIABILITY_JSON)],

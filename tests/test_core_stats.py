@@ -204,6 +204,48 @@ class TestCorrelationMatrixAtScale:
         assert str(info.value) == "item 'B' within pair ('A', 'B') has zero variance"
 
 
+class TestGramCovariances:
+    """Joint counts and n(n - 1)-scaled variances and covariances per pair."""
+
+    def test_definitional_hand_value(self):
+        # n = 4: n Σx² - (Σx)² = 4·30 - 10² = 20; n Σxy - Σx Σy = 4·28 - 10·10 = 12
+        data = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0]])
+        cnt, var, cov = core_stats.gram_covariances(data)
+        assert np.array_equal(cnt, np.full((2, 2), 4.0))
+        assert np.array_equal(var, np.full((2, 2), 20.0))
+        assert np.array_equal(cov, np.array([[20.0, 12.0], [12.0, 20.0]]))
+
+    def test_matches_oracle_on_jointly_present_rows(self):
+        data = likert_table(np.random.default_rng(8), n=200, p=6)
+        cnt, var, cov = core_stats.gram_covariances(data)
+        for i in range(6):
+            for j in range(6):
+                both = ~np.isnan(data[:, i]) & ~np.isnan(data[:, j])
+                n = int(both.sum())
+                dx = data[both, i] - data[both, i].mean()
+                dy = data[both, j] - data[both, j].mean()
+                assert cnt[i, j] == n
+                assert var[i, j] == pytest.approx(n * float(dx @ dx), rel=1e-12)
+                assert cov[i, j] == pytest.approx(n * float(dx @ dy), rel=1e-12)
+
+    def test_integer_sums_do_not_depend_on_row_order_or_layout(self):
+        data = likert_table(np.random.default_rng(9), n=300, p=8)
+        full = core_stats.gram_covariances(data)
+        rows = np.random.default_rng(10).permutation(300)
+        for other in (data[rows], np.asfortranarray(data)):
+            for got, want in zip(core_stats.gram_covariances(other), full):
+                assert got.tobytes() == want.tobytes()
+
+    def test_shift_and_reflection_are_exact_on_integers(self):
+        data = likert_table(np.random.default_rng(12), n=300, p=3)
+        _, var, cov = core_stats.gram_covariances(data)
+        moved = data * np.array([1.0, -1.0, 1.0]) + np.array([100.0, 0.0, -3.0])
+        _, var2, cov2 = core_stats.gram_covariances(moved)
+        sign = np.array([1.0, -1.0, 1.0])
+        assert var2.tobytes() == var.tobytes()
+        assert np.array_equal(cov2, cov * np.outer(sign, sign))  # 0.0 == -0.0
+
+
 class TestSymEigen:
     def test_identity(self):
         dec = sym_eigen(SymMatrix(np.eye(3)))

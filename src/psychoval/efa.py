@@ -35,10 +35,10 @@ PAF_MAX_ITER = 1000
 # PAF iterates on b = m + PAF_RITZ_EXTRA Ritz vectors once p >= 2b
 PAF_RITZ_EXTRA = 4
 # the subspace path gives a run up after this many passes (set for the
-# default PAF_TOL: pairwise-prune's runs stop within 18)
+# default PAF_TOL: pairwise-prune's runs at seeds 1, 3 and 7 stop within 9)
 PAF_RITZ_MAX_ITER = 50
 # and stops only on top-m Ritz vectors within PAF_RITZ_ANGLE * PAF_TOL of
-# an invariant subspace (pairwise-prune's stops: at most 0.064)
+# an invariant subspace (pairwise-prune's stops there: at most 0.097)
 PAF_RITZ_ANGLE = 0.1
 VARIMAX_TOL = 1e-8
 VARIMAX_MAX_SWEEPS = 100
@@ -147,15 +147,25 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     1 - 1/(R^-1)_jj. Each pass replaces diag(R) with the current
     communalities, finds the top m eigenpairs, clamps negative eigenvalues
     to zero, and recomputes communalities as row sums of squared loadings,
-    until max |delta h2| < PAF_TOL; PAF_MAX_ITER passes without that raise
-    NoConvergence. A communality exceeding 1 is clamped to 1 with the row
-    rescaled (Heywood case, flagged, never silent).
+    until max |delta h2| < PAF_TOL, and returns those recomputed
+    communalities with their loadings; PAF_MAX_ITER passes without that
+    raise NoConvergence. A communality exceeding 1 is clamped to 1 with the
+    row rescaled (Heywood case, flagged, never silent).
+
+    The next pass does not start from the recomputed communalities f(h)
+    themselves but from the Anderson(1) step (``_anderson``), which
+    combines f(h) with the last pass's image so as to cancel most of the
+    residual f(h) - h; this about halves the passes. The step is taken
+    only when the model has positive degrees of freedom, (p - m)^2 > p + m
+    (Ledermann's bound), where the fixed point is unique; below it every
+    pass is plain, so the iteration keeps its limit.
 
     With p >= 2b items, b = m + PAF_RITZ_EXTRA, the run first takes the
     subspace path (``_paf_subspace``), which decomposes only a b x b Ritz
     matrix per pass. If that path gives the run up, PAF starts over from
     the SMC communalities on the full path, which decomposes the p x p
-    reduced matrix per pass, so such a run gives the full path's bits.
+    reduced matrix per pass, so such a run gives the full path's bits. The
+    subspace path always mixes (p >= 2b puts it above Ledermann's bound).
     ``convergence["iterations"]`` counts the passes of both paths.
     """
     p = R.dim
@@ -186,11 +196,17 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
 
 
 def _paf_full(values: np.ndarray, h2: np.ndarray, m: int):
-    """PAF passes on the p x p reduced matrix: ((loadings, h2, heywood, delta), passes)."""
+    """PAF passes on the p x p reduced matrix: ((loadings, h2, heywood, delta), passes).
+
+    The passes are mixed only above Ledermann's bound (see ``extract_paf``).
+    """
+    p = values.shape[0]
+    mix = (p - m) ** 2 > p + m
     reduced = values.copy()
     heywood = False
     delta = math.inf
     basis = None
+    last = None
     for passes in range(1, PAF_MAX_ITER + 1):
         np.fill_diagonal(reduced, h2)
         # only the diagonal changed, so the last eigenvectors nearly
@@ -200,9 +216,9 @@ def _paf_full(values: np.ndarray, h2: np.ndarray, m: int):
         loadings, new_h2, clamped = _paf_loadings(eig.eigenvalues, eig.eigenvectors, m)
         heywood = heywood or clamped
         delta = float(np.max(np.abs(new_h2 - h2)))
-        h2 = new_h2
         if delta < PAF_TOL:
-            return (loadings, h2, heywood, delta), passes
+            return (loadings, new_h2, heywood, delta), passes
+        h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
     raise NoConvergence(
         f"principal axis factoring: max |delta h2| = {delta:.3e} "
         f"after {PAF_MAX_ITER} iterations",
@@ -211,19 +227,23 @@ def _paf_full(values: np.ndarray, h2: np.ndarray, m: int):
 
 
 def _paf_subspace(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray):
-    """PAF passes on a p x b block started from ``block``: (fit or None, passes).
+    """Mixed PAF passes on a p x b block started from ``block``: (fit or None, passes).
 
     The fit is None, the run given up, when a Gram-Schmidt column
     collapses, when the run has not stopped within PAF_RITZ_MAX_ITER
-    passes, or when its Ritz vectors at the stop are not within
+    passes, or when its Ritz vectors at a second stop are not within
     PAF_RITZ_ANGLE * PAF_TOL of an invariant subspace: one subspace step
     per pass tracks the eigenvalues largest in magnitude, so on an
     over-extracted model, whose m-th eigenvalue is small and close to the
-    next, the block lags the reduced matrix it stops on.
+    next, the block lags the reduced matrix it stops on. The first stop
+    that fails that check takes one plain pass from its communalities,
+    which refines the block, and goes on.
     """
     reduced = values.copy()
     heywood = False
     passes = 0
+    last = None
+    refined = False
     for passes in range(1, min(PAF_RITZ_MAX_ITER, PAF_MAX_ITER) + 1):
         np.fill_diagonal(reduced, h2)
         ritz = _ritz_step(reduced, block, m)
@@ -233,11 +253,34 @@ def _paf_subspace(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray)
         loadings, new_h2, clamped = _paf_loadings(lam, block, m)
         heywood = heywood or clamped
         delta = float(np.max(np.abs(new_h2 - h2)))
-        h2 = new_h2
         if delta < PAF_TOL:
-            fit = (loadings, h2, heywood, delta) if angle < PAF_RITZ_ANGLE * PAF_TOL else None
-            return fit, passes
+            if angle < PAF_RITZ_ANGLE * PAF_TOL:
+                return (loadings, new_h2, heywood, delta), passes
+            if refined:
+                return None, passes
+            refined = True
+            last = None
+        h2, last = _anderson(h2, new_h2, last)
     return None, passes
+
+
+def _anderson(h2: np.ndarray, f: np.ndarray, last):
+    """Anderson(1) step from h2 and its image f: (next h2, (g, f) for the next call).
+
+    With g = f - h2 and the last call's (g_prev, f_prev), the next iterate
+    is f - gamma (f - f_prev) clipped to [0, 1], where gamma = <dg, g> /
+    <dg, dg> and dg = g - g_prev (Walker & Ni 2011); with no last call, or
+    dg = 0, it is f, the plain pass.
+    """
+    g = f - h2
+    if last is not None:
+        g_prev, f_prev = last
+        dg = g - g_prev
+        dd = float((dg * dg).sum())
+        if dd > 0.0:
+            gamma = float((dg * g).sum()) / dd
+            return np.clip(f - gamma * (f - f_prev), 0.0, 1.0), (g, f)
+    return f, (g, f)
 
 
 def _paf_loadings(lam: np.ndarray, vectors: np.ndarray, m: int):

@@ -13,8 +13,10 @@ Jacobi and CSV oracles are likewise the package's earlier round and per-cell par
 kept so that the faster paths can be held to the same bits and errors, and
 the sign oracle is the earlier per-column loop of ``sort_and_sign``. The
 PAF oracle is the package's earlier extraction loop, which decomposes the
-full p x p reduced matrix on every pass; ``paf_step`` is one such pass
-written from the definition with numpy's ``eigh``.
+full p x p reduced matrix on every pass, with an Anderson(1) step written
+from its residual-minimizing definition (``mix=False`` gives the plain
+iteration); ``paf_step`` is one such pass written from the definition
+with numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -387,14 +389,26 @@ def jacobi_interleaved(a, v, tol: float, max_sweeps: int):
     return work[:p, :p], work[n:, :p]
 
 
-def extract_paf_full(R: SymMatrix, m: int, tol: float, max_iter: int) -> FactorSolution:
-    """PAF from SMC communalities, one warm-started p x p Jacobi per pass."""
+def extract_paf_full(
+    R: SymMatrix, m: int, tol: float, max_iter: int, mix: bool = True
+) -> FactorSolution:
+    """PAF from SMC communalities, one warm-started p x p Jacobi per pass.
+
+    With ``mix`` and positive degrees of freedom, (p - m)^2 > p + m, the
+    iterate after the first pass is the Anderson(1) combination of the last
+    two images F_k = f(h_k): h_k+1 = (1 - a) F_k + a F_k-1, clipped to
+    [0, 1], where a minimizes |(1 - a) r_k + a r_k-1| over the residuals
+    r = F - h, that is a = <r_k - r_k-1, r_k> / |r_k - r_k-1|^2 (plain when
+    that norm is 0). Otherwise h_k+1 = F_k, the plain iteration.
+    """
     p = R.dim
     full_spectrum = sym_eigen(R).eigenvalues
     h2 = np.clip(1.0 - 1.0 / np.diag(inverse(R).values), 0.0, 1.0)
+    mix = mix and (p - m) ** 2 > p + m
     heywood = False
     reduced = R.values.copy()
     basis = None
+    earlier = None  # (h, F) of the pass before
     for iterations in range(1, max_iter + 1):
         np.fill_diagonal(reduced, h2)
         eig = sym_eigen(SymMatrix(reduced), basis=basis)
@@ -408,9 +422,20 @@ def extract_paf_full(R: SymMatrix, m: int, tol: float, max_iter: int) -> FactorS
             loadings[over] /= np.sqrt(new_h2[over])[:, None]
             new_h2 = np.minimum(new_h2, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
-        h2 = new_h2
         if delta < tol:
+            h2 = new_h2
             break
+        next_h2 = new_h2
+        if mix and earlier is not None:
+            old_h2, old_f = earlier
+            r_now, r_old = new_h2 - h2, old_f - old_h2
+            diff = r_now - r_old
+            norm2 = float(np.sum(diff * diff))
+            if norm2 != 0.0:
+                a = float(np.sum(diff * r_now)) / norm2
+                next_h2 = np.clip(new_h2 - a * (new_h2 - old_f), 0.0, 1.0)
+        earlier = (h2, new_h2)
+        h2 = next_h2
     else:
         raise NoConvergence(f"PAF: delta {delta:.3e}", residual=delta)
     return FactorSolution(

@@ -35,7 +35,7 @@ from psychoval import core_stats, efa
 from psychoval.efa import OBLIMIN_MAX_ITER, fixed_count
 from psychoval.errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems
 from tests import oracles
-from tests.conftest import ITEMS6, two_block_loadings
+from tests.conftest import DATA_DIR, ITEMS6, two_block_loadings
 from tests.frozen import ATTENUATED_PHI, ROUND_TRIP_SEED
 
 
@@ -371,6 +371,93 @@ class TestPafSubspace:
         assert eigen_sizes[:2] == [R.dim, R.dim]
         pass_size = m + efa.PAF_RITZ_EXTRA if ritz else R.dim
         assert eigen_sizes[2:] == [pass_size] * sol.convergence["iterations"]
+
+
+def demo_matrix() -> SymMatrix:
+    ds = load_csv(DATA_DIR / "demo_survey.csv", 1, 7)
+    return correlation_matrix(ds.values)
+
+
+class TestPafMixing:
+    """Anderson(1) mixing of the PAF passes against the plain iteration."""
+
+    @pytest.mark.parametrize(
+        "R, m",
+        [(sample_matrix(600, 20, 4, 5), 4), (sample_matrix(1000, 20, 4, 20), 4),
+         (sample_matrix(2000, 40, 5, 40), 5), (sample_matrix(800, 15, 4, 3), 4),
+         (demo_matrix(), 2)],
+        ids=["subspace-20", "subspace-20b", "subspace-40", "below-guard", "demo"],
+    )
+    def test_tight_tolerance_matches_plain_iteration(self, numerics, R, m):
+        # mixing changes the path to the fixed point, not the fixed point
+        numerics(efa, PAF_TOL=1e-10, PAF_RITZ_MAX_ITER=efa.PAF_MAX_ITER)
+        sol = extract_paf(R, m)
+        plain = oracles.extract_paf_full(R, m, 1e-10, efa.PAF_MAX_ITER, mix=False)
+        assert np.max(np.abs(sol.loadings - plain.loadings)) < 1e-8
+        assert np.max(np.abs(sol.communalities - plain.communalities)) < 1e-8
+
+    @pytest.mark.parametrize("items, m", [(4, 3), (6, 3)])
+    def test_below_ledermann_bound_is_the_plain_iteration(self, items, m):
+        # (p - m)^2 <= p + m: no positive degrees of freedom, so the fixed
+        # point need not be unique, and the passes are not mixed
+        R = SymMatrix(demo_matrix().values[:items, :items])
+        sol = extract_paf(R, m)
+        plain = oracles.extract_paf_full(R, m, efa.PAF_TOL, efa.PAF_MAX_ITER, mix=False)
+        assert np.array_equal(sol.loadings, plain.loadings)
+        assert np.array_equal(sol.communalities, plain.communalities)
+        assert sol.convergence == plain.convergence
+
+    @pytest.mark.parametrize(
+        "R, m, most",
+        [(demo_matrix(), 2, 8), (sample_matrix(600, 20, 4, 5), 4, 11)],
+        ids=["demo", "subspace-20"],
+    )
+    def test_passes_at_default_tolerance(self, R, m, most):
+        # the plain iteration takes 15 passes on the demo matrix (full path)
+        # and 18 on the 20-item one (subspace path)
+        assert extract_paf(R, m).convergence["iterations"] <= most
+
+    def test_failed_ritz_check_refines_once_and_stays_on_the_subspace_path(
+        self, monkeypatch, eigen_sizes
+    ):
+        # this run's first stop fails the Ritz check; one plain pass from
+        # its communalities refines the block, and the next stop stands
+        starts = []
+        step = efa._anderson
+
+        def counted(h2, f, last):
+            starts.append(last is None)
+            return step(h2, f, last)
+
+        monkeypatch.setattr(efa, "_anderson", counted)
+        R = sample_matrix(600, 20, 4, seed=1)
+        sol = extract_paf(R, 4)
+        assert starts.count(True) == 2
+        assert eigen_sizes[2:] == [4 + efa.PAF_RITZ_EXTRA] * sol.convergence["iterations"]
+        step_back = oracles.paf_step(R, sol.communalities, 4) - sol.communalities
+        assert np.max(np.abs(step_back)) < efa.PAF_TOL
+
+    def test_zero_residual_change_gives_the_plain_step(self):
+        h2 = np.array([0.2, 0.3])
+        f = np.array([0.25, 0.35])
+        last = (f - h2, np.array([0.5, 0.5]))
+        nxt, (g, f_kept) = efa._anderson(h2, f, last)
+        assert np.array_equal(nxt, f)
+        assert np.array_equal(g, f - h2)
+        assert f_kept is f
+        assert np.array_equal(efa._anderson(h2, f, None)[0], f)
+
+    def test_proposal_outside_unit_interval_is_clipped(self):
+        # g = (.05, -.05), g_prev = (.1, -.1): gamma = -1, and the proposal
+        # f + (f - f_prev) = (1.4, -0.4) is clipped to (1, 0)
+        h2 = np.array([0.9, 0.1])
+        f = np.array([0.95, 0.05])
+        last = (np.array([0.1, -0.1]), np.array([0.5, 0.5]))
+        nxt, _ = efa._anderson(h2, f, last)
+        assert np.array_equal(nxt, [1.0, 0.0])
+        # g_prev = -g: gamma = 1/2, the midpoint of f and f_prev, kept as is
+        inner, _ = efa._anderson(h2, f, (np.array([-0.05, 0.05]), np.array([0.85, 0.15])))
+        assert inner == pytest.approx([0.9, 0.1], abs=1e-15)
 
 
 class TestRetention:

@@ -206,8 +206,10 @@ def sample_adequacy_advice(solution, n: int) -> SampleAdequacyAdvice:
     Mean communality is classed high (>= 0.7), moderate (0.4 to 0.7, lower
     bound closed), or low (< 0.4). The caution flag fires only when the
     band is low, items-per-factor is under 4, and n is under 300. Labeled
-    advisory throughout: it never blocks anything.
+    advisory throughout: it never blocks anything. A sample size n that is
+    not an integer raises ConfigError.
     """
+    n = as_int(n, "sample size n")
     communalities = np.asarray(solution.communalities, dtype=float)
     mean_h2 = float(communalities.mean()) if communalities.size else math.nan
     if mean_h2 >= 0.7:

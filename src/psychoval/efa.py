@@ -34,7 +34,7 @@ PAF_TOL = 1e-4
 PAF_MAX_ITER = 1000
 # PAF iterates on b = m + PAF_RITZ_EXTRA Ritz vectors once p >= 2b
 PAF_RITZ_EXTRA = 4
-# the subspace path gives a run up after this many passes (set for the
+# the subspace step gives a run up after this many passes (set for the
 # default PAF_TOL: pairwise-prune's runs at seeds 1, 3 and 7 stop within 9)
 PAF_RITZ_MAX_ITER = 50
 # and stops only on top-m Ritz vectors within PAF_RITZ_ANGLE * PAF_TOL of
@@ -144,29 +144,27 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     """Principal axis factoring with iterated communalities.
 
     Initial communalities are squared multiple correlations
-    1 - 1/(R^-1)_jj. Each pass replaces diag(R) with the current
-    communalities, finds the top m eigenpairs, clamps negative eigenvalues
-    to zero, and recomputes communalities as row sums of squared loadings,
-    until max |delta h2| < PAF_TOL, and returns those recomputed
-    communalities with their loadings; PAF_MAX_ITER passes without that
-    raise NoConvergence. A communality exceeding 1 is clamped to 1 with the
-    row rescaled (Heywood case, flagged, never silent).
+    1 - 1/(R^-1)_jj. Each pass (``_paf_passes``) puts the communalities h
+    on diag(R), takes the top m eigenpairs of that reduced matrix, clamps
+    negative eigenvalues to zero, and recomputes communalities f(h) as row
+    sums of squared loadings; once max |f(h) - h| < PAF_TOL it returns
+    f(h) with its loadings. A communality exceeding 1 is clamped to 1 with
+    the row rescaled (Heywood case, flagged, never silent). Above
+    Ledermann's bound, (p - m)^2 > p + m, where the fixed point is unique,
+    the next pass starts from the Anderson(1) step (``_anderson``) instead
+    of f(h), which about halves the passes; below it every pass is plain.
 
-    The next pass does not start from the recomputed communalities f(h)
-    themselves but from the Anderson(1) step (``_anderson``), which
-    combines f(h) with the last pass's image so as to cancel most of the
-    residual f(h) - h; this about halves the passes. The step is taken
-    only when the model has positive degrees of freedom, (p - m)^2 > p + m
-    (Ledermann's bound), where the fixed point is unique; below it every
-    pass is plain, so the iteration keeps its limit.
-
-    With p >= 2b items, b = m + PAF_RITZ_EXTRA, the run first takes the
-    subspace path (``_paf_subspace``), which decomposes only a b x b Ritz
-    matrix per pass. If that path gives the run up, PAF starts over from
-    the SMC communalities on the full path, which decomposes the p x p
-    reduced matrix per pass, so such a run gives the full path's bits. The
-    subspace path always mixes (p >= 2b puts it above Ledermann's bound).
-    ``convergence["iterations"]`` counts the passes of both paths.
+    The two eigen steps differ only in these ways. With p >= 2b items,
+    b = m + PAF_RITZ_EXTRA, the passes first take the subspace step
+    (``_ritz_step``): a b x b Ritz matrix per pass, started from R's top b
+    eigenvectors, at most PAF_RITZ_MAX_ITER passes, and a stop stands
+    only if the top m Ritz vectors are within PAF_RITZ_ANGLE * PAF_TOL of
+    an invariant subspace (p >= 2b also puts it above Ledermann's bound).
+    A run it gives up starts over from the SMC communalities with the full
+    step (``_full_step``), so it gives that step's bits: the p x p reduced
+    matrix per pass, warm-started from the last pass's eigenvectors, at
+    most PAF_MAX_ITER passes, every stop standing; a run it gives up
+    raises NoConvergence. ``convergence["iterations"]`` counts both.
     """
     p = R.dim
     names = item_labels(items, p)
@@ -177,9 +175,17 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     b = m + PAF_RITZ_EXTRA
     fit, passes = None, 0
     if p >= 2 * b:
-        fit, passes = _paf_subspace(R.values, h2, m, spectrum.eigenvectors[:, :b])
+        block = spectrum.eigenvectors[:, :b]
+        budget = min(PAF_RITZ_MAX_ITER, PAF_MAX_ITER)
+        fit, passes, _ = _paf_passes(R.values, h2, m, _ritz_step, block, budget)
     if fit is None:
-        fit, full_passes = _paf_full(R.values, h2, m)
+        fit, full_passes, delta = _paf_passes(R.values, h2, m, _full_step, None, PAF_MAX_ITER)
+        if fit is None:
+            raise NoConvergence(
+                f"principal axis factoring: max |delta h2| = {delta:.3e} "
+                f"after {PAF_MAX_ITER} iterations",
+                residual=delta,
+            )
         passes += full_passes
     loadings, h2, heywood, delta = fit
     return FactorSolution(
@@ -195,73 +201,51 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     )
 
 
-def _paf_full(values: np.ndarray, h2: np.ndarray, m: int):
-    """PAF passes on the p x p reduced matrix: ((loadings, h2, heywood, delta), passes).
+def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budget: int):
+    """At most ``budget`` PAF passes from h2: (fit or None, passes, last delta).
 
-    The passes are mixed only above Ledermann's bound (see ``extract_paf``).
+    ``step(reduced, vectors, m)`` gives eigenvalues (descending),
+    eigenvectors started from the last pass's ``vectors`` and the sine of
+    their angle to an invariant subspace, or None to give the run up. The
+    run is also given up by the budget or by a second stop whose angle
+    fails the check; the first such stop takes one plain pass, which
+    refines the vectors (a subspace step tracks the eigenvalues largest in
+    magnitude, so on an over-extracted model, whose m-th eigenvalue is
+    small and close to the next, the block lags the matrix it stops on).
     """
     p = values.shape[0]
     mix = (p - m) ** 2 > p + m
     reduced = values.copy()
-    heywood = False
-    delta = math.inf
-    basis = None
+    heywood = refined = False
     last = None
-    for passes in range(1, PAF_MAX_ITER + 1):
+    passes, delta = 0, math.inf
+    for passes in range(1, budget + 1):
         np.fill_diagonal(reduced, h2)
-        # only the diagonal changed, so the last eigenvectors nearly
-        # diagonalize the new reduced matrix
-        eig = sym_eigen(SymMatrix(reduced), basis=basis)
-        basis = eig.eigenvectors
-        loadings, new_h2, clamped = _paf_loadings(eig.eigenvalues, eig.eigenvectors, m)
-        heywood = heywood or clamped
-        delta = float(np.max(np.abs(new_h2 - h2)))
-        if delta < PAF_TOL:
-            return (loadings, new_h2, heywood, delta), passes
-        h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
-    raise NoConvergence(
-        f"principal axis factoring: max |delta h2| = {delta:.3e} "
-        f"after {PAF_MAX_ITER} iterations",
-        residual=delta,
-    )
-
-
-def _paf_subspace(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray):
-    """Mixed PAF passes on a p x b block started from ``block``: (fit or None, passes).
-
-    The fit is None, the run given up, when a Gram-Schmidt column
-    collapses, when the run has not stopped within PAF_RITZ_MAX_ITER
-    passes, or when its Ritz vectors at a second stop are not within
-    PAF_RITZ_ANGLE * PAF_TOL of an invariant subspace: one subspace step
-    per pass tracks the eigenvalues largest in magnitude, so on an
-    over-extracted model, whose m-th eigenvalue is small and close to the
-    next, the block lags the reduced matrix it stops on. The first stop
-    that fails that check takes one plain pass from its communalities,
-    which refines the block, and goes on.
-    """
-    reduced = values.copy()
-    heywood = False
-    passes = 0
-    last = None
-    refined = False
-    for passes in range(1, min(PAF_RITZ_MAX_ITER, PAF_MAX_ITER) + 1):
-        np.fill_diagonal(reduced, h2)
-        ritz = _ritz_step(reduced, block, m)
-        if ritz is None:
-            return None, passes - 1
-        lam, block, angle = ritz
-        loadings, new_h2, clamped = _paf_loadings(lam, block, m)
+        found = step(reduced, vectors, m)
+        if found is None:
+            return None, passes - 1, delta
+        lam, vectors, angle = found
+        loadings, new_h2, clamped = _paf_loadings(lam, vectors, m)
         heywood = heywood or clamped
         delta = float(np.max(np.abs(new_h2 - h2)))
         if delta < PAF_TOL:
             if angle < PAF_RITZ_ANGLE * PAF_TOL:
-                return (loadings, new_h2, heywood, delta), passes
+                return (loadings, new_h2, heywood, delta), passes, delta
             if refined:
-                return None, passes
-            refined = True
-            last = None
-        h2, last = _anderson(h2, new_h2, last)
-    return None, passes
+                return None, passes, delta
+            refined, last = True, None
+        h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
+    return None, passes, delta
+
+
+def _full_step(a: np.ndarray, basis, m: int):
+    """One full eigen step on a, warm-started from the last pass's ``basis``.
+
+    Only the diagonal changed, so the basis nearly diagonalizes a; the
+    angle is 0, so every stop stands.
+    """
+    eig = sym_eigen(SymMatrix(a), basis=basis)
+    return eig.eigenvalues, eig.eigenvectors, 0.0
 
 
 def _anderson(h2: np.ndarray, f: np.ndarray, last):
@@ -431,6 +415,8 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     are scaled to unit communality first.
     """
     L = as_float_array(loadings, "loadings")
+    if L.ndim != 2:
+        raise DomainError(f"expected a 2-d loadings matrix, got shape {L.shape}")
     if normalize:
         h = np.sqrt((L**2).sum(axis=1))
         L = L / np.where(h > 0, h, 1.0)[:, None]

@@ -75,8 +75,10 @@ def _sum_variance(cov: np.ndarray, what: str) -> float:
 def _alpha_raw_from_cov(cov: np.ndarray) -> float:
     k = cov.shape[0]
     total = _sum_variance(cov, "total score")
-    # k/(k-1) (1 - trace/total) as one quotient: on exact sums identical items give 1
-    return k * (total - float(np.trace(cov))) / ((k - 1.0) * total)
+    # k/(k-1) (1 - trace/total) as one quotient: on exact sums identical items give 1.
+    # With every |r| <= 1, Cauchy-Schwarz gives total <= (sum sd)^2 <= k trace, so
+    # alpha <= 1 and any excess is rounding (|r| beyond that is refused upstream)
+    return min(1.0, k * (total - float(np.trace(cov))) / ((k - 1.0) * total))
 
 
 def _alpha_std_from_corr(corr: np.ndarray) -> float:

@@ -99,7 +99,7 @@ def make_solution(items, loadings, phi=None, eigenvalues=None):
 
 
 class TestSolutionShape:
-    """FactorSolution refuses fields of disagreeing shape with DomainError."""
+    """Solution fields and loadings of the wrong shape are refused with DomainError."""
 
     def test_item_count_disagrees(self):
         with pytest.raises(DomainError, match="^solution fields disagree on the item count$"):
@@ -108,6 +108,11 @@ class TestSolutionShape:
     def test_phi_shape_disagrees(self):
         with pytest.raises(DomainError, match="^phi shape does not match the factor count$"):
             make_solution("ABC", np.ones((3, 2)), phi=np.eye(3))
+
+    @pytest.mark.parametrize("loadings", [[0.5, 0.4], 0.5, np.ones((2, 2, 1))])
+    def test_varimax_criterion_refuses_loadings_not_2d(self, loadings):
+        with pytest.raises(DomainError, match="^expected a 2-d loadings matrix, got shape "):
+            varimax_criterion(loadings)
 
 
 class TestPca:

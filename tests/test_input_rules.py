@@ -29,6 +29,7 @@ from psychoval import (
     loads_csv,
     parse_model,
     retain_kaiser,
+    sample_adequacy_advice,
     sym_eigen,
     varimax_criterion,
 )
@@ -41,6 +42,12 @@ from . import oracles
 
 P = 4
 R4 = SymMatrix(np.full((P, P), 0.3) + 0.7 * np.eye(P))
+# two factors of three items, each with communality 0.25
+LOW_COMMUNALITY = FactorSolution(
+    items=tuple("ABCDEF"), extraction="paf", rotation="none",
+    loadings=np.kron(np.eye(2), np.full((3, 1), 0.5)), eigenvalues=np.ones(6),
+    phi=np.eye(2), communalities=np.full(6, 0.25),
+)
 
 
 def _correlation_labels(items):
@@ -261,6 +268,17 @@ class TestScalarArguments:
 
     def test_bartlett_numpy_integer_sample_size(self):
         assert bartlett_sphericity(R4, np.int64(300)) == bartlett_sphericity(R4, 300)
+
+    @pytest.mark.parametrize("n", ["300", 300.5, None])
+    def test_advice_sample_size_must_be_an_integer(self, n):
+        # a low-communality solution with 3 items per factor, where n is compared
+        with pytest.raises(ConfigError, match="^sample size n must be an integer, got "):
+            sample_adequacy_advice(LOW_COMMUNALITY, n)
+
+    def test_advice_numpy_integer_sample_size(self):
+        advice = sample_adequacy_advice(LOW_COMMUNALITY, np.int64(150))
+        assert advice == sample_adequacy_advice(LOW_COMMUNALITY, 150)
+        assert advice.caution
 
     @pytest.mark.parametrize("args,what", [
         (("3", 2), "chi-square statistic"),

@@ -46,6 +46,16 @@ class TestAlphaIdentities:
             assert rep.alpha_standardized == 1.0
             assert set(rep.item_total_correlations.values()) == {1.0}
 
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 1 / 3, 0.45, 0.6, 0.7, 0.9])
+    def test_identical_items_never_exceed_one(self, c):
+        # alpha <= 1 whenever every |r| <= 1; unclipped, the final quotient
+        # rounded above 1 in 34 of these alpha_raw, and in some alpha_if_deleted
+        # of 31 of the matrices
+        for k in range(2, 40):
+            rep = alpha_from_covariance(np.full((k, k), c))
+            assert rep.alpha_raw <= 1.0
+            assert not any(a > 1.0 for a in rep.alpha_if_deleted.values())
+
     def test_uncorrelated_equal_variance_items_give_zero(self):
         rep = alpha_from_covariance(np.eye(5))
         assert rep.alpha_raw == pytest.approx(0.0, abs=1e-9)

@@ -127,6 +127,8 @@ def _invocations() -> list[tuple[str, ...]]:
         # large and odd-length streams that cross the simulator's block boundaries
         ("simulate", "--spec", "data/noise_model.txt", "-n", "4001", "-s", "9"),
         ("simulate", "--spec", "data/demo_model.txt", "-n", "5000", "-s", "7"),
+        # correlated factors and a cross-loading: a full Cholesky factor of phi
+        ("simulate", "--spec", "data/oblique_model.txt"),
         ("frobnicate",),
         (),
     ]

@@ -77,6 +77,8 @@ class FactorSolution:
         phi = _frozen(as_float_array(self.phi, "phi"))
         h2 = _frozen(as_float_array(self.communalities, "communalities"))
         p, m = L.shape
+        if p == 0:
+            raise DomainError("a factor solution needs at least one item")
         if len(self.items) != p or lam.shape != (p,) or h2.shape != (p,):
             raise DomainError("solution fields disagree on the item count")
         if phi.shape != (m, m):
@@ -417,6 +419,8 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     L = as_float_array(loadings, "loadings")
     if L.ndim != 2:
         raise DomainError(f"expected a 2-d loadings matrix, got shape {L.shape}")
+    if L.shape[0] == 0:
+        raise DomainError("loadings matrix has no rows")
     if normalize:
         h = np.sqrt((L**2).sum(axis=1))
         L = L / np.where(h > 0, h, 1.0)[:, None]

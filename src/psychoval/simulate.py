@@ -21,42 +21,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_stats import SymMatrix, as_float_array, item_labels
+from .core_stats import SymMatrix, as_float_array, fmatmul, item_labels
 from .errors import ConfigError, NotPositiveDefinite, UniquenessNegative
 from .ingest import DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, split_items
 from .rng import Rng, as_int
 
-SQRT2 = math.sqrt(2.0)
-QUANTILE_BRACKET = 12.0
-QUANTILE_TOL = 1e-12
-# Most Likert categories a model may span; each cut point costs a bisection.
+# Most Likert categories a model may span; it bounds the per-item threshold tuples.
 MAX_CATEGORIES = 1000
-
-
-def standard_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / SQRT2))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection on [-12, 12]."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"quantile probability {p} outside (0, 1)")
-    lo, hi = -QUANTILE_BRACKET, QUANTILE_BRACKET
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if standard_normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= QUANTILE_TOL:
-            break
-    return 0.5 * (lo + hi)
 
 
 def equal_probability_thresholds(likert_min: int, likert_max: int) -> tuple[float, ...]:
     """Cut points splitting the standard normal into equally likely categories."""
+    # imported on first use: at module level it costs `import psychoval` about 4 ms
+    from statistics import NormalDist
+
     k = likert_max - likert_min + 1
-    return tuple(normal_quantile(c / k) for c in range(1, k))
+    inv_cdf = NormalDist().inv_cdf
+    return tuple(inv_cdf(c / k) for c in range(1, k))
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -66,7 +47,7 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     L = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1):
-            s = a[i, j] - float(L[i, :j] @ L[j, :j])
+            s = a[i, j] - (L[i, :j] * L[j, :j]).sum()
             if i == j:
                 if s <= 0.0:
                     raise NotPositiveDefinite(
@@ -126,7 +107,7 @@ class FactorModelSpec:
 
         items = item_labels(self.items, p)
 
-        h2 = ((L @ phi) * L).sum(axis=1)
+        h2 = (fmatmul(L, phi) * L).sum(axis=1)
         for j, value in enumerate(h2):
             if value > 1.0 + 1e-12:
                 raise UniquenessNegative(items[j])
@@ -181,13 +162,13 @@ class FactorModelSpec:
 
     @property
     def communalities(self) -> np.ndarray:
-        return ((self.loadings @ self.phi) * self.loadings).sum(axis=1)
+        return (fmatmul(self.loadings, self.phi) * self.loadings).sum(axis=1)
 
 
 def population_correlation(spec: FactorModelSpec) -> SymMatrix:
     """Exact latent correlation matrix lambda phi lambda' + diag(1 - h2)."""
     h2 = spec.communalities
-    R = spec.loadings @ spec.phi @ spec.loadings.T + np.diag(1.0 - h2)
+    R = fmatmul(fmatmul(spec.loadings, spec.phi), spec.loadings.T) + np.diag(1.0 - h2)
     np.fill_diagonal(R, 1.0)
     return SymMatrix(R)
 

@@ -574,18 +574,25 @@ def _cpu_has(feature: str) -> bool:
 # the reliability runs of the digest whose JSON carries unrounded values
 RELIABILITY_JSON = [argv for argv in DIGEST.INVOCATIONS
                     if argv[:1] in (("alpha",), ("retest",)) and "json" in argv]
+SIMULATE = [argv for argv in DIGEST.INVOCATIONS if argv[:1] == ("simulate",)]
+KERNEL_RUNS = RELIABILITY_JSON + SIMULATE
 _CHILD = ("import json, sys\nfrom psychoval.cli import main\n"
           "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n")
 
 
-def _outputs_under(coretype: str | None) -> bytes:
-    """stdout and stderr of RELIABILITY_JSON run in one process on one OpenBLAS kernel."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports psychoval from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def _outputs_under(coretype: str | None) -> bytes:
+    """stdout and stderr of KERNEL_RUNS run in one process on one OpenBLAS kernel."""
+    env = _child_env()
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
-    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(RELIABILITY_JSON)],
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(KERNEL_RUNS)],
                           cwd=ROOT, env=env, capture_output=True, check=True)
     return done.stdout + done.stderr
 
@@ -594,7 +601,7 @@ def _outputs_under(coretype: str | None) -> bytes:
                     or not _dynamic_arch_openblas(),
                     reason="needs an x86-64 DYNAMIC_ARCH OpenBLAS")
 class TestBlasKernelIndependence:
-    """alpha and retest print the same bytes on every OpenBLAS kernel."""
+    """alpha, retest and simulate print the same bytes on every OpenBLAS kernel."""
 
     @pytest.fixture(scope="class")
     def default_outputs(self):
@@ -604,5 +611,17 @@ class TestBlasKernelIndependence:
     def test_same_bytes_as_the_default_kernel(self, default_outputs, coretype, feature):
         if not _cpu_has(feature):
             pytest.skip(f"the {coretype} kernel needs {feature}")
-        assert len(RELIABILITY_JSON) == 4
+        assert len(RELIABILITY_JSON) == 4 and len(SIMULATE) == 5
         assert _outputs_under(coretype) == default_outputs
+
+
+class TestLazyImports:
+    """Importing the package and its CLI leaves first-use modules unloaded."""
+
+    def test_statistics_and_lanes_wait_for_first_use(self):
+        # each costs every interpreter start: statistics ~4 ms of imports, lanes its compile
+        code = ("import sys, psychoval, psychoval.cli\n"
+                "print([m for m in ('statistics', 'psychoval.lanes') if m in sys.modules])\n")
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_child_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"

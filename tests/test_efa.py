@@ -109,10 +109,18 @@ class TestSolutionShape:
         with pytest.raises(DomainError, match="^phi shape does not match the factor count$"):
             make_solution("ABC", np.ones((3, 2)), phi=np.eye(3))
 
+    def test_no_items(self):
+        with pytest.raises(DomainError, match="^a factor solution needs at least one item$"):
+            make_solution("", np.zeros((0, 2)))
+
     @pytest.mark.parametrize("loadings", [[0.5, 0.4], 0.5, np.ones((2, 2, 1))])
     def test_varimax_criterion_refuses_loadings_not_2d(self, loadings):
         with pytest.raises(DomainError, match="^expected a 2-d loadings matrix, got shape "):
             varimax_criterion(loadings)
+
+    def test_varimax_criterion_refuses_loadings_without_rows(self):
+        with pytest.raises(DomainError, match="^loadings matrix has no rows$"):
+            varimax_criterion(np.zeros((0, 2)))
 
 
 class TestPca:

@@ -133,6 +133,10 @@ class TestAlphaInput:
         assert rep.alpha_standardized == 1.0
         assert set(rep.item_total_correlations.values()) == {1.0}
 
+    def test_single_item_refused(self):
+        with pytest.raises(TooFewItems, match="^alpha needs >= 2 items, got 1$"):
+            alpha_from_covariance([[1.0]])
+
     @pytest.mark.parametrize("cov", [[1.0, 2.0], np.ones((2, 3))], ids=["1-d", "2x3"])
     def test_non_square_input_refused(self, cov):
         with pytest.raises(DomainError, match="^expected a square covariance matrix"):

@@ -24,7 +24,7 @@ from psychoval import (
 )
 from psychoval import simulate
 from psychoval.cli import main
-from psychoval.errors import ConfigError, UniquenessNegative
+from psychoval.errors import ConfigError, NotPositiveDefinite, UniquenessNegative
 from psychoval.simulate import MAX_CATEGORIES
 from psychoval.rng import SPLITMIX_GAMMA
 from tests.conftest import ITEMS6, two_block_loadings
@@ -216,6 +216,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
             FactorModelSpec(loadings=np.full((3, 1), 0.5), **{field: value})
 
+    @pytest.mark.parametrize("loadings", [np.zeros((0, 2)), [0.5, 0.5]], ids=["0x2", "1-d"])
+    def test_loadings_must_be_a_nonempty_matrix(self, loadings):
+        with pytest.raises(ConfigError, match="^loadings must be a nonempty p x m matrix$"):
+            FactorModelSpec(loadings=loadings)
+
+    def test_phi_shape_must_match_factor_count(self):
+        with pytest.raises(ConfigError, match="^phi shape does not match the factor count$"):
+            FactorModelSpec(loadings=two_block_loadings(), phi=np.eye(3), n=10)
+
+    def test_indefinite_phi_refused_at_its_pivot(self):
+        # unit diagonal and symmetric, but no correlation matrix has these entries
+        phi = [[1, .9, .9], [.9, 1, -.9], [.9, -.9, 1]]
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^pivot -1\.520e\+01 at row 2 during Cholesky$"):
+            FactorModelSpec(loadings=np.full((3, 3), 0.1), phi=phi, n=10)
+
     def test_communality_above_one_names_item(self):
         L = np.array([[0.9, 0.9], [0.5, 0.0], [0.5, 0.0]])
         with pytest.raises(UniquenessNegative) as exc_info:
@@ -248,6 +264,12 @@ class TestSpecValidation:
             FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
                             likert_min=1, likert_max=3,
                             thresholds=(0.5, -0.5))
+
+    def test_one_threshold_row_per_item(self):
+        with pytest.raises(ConfigError, match="^need one threshold row per item$"):
+            FactorModelSpec(loadings=np.full((3, 1), 0.5), n=10,
+                            likert_min=1, likert_max=3,
+                            thresholds=((-0.5, 0.5), (-0.5, 0.5)))
 
     def test_item_count_must_match_loadings(self):
         with pytest.raises(ConfigError):
@@ -488,6 +510,10 @@ class TestModelFiles:
     def test_missing_loadings_block(self):
         with pytest.raises(ConfigError):
             parse_model("n: 10\nseed: 1\n")
+
+    def test_non_integer_n_in_file(self):
+        with pytest.raises(ConfigError, match="^n must be an integer, got 'x'$"):
+            parse_model("n: x\nloadings:\n  0.5\n  0.5\n  0.5\n")
 
     def test_missing_n_everywhere(self):
         with pytest.raises(ConfigError):

@@ -32,6 +32,7 @@ NOISE = "data/noise_survey.csv"
 ONE = "data/one_item_survey.csv"
 GAP = "data/gap_survey.csv"
 WIDE = "data/wide_survey.csv"
+WIDE_NOISE = "data/wide_noise_survey.csv"
 PAIR = "data/anticorrelated_pair_survey.csv"
 UNCORRELATED = "data/uncorrelated_item_survey.csv"
 SCALES = "data/demo_scales.txt"
@@ -141,6 +142,11 @@ def _invocations() -> list[tuple[str, ...]]:
     for retention in ("kaiser", "fixed:6"):
         for command in ("validate", "efa"):
             runs.append((command, "-i", WIDE, "--retention", retention, "-f", "json"))
+    # twenty independent items: Bartlett's p at df = 190 is mid-range, where
+    # the JSON carries every digit of the chi-square tail
+    runs.append(("validate", "-i", WIDE_NOISE, "--force", "--extraction", "pca",
+                 "--rotation", "none", "-f", "json"))
+    runs.append(("bartlett", "-i", WIDE_NOISE))
     # y = 8 - 2x: the standardized total score has zero variance
     runs.append(("alpha", "-i", PAIR, "--items", "x,y"))
     # item c has r = 0 to a and b, so its MSA would be 0/0

@@ -10,7 +10,6 @@ remaining MSA values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,15 +209,14 @@ def sample_adequacy_advice(solution, n: int) -> SampleAdequacyAdvice:
     not an integer raises ConfigError.
     """
     n = as_int(n, "sample size n")
-    communalities = np.asarray(solution.communalities, dtype=float)
-    mean_h2 = float(communalities.mean()) if communalities.size else math.nan
+    mean_h2 = float(np.asarray(solution.communalities, dtype=float).mean())
     if mean_h2 >= 0.7:
         band = "high"
     elif mean_h2 >= 0.4:
         band = "moderate"
     else:
         band = "low"
-    ratio = solution.p / solution.m if solution.m else math.nan
+    ratio = solution.p / solution.m
     caution = band == "low" and ratio < 4.0 and n < 300
     if caution:
         note = (

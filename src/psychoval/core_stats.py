@@ -4,8 +4,8 @@ Everything downstream (reliability, adequacy checks, factor extraction)
 rests on the handful of primitives in this module: pairwise covariances
 from exact Gram sums, correlation matrices with per-pair missing handling,
 a round-robin Jacobi eigensolver, eigen-based inversion / log-determinant,
-and the chi-square upper-tail probability via the regularized incomplete
-gamma function.
+and the chi-square upper-tail probability of a whole-number df as a finite
+sum of Poisson-type terms.
 
 All functions are pure; all variance-like quantities are sample ones,
 scaled by n(n - 1) where they come from the Gram sums.
@@ -14,6 +14,7 @@ scaled by n(n - 1) where they come from the Gram sums.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,9 +45,8 @@ JACOBI_TOL = 1e-12
 # Fewest observations a correlation, an item or a pair may rest on.
 MIN_ROWS = 3
 
-# Incomplete gamma: absolute term tolerance and iteration cap.
-GAMMA_TOL = 1e-12
-GAMMA_MAX_ITER = 10_000
+# Largest chi-square df: a tail sums df/2 terms.
+CHI_SQUARE_MAX_DF = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,64 +444,36 @@ def log_determinant(A: SymMatrix) -> float:
     return float(np.sum(np.log(lam)))
 
 
-# --- incomplete gamma / chi-square -------------------------------------------
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized gamma P(a, x) by series; accurate for 0 < x < a + 1."""
-    term = 1.0 / a
-    total = term
-    for n in range(1, GAMMA_MAX_ITER + 1):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < GAMMA_TOL:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NoConvergence("incomplete gamma series did not converge", residual=term)
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized gamma Q(a, x) by continued fraction (modified Lentz);
-    accurate for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < GAMMA_TOL:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NoConvergence("incomplete gamma continued fraction did not converge")
-
+# --- chi-square tail --------------------------------------------------------
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail probability P(chi2_df > x), monotone decreasing in x.
+    """Upper-tail probability P(chi2_df > x) of a whole-number df, monotone decreasing in x.
 
-    x = 0 returns exactly 1.0 and x = inf returns 0.0; a NaN x or a NaN or
-    infinite df raises DomainError, and an x or df that is not a number
-    ConfigError.
+    The finite sum of exp(-lam) lam^a / Gamma(a + 1), lam = x/2, over a = df/2 - 1,
+    df/2 - 2, ... down to 0 for even df, and down to 1/2 plus erfc(sqrt(lam))
+    for odd df (Abramowitz and Stegun 1964, 26.4.4-26.4.5); ``math.fsum``
+    adds the libm terms exactly rounded. A call costs df/2 terms, hence the
+    cap CHI_SQUARE_MAX_DF.
+
+    x = 0 returns exactly 1.0 and x = inf 0.0. A NaN or negative x and a NaN,
+    infinite, fractional or too large df raise DomainError, and an x or df
+    that is not a number ConfigError.
     """
     check_real(x, "chi-square statistic")
     check_real(df, "degrees of freedom")
     if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
-    # written so that a NaN fails the test
-    if not 1 <= df < math.inf:
-        raise DomainError(f"degrees of freedom must be finite and >= 1, got {df}")
-    if x == 0.0:
+    # written so that a NaN or an infinity fails before int() sees it
+    if not 1 <= df <= CHI_SQUARE_MAX_DF or int(df) != df:
+        raise DomainError(
+            f"degrees of freedom must be a whole number in [1, {CHI_SQUARE_MAX_DF}], got {df}")
+    df, lam = int(df), x / 2.0
+    if lam == 0.0:  # x = 0, or a subnormal x whose half rounds to 0
         return 1.0
-    if x == math.inf:
+    if lam == math.inf:
         return 0.0
-    a, x = df / 2.0, x / 2.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    log_lam = math.log(lam)
+    halves = (df / 2 - i for i in range(1, df // 2 + 1))
+    terms = (math.exp(a * log_lam - lam - math.lgamma(a + 1.0)) for a in halves)
+    odd = (math.erfc(math.sqrt(lam)),) if df % 2 else ()
+    return math.fsum(itertools.chain(terms, odd))

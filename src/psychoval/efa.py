@@ -79,6 +79,8 @@ class FactorSolution:
         p, m = L.shape
         if p == 0:
             raise DomainError("a factor solution needs at least one item")
+        if m == 0:
+            raise DomainError("a factor solution needs at least one factor")
         if len(self.items) != p or lam.shape != (p,) or h2.shape != (p,):
             raise DomainError("solution fields disagree on the item count")
         if phi.shape != (m, m):

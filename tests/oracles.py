@@ -22,6 +22,7 @@ with numpy's ``eigh``.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import math
 from bisect import bisect_right
@@ -214,6 +215,25 @@ def chi2_sf_quadrature(x: float, df: int, panels: int = 20000) -> float:
         acc += (4.0 if k % 2 else 2.0) * integrand(k * h)
     cdf = acc * h / 3.0
     return 1.0 - cdf
+
+
+def chi2_sf_poisson(x: float, df: int) -> float:
+    """Upper-tail chi-square probability of an even df from the Poisson sum.
+
+    P(chi2_df > x) = e^(-lam) (1 + lam + lam^2/2! + ... + lam^(df/2 - 1)/(df/2 - 1)!)
+    with lam = x/2, in 60-digit decimal arithmetic from the exact value of x.
+    Every term is positive, so only the final rounding to a float is lost.
+    """
+    if df % 2:
+        raise ValueError(f"the Poisson sum needs an even df, got {df}")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lam = decimal.Decimal(x) / 2
+        term = total = decimal.Decimal(1)
+        for i in range(1, df // 2):
+            term = term * lam / i
+            total += term
+        return float(total * (-lam).exp())
 
 
 def alpha_definitional(data) -> float:

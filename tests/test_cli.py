@@ -302,6 +302,12 @@ class TestSimulate:
         assert code == 0
         assert out == (data_dir / "wide_survey.csv").read_text(encoding="utf-8")
 
+    def test_committed_wide_noise_fixture_is_reproducible(self, capsys, data_dir):
+        # data/wide_noise_survey.csv was produced by exactly this invocation
+        code, out, _ = run(capsys, "simulate", "--spec", str(data_dir / "wide_noise_model.txt"))
+        assert code == 0
+        assert out == (data_dir / "wide_noise_survey.csv").read_text(encoding="utf-8")
+
     def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch,
                                             data_dir):
         model = str(data_dir / self.MODEL)

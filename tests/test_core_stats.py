@@ -586,10 +586,15 @@ class TestChiSquareTail:
     def test_zero_statistic_has_unit_tail(self, df):
         assert chi_square_sf(0.0, df) == 1.0
 
+    @pytest.mark.parametrize("df", [1, 2, 15])
+    def test_smallest_subnormal_statistic_has_unit_tail(self, df):
+        # x/2 rounds to 0, whose log would raise a bare ValueError
+        assert chi_square_sf(5e-324, df) == 1.0
+
     @pytest.mark.parametrize("df", [1, 3, 14, 15, 190])
     def test_branches_meet_at_the_switch(self, df):
-        # x/2 = df/2 + 1 is where the series hands over to the continued
-        # fraction; one ulp below it the two must give the same tail
+        # the tail is continuous in x: one ulp below x = df + 2 every term
+        # of the finite sum moves by an ulp or so, and so does the tail
         x = df + 2.0
         below = chi_square_sf(math.nextafter(x, 0.0), df)
         assert below == pytest.approx(chi_square_sf(x, df), abs=1e-11)
@@ -628,14 +633,33 @@ class TestChiSquareTail:
     @pytest.mark.parametrize("x, df", [
         (2.0, math.nan), (math.nan, 3), (math.nan, math.nan), (2.0, math.inf),
         (math.inf, math.inf),
+        # a fractional df has no finite sum; above the cap a call would sum
+        # more than 5e6 terms, and at 1e300 it would never end
+        (2.0, 2.5), (2.0, 190.5), (2.0, 10**7 + 2), (1.0, 1e300),
     ])
-    def test_non_finite_arguments_raise_domain_error(self, x, df):
-        # a NaN once ran every continued-fraction step, then NoConvergence
+    def test_refused_arguments_raise_domain_error(self, x, df):
+        # a NaN must be refused before it reaches the sum, where it would
+        # come out as a NaN tail
         with pytest.raises(DomainError):
             chi_square_sf(x, df)
 
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.0, 1.1, 2.0])
+    @pytest.mark.parametrize("df", [2, 14, 190, 780, 3160])
+    def test_even_df_matches_poisson_sum(self, df, ratio):
+        x = ratio * df
+        expected = oracles.chi2_sf_poisson(x, df)
+        assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.0, 1.1, 2.0])
+    @pytest.mark.parametrize("df", [1, 15, 191, 781, 3161])
+    def test_odd_df_matches_scipy(self, df, ratio):
+        stats = pytest.importorskip("scipy.stats")
+        x = ratio * df
+        expected = float(stats.chi2.sf(x, df))
+        assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
     @pytest.mark.parametrize("x", [0.3, 1.0, 4.0])
     def test_exponential_special_case(self, x):
-        # df = 2 is the exponential distribution: sf(2x; 2) = e^{-x}; x = 4
-        # takes the continued fraction, the smaller x the series
+        # df = 2 is the exponential distribution: sf(2x; 2) = e^{-x}, the
+        # single term of the sum
         assert chi_square_sf(2.0 * x, 2) == pytest.approx(math.exp(-x), abs=1e-12)

@@ -113,6 +113,12 @@ class TestSolutionShape:
         with pytest.raises(DomainError, match="^a factor solution needs at least one item$"):
             make_solution("", np.zeros((0, 2)))
 
+    def test_no_factors(self):
+        # with none, assign_items would take the argmax of an empty row and
+        # sample_adequacy_advice would divide by zero factors
+        with pytest.raises(DomainError, match="^a factor solution needs at least one factor$"):
+            make_solution("ABC", np.zeros((3, 0)))
+
     @pytest.mark.parametrize("loadings", [[0.5, 0.4], 0.5, np.ones((2, 2, 1))])
     def test_varimax_criterion_refuses_loadings_not_2d(self, loadings):
         with pytest.raises(DomainError, match="^expected a 2-d loadings matrix, got shape "):

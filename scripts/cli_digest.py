@@ -35,6 +35,7 @@ WIDE = "data/wide_survey.csv"
 WIDE_NOISE = "data/wide_noise_survey.csv"
 PAIR = "data/anticorrelated_pair_survey.csv"
 UNCORRELATED = "data/uncorrelated_item_survey.csv"
+LATIN1 = "data/latin1_survey.csv"
 SCALES = "data/demo_scales.txt"
 POLICIES = ("listwise", "pairwise", "strict")
 
@@ -111,6 +112,10 @@ def _invocations() -> list[tuple[str, ...]]:
         ("alpha", "-i", DEMO, "--items", "A,Z"),
         ("alpha", "-i", ONE, "--items", "A"),
         ("describe", "-i", "data/no_such_file.csv"),
+        # a header byte that is not UTF-8, and -o targets that cannot be written
+        ("describe", "-i", LATIN1),
+        ("validate", "-i", DEMO, "-o", "data"),
+        ("validate", "-i", DEMO, "-o", "data/no_such_dir/x.json"),
         ("validate", "-i", DEMO, "--likert", "1:3"),
         ("validate", "-i", DEMO, "--likert", "17"),
         ("validate", "-i", DEMO, "--likert", "0:100000000000000000000"),

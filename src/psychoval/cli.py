@@ -238,15 +238,14 @@ def main(argv=None) -> int:
         payload = args.handler(args)
         if not isinstance(payload, bytes):  # a walked record, rendered as asked
             payload = render(args.command, payload, args.format)
+        if args.out:
+            Path(args.out).write_bytes(payload)
     except (PsychovalError, OSError) as exc:
         stage = getattr(exc, "stage", None)
         suffix = f" [stage: {stage}]" if stage else ""
         print(f"{type(exc).__name__}: {exc}{suffix}", file=sys.stderr)
         return 1
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_bytes(payload)
-    else:
+    if not args.out:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     return 0

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -82,9 +82,12 @@ class SymMatrix:
 
 
 def as_float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; DomainError if an entry is not a number."""
+    """``values`` as a float array; DomainError if an entry is not a number or is complex."""
     try:
-        return np.asarray(values, dtype=float)
+        a = np.asarray(values)
+        if a.dtype.kind == "c":  # the cast would drop the imaginary parts
+            raise DomainError(f"{what} must be real, got complex numbers")
+        return a.astype(float, copy=False)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be an array of numbers") from None
 
@@ -112,6 +115,8 @@ def item_labels(items: Sequence[str] | None, p: int) -> tuple[str, ...]:
     """The labels of p items, item1..itemp for None; ConfigError unless p given."""
     if items is None:
         return tuple(f"item{j + 1}" for j in range(p))
+    if not isinstance(items, Sized):
+        raise ConfigError(f"item labels must be a sequence, got {items!r}")
     if len(items) != p:
         raise ConfigError(f"{len(items)} item labels given for {p} items")
     return tuple(items)
@@ -214,54 +219,23 @@ def correlation_matrix(data: np.ndarray, items: Sequence[str] | None = None) -> 
 
 
 @functools.lru_cache(maxsize=None)
-def _round_robin(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Brent-Luk round-robin ordering of one Jacobi sweep over p indices.
+def _seat_move(p: int) -> np.ndarray:
+    """Flat gather that carries the Jacobi work array on to the next round.
 
-    The n - 1 rounds of a round-robin tournament on n = p indices, or on
-    n = p + 1 for odd p, where index p is padding. Each round holds n/2
-    disjoint pairs (i, j), i < j, sorted; over a sweep every pair meets
-    exactly once. Round 0 is (0, 1), (2, 3), ...
+    Position 0 stays, and every other index moves one seat along the ring
+    h -> h+1 -> ... -> n-1 -> h-1 -> ... -> 1 -> h, h = n/2, in rows 0..n-1
+    and in all columns (the circle method). From round 0, the even indices
+    then the odd, n - 1 moves make a Brent-Luk sweep and return to round 0.
     """
     n = p + (p & 1)
-    # circle method: seat 0 stays, the others move one seat per round;
-    # labels are renamed so that round 0 pairs neighbours
-    label = [0] * n
-    for k in range(n // 2):
-        label[k], label[n - 1 - k] = 2 * k, 2 * k + 1
-    ring = list(range(1, n))
-    rounds = []
-    for r in range(n - 1):
-        seats = [0] + ring[r:] + ring[:r]
-        rounds.append(tuple(sorted(
-            (min(label[x], label[y]), max(label[x], label[y]))
-            for x, y in zip(seats[: n // 2], reversed(seats[n // 2:]))
-        )))
-    return tuple(rounds)
-
-
-@functools.lru_cache(maxsize=None)
-def _sweep_moves(p: int) -> tuple[np.ndarray, ...]:
-    """Flat gather indices that carry the Jacobi work array between rounds.
-
-    The work array stacks the padded n x n matrix on top of the p x n
-    eigenvector matrix. During round r the pairs (i, j) of
-    ``_round_robin(p)[r]`` sit at positions (m, m + h), h = n/2. Move r
-    permutes rows 0..n-1 and all columns into the order of round r + 1;
-    the last move returns to round 0, which holds the even indices, then
-    the odd ones.
-    """
-    n = p + (p & 1)
-    orders = [[i for i, _ in pairs] + [j for _, j in pairs] for pairs in _round_robin(p)]
-    moves = []
-    for r, order in enumerate(orders):
-        position = {x: k for k, x in enumerate(order)}
-        perm = np.array([position[x] for x in orders[(r + 1) % len(orders)]],
-                        dtype=np.intp)
-        rows = np.concatenate((perm, np.arange(n, n + p, dtype=np.intp)))
-        move = (rows[:, None] * n + perm).reshape(-1)
-        move.flags.writeable = False
-        moves.append(move)
-    return tuple(moves)
+    h = n // 2
+    ring = list(range(h, n)) + list(range(h - 1, 0, -1))
+    perm = np.arange(n, dtype=np.intp)
+    perm[ring] = ring[-1:] + ring[:-1]  # the index at ring[k - 1] moves to ring[k]
+    rows = np.concatenate((perm, np.arange(n, n + p, dtype=np.intp)))
+    move = (rows[:, None] * n + perm).reshape(-1)
+    move.flags.writeable = False
+    return move
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,15 +268,15 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
 
     Each round applies its disjoint rotations at once: rows of a first,
     then columns of a and v together, then the annihilated entries are set
-    to zero. A round's pairs sit at positions (m, m + h), so rows i and j
-    are the two halves of the matrix rows, and columns i and j the two
-    halves of every row; each update is C X + S X' over the stacked halves
-    X, where X' swaps them, C = [c; c] and S = [-s; s]. The angles are
-    Python floats, whose +, -, *, / and sqrt round as numpy's do, and only
-    elementwise ufuncs touch the numbers, so every rotation is
-    bit-reproducible. All rounds work on one array, each move gathering
-    the next round's order in place (numpy.take buffers its output); a
-    and v enter in round 0's order and leave in the natural one.
+    to zero. A round's pairs (i, j) sit at positions (k, k + h), i on top,
+    so rows i and j are the two halves of the matrix rows, and columns i
+    and j the two halves of every row; each update is C X + S X' over the
+    stacked halves X, where X' swaps them, C = [c; c] and S = [-s; s]. The
+    angles are Python floats, whose +, -, *, / and sqrt round as numpy's
+    do, and only elementwise ufuncs touch the numbers, so every rotation is
+    bit-reproducible. All rounds work on one array, which the one move of
+    ``_seat_move(p)`` gathers in place after each round (numpy.take buffers
+    its output); a and v enter in round 0's order and leave in the natural one.
     """
     p = a.shape[0]
     n = p + (p & 1)
@@ -313,12 +287,13 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
     work[n:, :p] = v[:, order]
     flat, rows, cols = work.reshape(-1), work[:n].reshape(2, h, n), work.reshape(n + p, 2, h)
     gather, zero = _pivots(n)
+    move = _seat_move(p)
     sqrt, copysign = math.sqrt, math.copysign
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(JACOBI_MAX_SWEEPS):
             if _off_diagonal_max(work[:n]) < JACOBI_TOL:
                 break
-            for move in _sweep_moves(p):
+            for _ in range(n - 1):
                 cs, ns, ss = [], [], []
                 for aij, aii, ajj in zip(*flat.take(gather).tolist()):
                     # rotation angles from the classic two-sided formula,

@@ -76,6 +76,8 @@ class FactorSolution:
         lam = _frozen(as_float_array(self.eigenvalues, "eigenvalues"))
         phi = _frozen(as_float_array(self.phi, "phi"))
         h2 = _frozen(as_float_array(self.communalities, "communalities"))
+        if L.ndim != 2:
+            raise DomainError(f"expected a 2-d loadings matrix, got shape {L.shape}")
         p, m = L.shape
         if p == 0:
             raise DomainError("a factor solution needs at least one item")

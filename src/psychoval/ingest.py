@@ -166,6 +166,22 @@ def _first_duplicate(seq: Iterable[str]) -> str:
     return ""
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, line ends untranslated.
+
+    A byte sequence that is not UTF-8 raises ParseError naming its 1-based
+    line, the first bad byte and its offset in the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, "", f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+                                   " is not UTF-8") from None
+
+
 def load_csv(
     path: str | Path,
     likert_min: int,
@@ -177,8 +193,7 @@ def load_csv(
     First header cell names the respondent-id column, the rest are item ids.
     Cells must parse as integers or equal ``missing_token`` exactly.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_csv(fh, likert_min, likert_max, missing_token)
+    return loads_csv(read_text(path), likert_min, likert_max, missing_token)
 
 
 def loads_csv(
@@ -188,13 +203,11 @@ def loads_csv(
     missing_token: str = MISSING_TOKEN,
 ) -> SurveyDataset:
     """Same as load_csv but from an in-memory string."""
-    fh = io.StringIO(text, newline="")  # untranslated line ends, as in load_csv
-    return _parse_csv(fh, likert_min, likert_max, missing_token)
-
-
-def _parse_csv(fh, likert_min, likert_max, missing_token) -> SurveyDataset:
     check_likert(likert_min, likert_max, ordered=False)  # SurveyDataset checks the order
-    reader = _records(csv.reader(fh))
+    if not isinstance(missing_token, str):
+        raise ConfigError(f"missing token must be a string, got {missing_token!r}")
+    # untranslated line ends, so a quoted cell keeps its CR LF
+    reader = _records(csv.reader(io.StringIO(text, newline="")))
     try:
         header = next(reader)
     except StopIteration:
@@ -365,7 +378,7 @@ def load_scales(path: str | Path) -> list[ScaleDefinition]:
 
     Blank lines and ``#`` comments are ignored; duplicate scale names error.
     """
-    return parse_scales(Path(path).read_text(encoding="utf-8"))
+    return parse_scales(read_text(path))
 
 
 def parse_scales(text: str) -> list[ScaleDefinition]:

@@ -23,7 +23,9 @@ import numpy as np
 
 from .core_stats import SymMatrix, as_float_array, fmatmul, item_labels
 from .errors import ConfigError, NotPositiveDefinite, UniquenessNegative
-from .ingest import DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, split_items
+from .ingest import (
+    DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, read_text, split_items,
+)
 from .rng import Rng, as_int
 
 # Most Likert categories a model may span; it bounds the per-item threshold tuples.
@@ -32,6 +34,7 @@ MAX_CATEGORIES = 1000
 
 def equal_probability_thresholds(likert_min: int, likert_max: int) -> tuple[float, ...]:
     """Cut points splitting the standard normal into equally likely categories."""
+    check_likert(likert_min, likert_max)
     # imported on first use: at module level it costs `import psychoval` about 4 ms
     from statistics import NormalDist
 
@@ -281,7 +284,7 @@ def parse_model(text: str, n: int | None = None, seed: int | None = None) -> Fac
 
 
 def load_model(path: str | Path, n: int | None = None, seed: int | None = None) -> FactorModelSpec:
-    return parse_model(Path(path).read_text(encoding="utf-8"), n=n, seed=seed)
+    return parse_model(read_text(path), n=n, seed=seed)
 
 
 def _rectangular(rows: list[list[float]], what: str) -> np.ndarray:

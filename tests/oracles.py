@@ -29,7 +29,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from psychoval.core_stats import SymMatrix, _round_robin, inverse, sym_eigen
+from psychoval.core_stats import SymMatrix, inverse, sym_eigen
 from psychoval.efa import FactorSolution
 from psychoval.errors import (
     DuplicateId,
@@ -336,10 +336,31 @@ def to_csv_per_cell(ds, missing_token: str = "NA") -> str:
     return out.getvalue()
 
 
+def seat_ring_rounds(p: int) -> list[list[tuple[int, int]]]:
+    """The (top, bottom) pairs of each round of a Jacobi sweep, by the circle method.
+
+    n = p + (p & 1) indices sit in two rows of h = n/2 seats, and top seat
+    k faces bottom seat k. Round 0 seats the even indices on top and the
+    odd ones below. Between rounds top seat 0 stays, and every other index
+    moves one seat along the circle of top seats h-1..1, then bottom seats
+    0..h-1, the last seat's index moving to the first.
+    """
+    n = p + (p & 1)
+    h = n // 2
+    top, bottom = list(range(0, n, 2)), list(range(1, n, 2))
+    rounds = []
+    for _ in range(n - 1):
+        rounds.append(list(zip(top, bottom)))
+        circle = top[:0:-1] + bottom  # top seats h-1..1, then bottom seats 0..h-1
+        circle = circle[-1:] + circle[:-1]
+        top, bottom = top[:1] + circle[:h - 1][::-1], circle[h - 1:]
+    return rounds
+
+
 def _interleaved_moves(p: int) -> list[np.ndarray]:
     """Flat gathers between rounds whose pairs sit at positions (2m, 2m + 1)."""
     n = p + (p & 1)
-    orders = [[x for pair in pairs for x in pair] for pairs in _round_robin(p)]
+    orders = [[x for pair in pairs for x in pair] for pairs in seat_ring_rounds(p)]
     moves = []
     for r, order in enumerate(orders):
         position = {x: k for k, x in enumerate(order)}

@@ -85,6 +85,16 @@ class TestExitCodes:
         assert code == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target, error", [
+        ("no_such_dir/x.json", "FileNotFoundError"),
+        (".", "IsADirectoryError"),
+    ])
+    def test_unwritable_out_is_one_line(self, capsys, demo_csv, tmp_path, target, error):
+        code, out, err = run(capsys, "validate", "-i", demo_csv, "-o", str(tmp_path / target))
+        assert code == 1
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1
+        assert out == ""
+
     @pytest.mark.parametrize("alpha", ["5", "0", "1", "-0.1", "nan"])
     def test_bartlett_alpha_outside_unit_interval(self, capsys, noise_csv, alpha):
         code, out, err = run(capsys, "bartlett", "-i", noise_csv, "--alpha", alpha)

@@ -28,8 +28,7 @@ from psychoval.core_stats import (
     JACOBI_TOL,
     _cold_eigen,
     _jacobi_sweeps,
-    _round_robin,
-    _sweep_moves,
+    _seat_move,
     fmatmul,
 )
 from psychoval.errors import (
@@ -382,29 +381,24 @@ class TestSymEigenAtScale:
         assert info.value.residual >= JACOBI_TOL
 
     @pytest.mark.parametrize("p", KERNEL_SIZES)
-    def test_round_robin_schedule(self, p):
-        n = p + p % 2
-        rounds = _round_robin(p)
-        assert len(rounds) == n - 1
-        for pairs in rounds:
-            members = [x for pair in pairs for x in pair]
-            assert sorted(members) == list(range(n))  # disjoint, all seated
-            assert all(i < j for i, j in pairs)
-        real = [pair for pairs in rounds for pair in pairs if pair[1] < p]
-        assert sorted(real) == list(combinations(range(p), 2))
-
-    @pytest.mark.parametrize("p", KERNEL_SIZES)
-    def test_sweep_moves_follow_schedule(self, p):
-        # round r works on the pairs at positions (m, m + h); a sweep ends
-        # in round 0's order
+    def test_seat_move_schedule(self, p):
+        # each round works on the pairs at positions (k, k + h); over a sweep
+        # of n - 1 moves every pair of real indices meets once, and the
+        # sweep ends in round 0's order
         n = p + p % 2
         h = n // 2
+        move = _seat_move(p)
+        perm = move[:n] % n
+        # the same permutation of rows 0..n-1 and of every row's columns
+        rows = np.r_[perm, n:n + p]
+        assert np.array_equal(move, (rows[:, None] * n + perm).reshape(-1))
         start = list(range(0, n, 2)) + list(range(1, n, 2))
-        order = start
-        for pairs, move in zip(_round_robin(p), _sweep_moves(p)):
-            assert sorted(zip(order[:h], order[h:])) == list(pairs)
-            perm = move[:n] % n
+        order, met = start, []
+        for _ in range(n - 1):
+            assert sorted(order) == list(range(n))  # disjoint, all seated
+            met += [tuple(sorted(pair)) for pair in zip(order[:h], order[h:]) if max(pair) < p]
             order = [order[k] for k in perm]
+        assert sorted(met) == list(combinations(range(p), 2))
         assert order == start
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)

@@ -120,6 +120,15 @@ class TestSolutionShape:
             make_solution("ABC", np.zeros((3, 0)))
 
     @pytest.mark.parametrize("loadings", [[0.5, 0.4], 0.5, np.ones((2, 2, 1))])
+    def test_loadings_not_2d(self, loadings):
+        from psychoval import FactorSolution
+
+        with pytest.raises(DomainError, match="^expected a 2-d loadings matrix, got shape "):
+            FactorSolution(items=("A", "B"), extraction="pca", rotation="none",
+                           loadings=loadings, eigenvalues=np.ones(2), phi=np.eye(1),
+                           communalities=np.ones(2))
+
+    @pytest.mark.parametrize("loadings", [[0.5, 0.4], 0.5, np.ones((2, 2, 1))])
     def test_varimax_criterion_refuses_loadings_not_2d(self, loadings):
         with pytest.raises(DomainError, match="^expected a 2-d loadings matrix, got shape "):
             varimax_criterion(loadings)

@@ -16,6 +16,7 @@ from psychoval import (
     describe,
     generate,
     load_csv,
+    load_model,
     load_scales,
     loads_csv,
     parse_scales,
@@ -120,6 +121,52 @@ class TestParsing:
         assert ds.items == tuple("ABCDEF")
         assert ds.n == 300
         assert not np.isnan(ds.values).any()
+
+
+class TestUtf8Files:
+    """Every input file is read as UTF-8 by one reader; a bad byte is a ParseError."""
+
+    def test_latin1_header_names_line_byte_and_offset(self, data_dir):
+        with pytest.raises(ParseError) as info:
+            load_csv(data_dir / "latin1_survey.csv", 1, 7)
+        assert str(info.value) == (
+            "row 1, column '': cannot parse 'byte 0xe9 at offset 1 is not UTF-8'"
+        )
+
+    def test_bad_byte_in_scale_file(self, tmp_path):
+        path = tmp_path / "scales.txt"
+        path.write_bytes(b"practice: A,B\n# caf\xe9\nattitude: C\n")
+        with pytest.raises(ParseError) as info:
+            load_scales(path)
+        assert (info.value.row, info.value.content) == (2, "byte 0xe9 at offset 19 is not UTF-8")
+
+    def test_bad_byte_in_model_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"n: 5\nloadings:\n  0.5\n  0.5\n  0.5\xff\n")
+        with pytest.raises(ParseError) as info:
+            load_model(path)
+        assert (info.value.row, info.value.content) == (5, "byte 0xff at offset 32 is not UTF-8")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_bom_and_line_ends_load(self, tmp_path, end):
+        csv_path, scale_path, model_path = (tmp_path / f for f in ("s.csv", "s.txt", "m.txt"))
+        csv_path.write_bytes(("\ufeff" + end.join(["id,A,B", "r1,1,2", "r2,3,4", ""])).encode())
+        scale_path.write_bytes(end.join(["both: A,B", ""]).encode())
+        model = ["n: 5", "loadings:", "  0.5", "  0.5", "  0.5", ""]
+        model_path.write_bytes(end.join(model).encode())
+        ds = load_csv(csv_path, 1, 7)
+        assert ds.items == ("A", "B") and ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert load_scales(scale_path)[0].item_ids == ("A", "B")
+        assert load_model(model_path).p == 3
+
+    @pytest.mark.parametrize("token", [np.array(["NA", "."]), None, 0])
+    def test_missing_token_must_be_a_string(self, tmp_path, token):
+        path = tmp_path / "survey.csv"
+        path.write_text(CSV_10, encoding="utf-8")
+        for read in (lambda: loads_csv(CSV_10, 1, 7, missing_token=token),
+                     lambda: load_csv(path, 1, 7, missing_token=token)):
+            with pytest.raises(ConfigError, match="^missing token must be a string, got "):
+                read()
 
 
 class TestDatasetConstruction:

@@ -22,6 +22,7 @@ from psychoval import (
     bartlett_sphericity,
     chi_square_sf,
     correlation_matrix,
+    equal_probability_thresholds,
     extract_paf,
     extract_pca,
     fit_efa,
@@ -89,6 +90,12 @@ class TestItemLabels:
         else:
             assert got == tuple(f"item{j}" for j in range(1, P + 1))
 
+    @pytest.mark.parametrize("name", LABEL_TAKERS)
+    def test_unsized_labels_are_config_error(self, name):
+        # as in kmo(R, 3), where the 3 was meant for another argument
+        with pytest.raises(ConfigError, match="^item labels must be a sequence, got 3$"):
+            LABEL_TAKERS[name](3)
+
     def test_owner(self):
         assert item_labels(None, 2) == ("item1", "item2")
         assert item_labels(["x", "y"], 2) == ("x", "y")
@@ -150,6 +157,7 @@ LIKERT_TAKERS = {
     "FactorModelSpec": _spec,
     "parse_model": _model,
     "parse_likert": lambda lo, hi: parse_likert(f"{lo}:{hi}"),
+    "equal_probability_thresholds": equal_probability_thresholds,
 }
 
 
@@ -166,7 +174,8 @@ class TestLikertLimit:
             LIKERT_TAKERS[name](*bounds)
 
     @pytest.mark.parametrize("bounds", [(1.5, 7), (1, 7.0)])
-    @pytest.mark.parametrize("name", ["SurveyDataset", "loads_csv", "FactorModelSpec"])
+    @pytest.mark.parametrize("name", ["SurveyDataset", "loads_csv", "FactorModelSpec",
+                                      "equal_probability_thresholds"])
     def test_non_integer_bound_is_config_error(self, name, bounds):
         with pytest.raises(ConfigError, match="^likert bound must be an integer, got "):
             LIKERT_TAKERS[name](*bounds)
@@ -242,11 +251,27 @@ ARRAY_TAKERS = {
 }
 
 
+COMPLEX_TAKERS = {
+    "SymMatrix": lambda: SymMatrix(np.eye(2) * (1 + 1j)),
+    "correlation_matrix": lambda: correlation_matrix(np.arange(8.0).reshape(4, 2) * 1j),
+    "SurveyDataset": lambda: SurveyDataset(("A",), ("r1",), [[2 + 0j]], 1, 7),
+    "FactorModelSpec.loadings": lambda: FactorModelSpec(loadings=[[0.5 + 0.1j]]),
+    "sym_eigen.basis": lambda: sym_eigen(R4, basis=np.eye(P, dtype=complex)),
+    "varimax_criterion": lambda: varimax_criterion([[0.5j, 0.5]]),
+}
+
+
 class TestNumericArrays:
     @pytest.mark.parametrize("name", ARRAY_TAKERS)
     def test_non_numeric_entry_is_domain_error(self, name):
         with pytest.raises(DomainError, match="must be an array of numbers$"):
             ARRAY_TAKERS[name]()
+
+    @pytest.mark.parametrize("name", COMPLEX_TAKERS)
+    def test_complex_entry_is_domain_error(self, name):
+        # a cast to float would warn and drop the imaginary parts
+        with pytest.raises(DomainError, match="must be real, got complex numbers$"):
+            COMPLEX_TAKERS[name]()
 
     @pytest.mark.parametrize("thresholds", [5, "abc"])
     def test_scalar_thresholds_are_config_error(self, thresholds):

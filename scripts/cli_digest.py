@@ -61,6 +61,8 @@ BAD_MODEL_FLAGS = (
     ("--retention", "fixed:0"),
     ("--retention", "fixed:9"),
     ("--retention", "fixed:x"),
+    ("--retention", "fixed:2_0"),
+    ("--retention", "fixed:+2"),
     ("--gamma", "nan"),
     ("--gamma", "inf"),
     ("--gamma=-inf",),

@@ -62,12 +62,9 @@ class SymMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = as_float_array(self.values, "matrix")
+        a = as_finite_array(self.values, "matrix")  # the symmetry test passes a NaN
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        # before the symmetry test, which a NaN passes
-        if not np.isfinite(a).all():
-            raise DomainError("matrix has a non-finite entry")
         check_symmetric(a, "matrix")
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
@@ -90,6 +87,14 @@ def as_float_array(values, what: str) -> np.ndarray:
         return a.astype(float, copy=False)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be an array of numbers") from None
+
+
+def as_finite_array(values, what: str) -> np.ndarray:
+    """``as_float_array``, and DomainError if an entry is NaN or infinite."""
+    a = as_float_array(values, what)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} has a non-finite entry")
+    return a
 
 
 def check_symmetric(a: np.ndarray, what: str) -> None:

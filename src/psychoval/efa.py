@@ -18,7 +18,7 @@ import numpy as np
 from .core_stats import (
     SINGULARITY_RTOL,
     SymMatrix,
-    as_float_array,
+    as_finite_array,
     fmatmul,
     inverse,
     item_labels,
@@ -57,7 +57,9 @@ class FactorSolution:
     retention rule sees), ``phi`` the m x m factor correlation matrix
     (identity for orthogonal solutions). ``structure`` is derived as
     loadings @ phi, so pattern and structure coincide exactly when phi is
-    the identity.
+    the identity, and ``communalities`` as the row sums of loadings *
+    structure, the diagonal of loadings @ phi @ loadings'. A non-finite
+    entry raises DomainError.
     """
 
     items: tuple[str, ...]
@@ -66,16 +68,15 @@ class FactorSolution:
     loadings: np.ndarray
     eigenvalues: np.ndarray
     phi: np.ndarray
-    communalities: np.ndarray
     convergence: dict = field(default_factory=dict)
     heywood: bool = False
     structure: np.ndarray = field(init=False, repr=False)
+    communalities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        L = _frozen(as_float_array(self.loadings, "loadings"))
-        lam = _frozen(as_float_array(self.eigenvalues, "eigenvalues"))
-        phi = _frozen(as_float_array(self.phi, "phi"))
-        h2 = _frozen(as_float_array(self.communalities, "communalities"))
+        L = _frozen(as_finite_array(self.loadings, "loadings"))
+        lam = _frozen(as_finite_array(self.eigenvalues, "eigenvalues"))
+        phi = _frozen(as_finite_array(self.phi, "phi"))
         if L.ndim != 2:
             raise DomainError(f"expected a 2-d loadings matrix, got shape {L.shape}")
         p, m = L.shape
@@ -83,7 +84,7 @@ class FactorSolution:
             raise DomainError("a factor solution needs at least one item")
         if m == 0:
             raise DomainError("a factor solution needs at least one factor")
-        if len(self.items) != p or lam.shape != (p,) or h2.shape != (p,):
+        if len(self.items) != p or lam.shape != (p,):
             raise DomainError("solution fields disagree on the item count")
         if phi.shape != (m, m):
             raise DomainError("phi shape does not match the factor count")
@@ -91,8 +92,8 @@ class FactorSolution:
         object.__setattr__(self, "loadings", L)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "communalities", h2)
         object.__setattr__(self, "structure", _frozen(L @ phi))
+        object.__setattr__(self, "communalities", _frozen((self.structure * L).sum(axis=1)))
 
     @property
     def p(self) -> int:
@@ -141,7 +142,6 @@ def extract_pca(R: SymMatrix, m: int, items=None) -> FactorSolution:
         loadings=loadings,
         eigenvalues=eig.eigenvalues,
         phi=np.eye(m),
-        communalities=(loadings**2).sum(axis=1),
         convergence={"iterations": 0, "delta": 0.0},
     )
 
@@ -193,7 +193,7 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
                 residual=delta,
             )
         passes += full_passes
-    loadings, h2, heywood, delta = fit
+    loadings, heywood, delta = fit
     return FactorSolution(
         items=names,
         extraction="paf",
@@ -201,7 +201,6 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
         loadings=loadings,
         eigenvalues=spectrum.eigenvalues,
         phi=np.eye(m),
-        communalities=h2,
         convergence={"iterations": passes, "delta": delta},
         heywood=heywood,
     )
@@ -236,7 +235,7 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
         delta = float(np.max(np.abs(new_h2 - h2)))
         if delta < PAF_TOL:
             if angle < PAF_RITZ_ANGLE * PAF_TOL:
-                return (loadings, new_h2, heywood, delta), passes, delta
+                return (loadings, heywood, delta), passes, delta
             if refined:
                 return None, passes, delta
             refined, last = True, None
@@ -333,12 +332,12 @@ def retain_kaiser(eigenvalues) -> int:
     The caller can detect the forced case by checking that no eigenvalue
     exceeds 1 even though 1 factor is retained.
     """
-    lam = as_float_array(eigenvalues, "eigenvalues")
+    lam = as_finite_array(eigenvalues, "eigenvalues")
     return max(int(np.sum(lam > 1.0)), 1)
 
 
 def fixed_count(retention: str) -> int | None:
-    """Parse a retention rule: None for "kaiser", k for "fixed:<k>"."""
+    """Parse a retention rule: None for "kaiser", k for "fixed:<k>" spelled as str(k)."""
     if not isinstance(retention, str):
         raise ConfigError(f"retention must be a string, got {retention!r}")
     if retention == "kaiser":
@@ -348,7 +347,9 @@ def fixed_count(retention: str) -> int | None:
         try:
             k = int(tail)
         except ValueError:
-            raise ConfigError(f"retention {retention!r} needs an integer count") from None
+            k = None
+        if k is None or str(k) != tail:
+            raise ConfigError(f"retention {retention!r} needs an integer count")
         if k < 1:
             raise ConfigError("fixed retention count must be at least 1")
         return k
@@ -418,9 +419,9 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     """Raw varimax criterion: summed per-factor variance of squared loadings.
 
     With Kaiser normalization (the default, matching the optimizer) rows
-    are scaled to unit communality first.
+    are scaled to unit communality first; a non-finite loading raises DomainError.
     """
-    L = as_float_array(loadings, "loadings")
+    L = as_finite_array(loadings, "loadings")
     if L.ndim != 2:
         raise DomainError(f"expected a 2-d loadings matrix, got shape {L.shape}")
     if L.shape[0] == 0:
@@ -486,7 +487,6 @@ def rotate_varimax(solution: FactorSolution) -> FactorSolution:
         rotation="varimax",
         loadings=L,
         phi=np.eye(m),
-        communalities=(L**2).sum(axis=1),
         convergence={"sweeps": sweeps, "criterion": crit},
     )
     return sort_and_sign(rotated)
@@ -560,14 +560,11 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
             f"oblimin: gradient norm {s:.3e} after {iterations} iterations",
             residual=s,
         )
-    phi = T.T @ T
-    communalities = ((L @ phi) * L).sum(axis=1)
     rotated = replace(
         solution,
         rotation=f"oblimin({gamma:g})",
         loadings=L,
-        phi=phi,
-        communalities=communalities,
+        phi=T.T @ T,
         convergence={"iterations": iterations, "gradient_norm": s},
     )
     return sort_and_sign(rotated)
@@ -597,15 +594,12 @@ def assign_items(
     second factor also reaches it, and unassigned when none does.
     """
     check_cutoff(cutoff)
-    out: dict[str, ItemAssignment] = {}
-    for j, item in enumerate(solution.items):
-        row = solution.loadings[j]
-        magnitudes = np.abs(row)
-        k = int(np.argmax(magnitudes))
-        if magnitudes[k] < cutoff:
-            out[item] = ItemAssignment(item, None, "unassigned")
-            continue
-        rest = np.delete(magnitudes, k)
-        status = "cross_loaded" if rest.size and rest.max() >= cutoff else "assigned"
-        out[item] = ItemAssignment(item, k, status)
-    return out
+    magnitudes = np.abs(solution.loadings)
+    # the first largest |loading| (np.argmax's tie rule) and how many reach the cutoff
+    best = magnitudes.argmax(axis=1).tolist()
+    reach = (magnitudes >= cutoff).sum(axis=1).tolist()
+    status = ("unassigned", "assigned", "cross_loaded")
+    return {
+        item: ItemAssignment(item, k if n else None, status[min(n, 2)])
+        for item, k, n in zip(solution.items, best, reach)
+    }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_stats import (
-    MIN_ROWS, SINGULARITY_RTOL, as_float_array, check_symmetric, gram_covariances, item_labels,
+    MIN_ROWS, SINGULARITY_RTOL, as_finite_array, check_symmetric, gram_covariances, item_labels,
 )
 from .errors import DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance
 from .ingest import ScaleDefinition, SurveyDataset
@@ -61,31 +61,26 @@ def _not_psd(detail: str) -> DomainError:
     return DomainError(f"covariance matrix is not positive semidefinite: {detail}")
 
 
-def _sum_variance(cov: np.ndarray, what: str) -> float:
-    """The variance of the items' sum; ZeroVariance at a relative zero, DomainError below."""
+def _alpha(cov: np.ndarray, what: str, trace: float | None = None) -> tuple[float, float]:
+    """Cronbach's alpha k/(k-1) (1 - trace/total) of cov and total, the variance of its sum.
+
+    ``trace`` defaults to cov's. ZeroVariance at a relative zero total,
+    DomainError below it; one item has no alpha (NaN).
+    """
+    k = cov.shape[0]
     total = float(cov.sum())
+    trace = float(np.trace(cov)) if trace is None else trace
     # a relative zero: population input carries rounding in its entries
-    if abs(total) < SINGULARITY_RTOL * float(np.trace(cov)):
+    if abs(total) < SINGULARITY_RTOL * trace:
         raise ZeroVariance(what)
     if total < 0.0:
         raise _not_psd(f"{what} has a negative variance")
-    return total
-
-
-def _alpha_raw_from_cov(cov: np.ndarray) -> float:
-    k = cov.shape[0]
-    total = _sum_variance(cov, "total score")
-    # k/(k-1) (1 - trace/total) as one quotient: on exact sums identical items give 1.
-    # With every |r| <= 1, Cauchy-Schwarz gives total <= (sum sd)^2 <= k trace, so
-    # alpha <= 1 and any excess is rounding (|r| beyond that is refused upstream)
-    return min(1.0, k * (total - float(np.trace(cov))) / ((k - 1.0) * total))
-
-
-def _alpha_std_from_corr(corr: np.ndarray) -> float:
-    k = corr.shape[0]
-    # the standardized total's variance is k (1 + (k - 1) off)
-    off = (_sum_variance(corr, "standardized total score") - k) / (k * (k - 1.0))
-    return k * off / (1.0 + (k - 1.0) * off)
+    if k < 2:
+        return math.nan, total
+    # one quotient: on exact sums identical items give 1. With every |r| <= 1,
+    # Cauchy-Schwarz gives total <= (sum sd)^2 <= k trace, so alpha <= 1 and
+    # any excess is rounding (|r| beyond that is refused upstream)
+    return min(1.0, k * (total - trace) / ((k - 1.0) * total)), total
 
 
 def alpha_from_covariance(
@@ -104,11 +99,9 @@ def alpha_from_covariance(
     semidefinite by more than rounding wherever that shows: an implied
     correlation beyond ±1 or a sum of items with negative variance.
     """
-    cov = as_float_array(cov, "covariance matrix")
+    cov = as_finite_array(cov, "covariance matrix")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DomainError(f"expected a square covariance matrix, got shape {cov.shape}")
-    if not np.isfinite(cov).all():
-        raise DomainError("covariance matrix has a non-finite entry")
     check_symmetric(cov, "covariance matrix")
     k = cov.shape[0]
     if k < 2:
@@ -122,25 +115,20 @@ def alpha_from_covariance(
     corr = cov / np.sqrt(np.outer(variances, variances))
     for i, j in np.argwhere(np.abs(corr) > 1.0 + SINGULARITY_RTOL)[:1]:
         raise _not_psd(f"items {names[i]!r} and {names[j]!r} have r = {corr[i, j]:.4g}")
-    corr = np.clip(corr, -1.0, 1.0)
-    alpha_raw = _alpha_raw_from_cov(cov)
-    alpha_std = _alpha_std_from_corr(corr)
+    alpha_raw, _ = _alpha(cov, "total score")
+    # the standardized items' covariances are R, whose trace is k
+    alpha_std, _ = _alpha(np.clip(corr, -1.0, 1.0), "standardized total score", trace=k)
 
     item_total: dict[str, float] = {}
     if_deleted: dict[str, float] = {}
     for j, name in enumerate(names):
         rest = [i for i in range(k) if i != j]
+        if_deleted[name], rest_total = _alpha(cov[np.ix_(rest, rest)], "remainder score")
         # corrected item-total: item vs sum of the remaining items
-        rest_cov = cov[np.ix_(rest, rest)]
-        r = float(cov[j, rest].sum()) / math.sqrt(
-            variances[j] * _sum_variance(rest_cov, "remainder score"))
+        r = float(cov[j, rest].sum()) / math.sqrt(variances[j] * rest_total)
         if abs(r) > 1.0 + SINGULARITY_RTOL:
             raise _not_psd(f"item {name!r} has r = {r:.4g} with the remainder score")
         item_total[name] = min(1.0, max(-1.0, r))
-        if k == 2:
-            if_deleted[name] = math.nan
-        else:
-            if_deleted[name] = _alpha_raw_from_cov(rest_cov)
 
     return AlphaReport(
         scale=scale_name,

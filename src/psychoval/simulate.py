@@ -32,9 +32,18 @@ from .rng import Rng, as_int
 MAX_CATEGORIES = 1000
 
 
+def _check_categories(likert_min: int, likert_max: int) -> None:
+    """check_likert, and ConfigError for bounds spanning over MAX_CATEGORIES categories."""
+    check_likert(likert_min, likert_max)
+    categories = likert_max - likert_min + 1
+    if categories > MAX_CATEGORIES:
+        raise ConfigError(f"likert bounds {likert_min}:{likert_max} span {categories} "
+                          f"categories, the simulator takes at most {MAX_CATEGORIES}")
+
+
 def equal_probability_thresholds(likert_min: int, likert_max: int) -> tuple[float, ...]:
     """Cut points splitting the standard normal into equally likely categories."""
-    check_likert(likert_min, likert_max)
+    _check_categories(likert_min, likert_max)
     # imported on first use: at module level it costs `import psychoval` about 4 ms
     from statistics import NormalDist
 
@@ -97,13 +106,7 @@ class FactorModelSpec:
         if np.max(np.abs(np.diag(phi) - 1.0)) > 1e-8:
             raise ConfigError("phi must have a unit diagonal")
         cholesky_lower(phi)  # positive definiteness check
-        check_likert(self.likert_min, self.likert_max)
-        categories = self.likert_max - self.likert_min + 1
-        if categories > MAX_CATEGORIES:
-            raise ConfigError(
-                f"likert bounds {self.likert_min}:{self.likert_max} span {categories} "
-                f"categories, the simulator takes at most {MAX_CATEGORIES}"
-            )
+        _check_categories(self.likert_min, self.likert_max)
         n, seed = as_int(self.n, "n"), as_int(self.seed, "seed")
         if n < 1:
             raise ConfigError("n must be at least 1")

@@ -10,8 +10,9 @@ recurrences, and they check the batched paths against it. The
 reconstruction, the reproduced matrix and the threshold-implied category
 moments are the defining formulas, applied to the package's results. The
 Jacobi and CSV oracles are likewise the package's earlier round and per-cell parser,
-kept so that the faster paths can be held to the same bits and errors, and
-the sign oracle is the earlier per-column loop of ``sort_and_sign``. The
+kept so that the faster paths can be held to the same bits and errors, the
+sign oracle is the earlier per-column loop of ``sort_and_sign`` and the
+assignment oracle the earlier per-row loop of ``assign_items``. The
 PAF oracle is the package's earlier extraction loop, which decomposes the
 full p x p reduced matrix on every pass, with an Anderson(1) step written
 from its residual-minimizing definition (``mix=False`` gives the plain
@@ -26,6 +27,7 @@ import decimal
 import io
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -245,6 +247,14 @@ def alpha_definitional(data) -> float:
     return (k / (k - 1.0)) * (1.0 - sum(item_vars) / total_var)
 
 
+def alpha_standardized_exact(R) -> float:
+    """k rbar / (1 + (k - 1) rbar) over the mean off-diagonal r, in exact arithmetic, rounded once."""
+    R = np.asarray(R, dtype=float)
+    k = R.shape[0]
+    rbar = sum(Fraction(float(x)) for x in R[~np.eye(k, dtype=bool)]) / (k * (k - 1))
+    return float(k * rbar / (1 + (k - 1) * rbar))
+
+
 def lead_signs_per_column(columns) -> np.ndarray:
     """Per column, -1.0 when its first largest-|entry| is negative, else 1.0."""
     columns = np.asarray(columns, dtype=float)
@@ -255,6 +265,20 @@ def lead_signs_per_column(columns) -> np.ndarray:
         if col[lead] < 0:
             signs[k] = -1.0
     return signs
+
+
+def assign_items_per_row(loadings, cutoff: float) -> list[tuple[int | None, str]]:
+    """(factor, status) per row: the first largest |loading|, checked against the cutoff."""
+    out = []
+    for row in np.abs(np.asarray(loadings, dtype=float)).tolist():
+        best = row.index(max(row))
+        if row[best] < cutoff:
+            out.append((None, "unassigned"))
+        elif any(v >= cutoff for i, v in enumerate(row) if i != best):
+            out.append((best, "cross_loaded"))
+        else:
+            out.append((best, "assigned"))
+    return out
 
 
 def generate_rowwise(spec) -> np.ndarray:
@@ -464,7 +488,6 @@ def extract_paf_full(
             new_h2 = np.minimum(new_h2, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
         if delta < tol:
-            h2 = new_h2
             break
         next_h2 = new_h2
         if mix and earlier is not None:
@@ -486,7 +509,6 @@ def extract_paf_full(
         loadings=loadings,
         eigenvalues=full_spectrum,
         phi=np.eye(m),
-        communalities=h2,
         convergence={"iterations": iterations, "delta": delta},
         heywood=heywood,
     )

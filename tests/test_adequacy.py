@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,22 +248,13 @@ class TestEffectiveNAtScale:
 
 class TestAdvice:
     def solution(self, h2: float, p: int = 8, n_factors: int = 2):
-        """Hand-built solution whose mean communality is exactly h2."""
-        from psychoval import FactorSolution
+        """Stand-in for a solution whose mean communality is exactly h2.
 
-        L = np.zeros((p, n_factors))
-        half = p // n_factors
-        for k in range(n_factors):
-            L[k * half:(k + 1) * half, k] = math.sqrt(h2)
-        return FactorSolution(
-            items=tuple(f"I{j}" for j in range(p)),
-            extraction="paf",
-            rotation="none",
-            loadings=L,
-            eigenvalues=np.ones(p),
-            phi=np.eye(n_factors),
-            communalities=np.full(p, h2),
-        )
+        A FactorSolution derives its communalities from the loadings, and
+        sqrt(h2)**2 need not round back to h2, so the band boundaries would
+        not be hit exactly; the advice reads only these three attributes.
+        """
+        return SimpleNamespace(communalities=np.full(p, h2), p=p, m=n_factors)
 
     def test_high_band(self):
         advice = sample_adequacy_advice(self.solution(0.72), n=100)

@@ -454,7 +454,9 @@ class TestBadInputMessages:
         ("bogus", "unknown retention rule 'bogus'"),
         ("fixed:0", "fixed retention count must be at least 1"),
         ("fixed:x", "retention 'fixed:x' needs an integer count"),
-    ], ids=["bogus", "fixed:0", "fixed:x"])
+        ("fixed:2_0", "retention 'fixed:2_0' needs an integer count"),
+        ("fixed:+2", "retention 'fixed:+2' needs an integer count"),
+    ], ids=["bogus", "fixed:0", "fixed:x", "fixed:2_0", "fixed:+2"])
     def test_bad_retention_same_in_validate_and_efa(self, capsys, demo_csv,
                                                     retention, message):
         errs = [run(capsys, command, "-i", demo_csv, "--retention", retention)

@@ -13,6 +13,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psychoval import (
     FactorModelSpec,
@@ -94,7 +96,6 @@ def make_solution(items, loadings, phi=None, eigenvalues=None):
         loadings=L,
         eigenvalues=np.ones(p) if eigenvalues is None else eigenvalues,
         phi=np.eye(m) if phi is None else phi,
-        communalities=(L ** 2).sum(axis=1),
     )
 
 
@@ -125,8 +126,7 @@ class TestSolutionShape:
 
         with pytest.raises(DomainError, match="^expected a 2-d loadings matrix, got shape "):
             FactorSolution(items=("A", "B"), extraction="pca", rotation="none",
-                           loadings=loadings, eigenvalues=np.ones(2), phi=np.eye(1),
-                           communalities=np.ones(2))
+                           loadings=loadings, eigenvalues=np.ones(2), phi=np.eye(1))
 
     @pytest.mark.parametrize("loadings", [[0.5, 0.4], 0.5, np.ones((2, 2, 1))])
     def test_varimax_criterion_refuses_loadings_not_2d(self, loadings):
@@ -136,6 +136,52 @@ class TestSolutionShape:
     def test_varimax_criterion_refuses_loadings_without_rows(self):
         with pytest.raises(DomainError, match="^loadings matrix has no rows$"):
             varimax_criterion(np.zeros((0, 2)))
+
+
+class TestNonFinite:
+    """A NaN or infinite entry is refused with DomainError, never carried along."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["loadings", "eigenvalues", "phi"])
+    def test_solution_field(self, name, bad):
+        # a NaN loading once made a solution whose item assign_items called assigned
+        fields = {"loadings": [[bad], [0.5], [0.6]], "eigenvalues": [bad, 1.0, 1.0],
+                  "phi": [[bad]]}
+        kwargs = {name: fields[name]}
+        with pytest.raises(DomainError, match=f"^{name} has a non-finite entry$"):
+            make_solution("ABC", kwargs.pop("loadings", [[0.4], [0.5], [0.6]]), **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_kaiser_eigenvalue(self, bad):
+        with pytest.raises(DomainError, match="^eigenvalues has a non-finite entry$"):
+            retain_kaiser([2.0, bad, 0.5])
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_varimax_criterion_loading(self, normalize):
+        with pytest.raises(DomainError, match="^loadings has a non-finite entry$"):
+            varimax_criterion([[math.nan], [0.5], [0.6]], normalize=normalize)
+
+
+class TestCommunalities:
+    """communalities is derived: the row sums of pattern * structure."""
+
+    @pytest.mark.parametrize("rotation", efa.ROTATIONS)
+    @pytest.mark.parametrize("extraction", efa.EXTRACTIONS)
+    def test_row_sums_of_pattern_times_structure(self, extraction, rotation):
+        ds = load_csv(DATA_DIR / "wide_survey.csv", 1, 7)
+        sol = fit_efa(correlation_matrix(ds.values), ds.items, extraction, "fixed:4", rotation)
+        assert sol.m == 4
+        assert np.array_equal(sol.communalities, (sol.structure * sol.loadings).sum(axis=1))
+        implied = np.diag(sol.loadings @ sol.phi @ sol.loadings.T)
+        assert np.max(np.abs(sol.communalities - implied)) <= 1e-12
+
+    def test_not_a_constructor_argument(self):
+        from psychoval import FactorSolution
+
+        with pytest.raises(TypeError, match="communalities"):
+            FactorSolution(items=("A",), extraction="pca", rotation="none",
+                           loadings=[[0.5]], eigenvalues=[1.0], phi=[[1.0]],
+                           communalities=[0.9])
 
 
 class TestPca:
@@ -564,8 +610,20 @@ class TestFitEfa:
     def test_fixed_count_parser(self):
         assert fixed_count("kaiser") is None
         assert fixed_count("fixed:3") == 3
+        assert fixed_count("fixed:99999999999999999999") == 10**20 - 1
         with pytest.raises(ConfigError):
             fixed_count("fixed")  # rule name without a count
+
+    @pytest.mark.parametrize("retention", [
+        "fixed:2_0", "fixed:+2", "fixed: 2", "fixed:2 ", "fixed:02", "fixed:-0",
+        "fixed:\u0968",
+    ])
+    def test_fixed_count_in_plain_digits_only(self, retention):
+        # int() takes each of these; the rule is echoed into the report, so
+        # one count has one spelling
+        message = f"^retention {re.escape(repr(retention))} needs an integer count$"
+        with pytest.raises(ConfigError, match=message):
+            fixed_count(retention)
 
 
 class TestVarimax:
@@ -745,11 +803,14 @@ class TestSortAndSign:
             loadings=scrambled_L,
             eigenvalues=rotated.eigenvalues,
             phi=scrambled_phi,
-            communalities=rotated.communalities,
         )
         back = sort_and_sign(scrambled)
         assert np.allclose(back.loadings, rotated.loadings, atol=1e-12)
         assert np.allclose(back.phi, rotated.phi, atol=1e-12)
+
+
+# values at and around the cutoffs drawn in TestAssignment, so ties and exact hits are common
+LOADING = st.sampled_from([0.0, -0.0, 0.1, -0.39, 0.4, -0.4, 0.55, -0.55, 0.9]) | st.floats(-1, 1)
 
 
 class TestAssignment:
@@ -776,3 +837,17 @@ class TestAssignment:
     def test_negative_loading_assigns_by_magnitude(self):
         a = assign_items(make_solution(("i1",), np.array([[-0.7, 0.1]])))
         assert a["i1"].factor == 0
+
+    @given(
+        rows=st.integers(1, 5).flatmap(lambda m: st.lists(
+            st.lists(LOADING, min_size=m, max_size=m), min_size=1, max_size=6)),
+        cutoff=st.sampled_from([0.4, 0.55]) | st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_row_loop(self, rows, cutoff):
+        items = [f"i{j}" for j in range(len(rows))]
+        got = assign_items(make_solution(items, rows), cutoff)
+        assert list(got) == items
+        assert all(got[item].item == item for item in items)
+        want = oracles.assign_items_per_row(rows, cutoff)
+        assert [(a.factor, a.status) for a in got.values()] == want

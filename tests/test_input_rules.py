@@ -47,7 +47,7 @@ R4 = SymMatrix(np.full((P, P), 0.3) + 0.7 * np.eye(P))
 LOW_COMMUNALITY = FactorSolution(
     items=tuple("ABCDEF"), extraction="paf", rotation="none",
     loadings=np.kron(np.eye(2), np.full((3, 1), 0.5)), eigenvalues=np.ones(6),
-    phi=np.eye(2), communalities=np.full(6, 0.25),
+    phi=np.eye(2),
 )
 
 

@@ -183,6 +183,20 @@ class TestAlphaSamplePath:
                 sub.alpha_raw, abs=1e-10
             )
 
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_standardized_alpha_is_the_mean_r_formula(self, seed):
+        # one formula for raw and standardized alpha: on R, whose trace is k,
+        # it equals k rbar / (1 + (k - 1) rbar); loadings >= 0.4 keep rbar
+        # away from 0, where both sides lose relative accuracy
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.4, 0.95, size=int(rng.integers(2, 21)))
+        R = np.outer(lam, lam)
+        np.fill_diagonal(R, 1.0)
+        got = alpha_from_covariance(R).alpha_standardized
+        want = oracles.alpha_standardized_exact(R)
+        assert abs(got - want) <= 4 * math.ulp(want)
+
     def test_item_total_correlations_bounded(self):
         rng = np.random.default_rng(33)
         ds = likert_dataset(random_likert(rng))

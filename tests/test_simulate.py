@@ -352,6 +352,12 @@ class TestCategoryCap:
                                rf"categories, the simulator takes at most 1000$"):
                 FactorModelSpec(loadings=np.full((3, 1), 0.5), likert_min=1, likert_max=hi)
 
+    def test_thresholds_take_the_same_cap(self):
+        assert len(simulate.equal_probability_thresholds(1, MAX_CATEGORIES)) == 999
+        with pytest.raises(ConfigError, match=rf"^likert bounds 1:{MAX_CATEGORIES + 1} span "
+                           rf"{MAX_CATEGORIES + 1} categories, the simulator takes at most 1000$"):
+            simulate.equal_probability_thresholds(1, MAX_CATEGORIES + 1)
+
     def test_beyond_cap_in_model_file(self):
         with pytest.raises(ConfigError, match="span 1001 categories"):
             parse_model("n: 5\nlikert: 1:1001\nloadings:\n  0.5\n  0.5\n  0.5\n")

@@ -145,10 +145,12 @@ def _invocations() -> list[tuple[str, ...]]:
         runs.append((command, "-i", WIDE, "--retention", "fixed:4", "-f", "json"))
     # Kaiser keeps four factors in validate and six in efa, whose
     # over-extracted run gives the subspace path up; validate --retention
-    # fixed:6 (18 items after pruning) takes the full path and fails
+    # fixed:6 (18 items after pruning) takes the full path, with Newton
+    # passes, and its text report shows the unassigned items
     for retention in ("kaiser", "fixed:6"):
         for command in ("validate", "efa"):
             runs.append((command, "-i", WIDE, "--retention", retention, "-f", "json"))
+    runs.append(("validate", "-i", WIDE, "--retention", "fixed:6", "-f", "text"))
     # twenty independent items: Bartlett's p at df = 190 is mid-range, where
     # the JSON carries every digit of the chi-square tail
     runs.append(("validate", "-i", WIDE_NOISE, "--force", "--extraction", "pca",

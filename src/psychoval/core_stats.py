@@ -424,6 +424,42 @@ def log_determinant(A: SymMatrix) -> float:
     return float(np.sum(np.log(lam)))
 
 
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factor of a's lower triangle; fails on non-positive pivots.
+
+    Column j takes a[i, j] - sum_k<j L[i, k] L[j, k] for every row i >= j
+    at once, each sum over one contiguous row of elementwise products.
+    """
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    L = np.zeros((m, m))
+    for j in range(m):
+        s = a[j:, j] - (L[j:, :j] * L[j, :j]).sum(axis=1)
+        if s[0] <= 0.0:
+            raise NotPositiveDefinite(f"pivot {s[0]:.3e} at row {j} during Cholesky")
+        L[j, j] = math.sqrt(s[0])
+        L[j + 1:, j] = s[1:] / L[j, j]
+    return L
+
+
+def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a symmetric positive definite a, read from its lower triangle.
+
+    Forward then back substitution on ``cholesky_lower(a)``, with sums of
+    elementwise products only, so no BLAS or LAPACK call touches the
+    numbers; NotPositiveDefinite from the factorization.
+    """
+    L = cholesky_lower(a)
+    n = L.shape[0]
+    y = np.zeros(n)
+    for i in range(n):
+        y[i] = (b[i] - (L[i, :i] * y[:i]).sum()) / L[i, i]
+    x = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - (L[i + 1:, i] * x[i + 1:]).sum()) / L[i, i]
+    return x
+
+
 # --- chi-square tail --------------------------------------------------------
 
 def chi_square_sf(x: float, df: int) -> float:

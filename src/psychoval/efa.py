@@ -19,13 +19,17 @@ from .core_stats import (
     SINGULARITY_RTOL,
     SymMatrix,
     as_finite_array,
+    cholesky_solve,
     fmatmul,
     inverse,
     item_labels,
     lead_signs,
     sym_eigen,
 )
-from .errors import BadFactorCount, ConfigError, DomainError, NoConvergence, TooFewItems, stage
+from .errors import (
+    BadFactorCount, ConfigError, DomainError, NoConvergence, NotPositiveDefinite, TooFewItems,
+    stage,
+)
 from .rng import as_int, check_real
 
 EXTRACTIONS = ("paf", "pca")
@@ -155,10 +159,14 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     negative eigenvalues to zero, and recomputes communalities f(h) as row
     sums of squared loadings; once max |f(h) - h| < PAF_TOL it returns
     f(h) with its loadings. A communality exceeding 1 is clamped to 1 with
-    the row rescaled (Heywood case, flagged, never silent). Above
-    Ledermann's bound, (p - m)^2 > p + m, where the fixed point is unique,
-    the next pass starts from the Anderson(1) step (``_anderson``) instead
-    of f(h), which about halves the passes; below it every pass is plain.
+    the row rescaled (Heywood case, flagged, never silent). Below
+    Ledermann's bound, (p - m)^2 <= p + m, every pass is plain. Above it,
+    a pass of the full step takes Newton's step (``_newton``) on
+    f(h) - h, which converges quadratically, and any other pass starts the
+    next one from the Anderson(1) step (``_anderson``) instead of f(h),
+    which about halves the plain passes: a subspace pass, a pass that
+    clamps a row, and one where Newton's step is not defined or its
+    Cholesky guard fails. The stop rule is the same for all of them.
 
     The two eigen steps differ only in these ways. With p >= 2b items,
     b = m + PAF_RITZ_EXTRA, the passes first take the subspace step
@@ -167,10 +175,11 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     only if the top m Ritz vectors are within PAF_RITZ_ANGLE * PAF_TOL of
     an invariant subspace (p >= 2b also puts it above Ledermann's bound).
     A run it gives up starts over from the SMC communalities with the full
-    step (``_full_step``), so it gives that step's bits: the p x p reduced
-    matrix per pass, warm-started from the last pass's eigenvectors, at
-    most PAF_MAX_ITER passes, every stop standing; a run it gives up
-    raises NoConvergence. ``convergence["iterations"]`` counts both.
+    step (``_full_step``), so it gives that step's bits: all p eigenpairs
+    of the p x p reduced matrix per pass (which Newton's step needs),
+    warm-started from the last pass's eigenvectors, at most PAF_MAX_ITER
+    passes, every stop standing; a run it gives up raises NoConvergence.
+    ``convergence["iterations"]`` counts both.
     """
     p = R.dim
     names = item_labels(items, p)
@@ -217,6 +226,9 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
     refines the vectors (a subspace step tracks the eigenvalues largest in
     magnitude, so on an over-extracted model, whose m-th eigenvalue is
     small and close to the next, the block lags the matrix it stops on).
+    Above Ledermann's bound, a pass whose step gave all p eigenpairs and
+    clamped no row tries Newton's step, and the Anderson history restarts
+    after each Newton step taken.
     """
     p = values.shape[0]
     mix = (p - m) ** 2 > p + m
@@ -239,7 +251,12 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
             if refined:
                 return None, passes, delta
             refined, last = True, None
-        h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
+        full = mix and not clamped and lam.size == p
+        newton = _newton(h2, new_h2, lam, vectors, m) if full else None
+        if newton is not None:
+            h2, last = newton, None
+        else:
+            h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
     return None, passes, delta
 
 
@@ -251,6 +268,45 @@ def _full_step(a: np.ndarray, basis, m: int):
     """
     eig = sym_eigen(SymMatrix(a), basis=basis)
     return eig.eigenvalues, eig.eigenvectors, 0.0
+
+
+def _newton(h2: np.ndarray, f: np.ndarray, lam: np.ndarray, vectors: np.ndarray, m: int):
+    """Newton's step on g(h) = f(h) - h from the full spectrum of the reduced matrix at h.
+
+    f is the gradient of phi(h) = 1/2 sum_{k<=m} lambda_k(h)^2, so its
+    Jacobian J (``_paf_jacobian``) is symmetric, and (I - J) delta = g is
+    solved by Cholesky. Returns h + delta, or None when lambda_m <= 0 or
+    lambda_m = lambda_m+1 (J is not defined), when I - J is not positive
+    definite (psi = phi - |h|^2 / 2 is not concave at h, and there the
+    plain pass need not contract), or when h + delta leaves [0, 1].
+    """
+    if not lam[m - 1] > max(lam[m], 0.0):
+        return None
+    try:
+        delta = cholesky_solve(np.eye(h2.size) - _paf_jacobian(lam, vectors, m), f - h2)
+    except NotPositiveDefinite:
+        return None
+    h2 = h2 + delta
+    return h2 if 0.0 <= h2.min() and h2.max() <= 1.0 else None
+
+
+def _paf_jacobian(lam: np.ndarray, vectors: np.ndarray, m: int) -> np.ndarray:
+    """J = df/dh of f(h) = diag(V_m Lambda_m V_m') from the full spectrum at h.
+
+    With d lambda_k / dh_j = v_jk^2 and d v_k / dh_j = sum_{l != k} v_l
+    v_jl v_jk / (lambda_k - lambda_l), J = sum_{k<=m} (v_k v_k') o (V W_k
+    V'), where W_k = diag(w_k1, ..., w_kp) with w_kl = 1 for l <= m (these
+    terms sum to (V_m V_m') o (V_m V_m')) and 2 lambda_k / (lambda_k -
+    lambda_l) for l > m. Needs lambda_m > lambda_m+1. Products are summed
+    by ``fmatmul``, one p x p x p array per factor.
+    """
+    jac = np.zeros((lam.size, lam.size))
+    for k in range(m):
+        w = np.ones(lam.size)
+        w[m:] = 2.0 * lam[k] / (lam[k] - lam[m:])
+        v = vectors[:, k]
+        jac += fmatmul(vectors * w, vectors.T) * np.outer(v, v)
+    return jac
 
 
 def _anderson(h2: np.ndarray, f: np.ndarray, last):
@@ -434,6 +490,13 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = True) -> float:
     return float(((sq**2).sum(axis=0) - sq.sum(axis=0) ** 2 / p).sum() / p)
 
 
+def _check_orthogonal(solution: FactorSolution, rotation: str) -> None:
+    """DomainError unless phi is the identity: both rotations treat the loadings as orthogonal."""
+    if not np.array_equal(solution.phi, np.eye(solution.m)):
+        raise DomainError(f"{rotation} rotates orthogonal solutions, "
+                          f"got one with factor correlations ({solution.rotation})")
+
+
 def rotate_varimax(solution: FactorSolution) -> FactorSolution:
     """Orthogonal varimax rotation by pairwise Kaiser-normalized sweeps.
 
@@ -441,8 +504,9 @@ def rotate_varimax(solution: FactorSolution) -> FactorSolution:
     pair criterion; sweeps repeat until the relative criterion improvement
     drops below VARIMAX_TOL, and VARIMAX_MAX_SWEEPS sweeps without that
     raise NoConvergence. A one-factor solution is returned unchanged with
-    rotation still recorded as none.
+    rotation still recorded as none; an oblique one raises DomainError.
     """
+    _check_orthogonal(solution, "varimax")
     if solution.m < 2:
         return solution
     L = solution.loadings.copy()
@@ -502,8 +566,10 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     steps without that raise NoConvergence. Returns the pattern matrix,
     factor correlations phi = T'T, and structure = pattern @ phi.
     Rotation never changes the reproduced matrix
-    pattern @ phi @ pattern' + diag(uniqueness).
+    pattern @ phi @ pattern' + diag(uniqueness). It starts from orthogonal
+    loadings, so an oblique solution raises DomainError.
     """
+    _check_orthogonal(solution, "oblimin")
     if solution.m < 2:
         return solution
     A = solution.loadings

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_stats import SymMatrix, as_float_array, fmatmul, item_labels
-from .errors import ConfigError, NotPositiveDefinite, UniquenessNegative
+from .core_stats import SymMatrix, as_float_array, cholesky_lower, fmatmul, item_labels
+from .errors import ConfigError, UniquenessNegative
 from .ingest import (
     DEFAULT_LIKERT, SurveyDataset, check_likert, parse_likert, read_text, split_items,
 )
@@ -50,25 +50,6 @@ def equal_probability_thresholds(likert_min: int, likert_max: int) -> tuple[floa
     k = likert_max - likert_min + 1
     inv_cdf = NormalDist().inv_cdf
     return tuple(inv_cdf(c / k) for c in range(1, k))
-
-
-def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor; fails on non-positive pivots."""
-    a = np.asarray(a, dtype=float)
-    m = a.shape[0]
-    L = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1):
-            s = a[i, j] - (L[i, :j] * L[j, :j]).sum()
-            if i == j:
-                if s <= 0.0:
-                    raise NotPositiveDefinite(
-                        f"pivot {s:.3e} at row {i} during Cholesky"
-                    )
-                L[i, j] = math.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    return L
 
 
 @dataclass(frozen=True)

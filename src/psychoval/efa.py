@@ -166,7 +166,8 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     next one from the Anderson(1) step (``_anderson``) instead of f(h),
     which about halves the plain passes: a subspace pass, a pass that
     clamps a row, and one where Newton's step is not defined or its
-    Cholesky guard fails. The stop rule is the same for all of them.
+    Cholesky guard fails; when that guard fails right after a Newton step,
+    the step is undone. The stop rule is the same for all of them.
 
     The two eigen steps differ only in these ways. With p >= 2b items,
     b = m + PAF_RITZ_EXTRA, the passes first take the subspace step
@@ -227,14 +228,20 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
     magnitude, so on an over-extracted model, whose m-th eigenvalue is
     small and close to the next, the block lags the matrix it stops on).
     Above Ledermann's bound, a pass whose step gave all p eigenpairs and
-    clamped no row tries Newton's step, and the Anderson history restarts
-    after each Newton step taken.
+    clamped no row takes Newton's step if it has one, and the Anderson
+    history restarts after each Newton step taken. A Newton step that
+    lands where the next pass's Cholesky guard fails, clamped or not, is
+    undone: that pass is dropped (it sets no Heywood flag) and the run
+    takes the Anderson step from the point before the Newton step. An
+    over-extracted model can have several fixed points, and from where
+    I - J is barely positive definite the step can cross into another
+    basin or into a region where the passes stall.
     """
     p = values.shape[0]
     mix = (p - m) ** 2 > p + m
     reduced = values.copy()
     heywood = refined = False
-    last = None
+    last = undo = None
     passes, delta = 0, math.inf
     for passes in range(1, budget + 1):
         np.fill_diagonal(reduced, h2)
@@ -243,19 +250,26 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
             return None, passes - 1, delta
         lam, vectors, angle = found
         loadings, new_h2, clamped = _paf_loadings(lam, vectors, m)
-        heywood = heywood or clamped
         delta = float(np.max(np.abs(new_h2 - h2)))
+        newton = None
+        if mix and lam.size == p and delta >= PAF_TOL:
+            try:
+                newton = _newton(h2, new_h2, lam, vectors, m)
+            except NotPositiveDefinite:
+                if undo is not None:
+                    (h2, last), undo = _anderson(*undo), None
+                    continue
+        heywood = heywood or clamped
         if delta < PAF_TOL:
             if angle < PAF_RITZ_ANGLE * PAF_TOL:
                 return (loadings, heywood, delta), passes, delta
             if refined:
                 return None, passes, delta
             refined, last = True, None
-        full = mix and not clamped and lam.size == p
-        newton = _newton(h2, new_h2, lam, vectors, m) if full else None
-        if newton is not None:
-            h2, last = newton, None
+        if newton is not None and not clamped:
+            undo, h2, last = (h2, new_h2, last), newton, None
         else:
+            undo = None
             h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
     return None, passes, delta
 
@@ -276,16 +290,14 @@ def _newton(h2: np.ndarray, f: np.ndarray, lam: np.ndarray, vectors: np.ndarray,
     f is the gradient of phi(h) = 1/2 sum_{k<=m} lambda_k(h)^2, so its
     Jacobian J (``_paf_jacobian``) is symmetric, and (I - J) delta = g is
     solved by Cholesky. Returns h + delta, or None when lambda_m <= 0 or
-    lambda_m = lambda_m+1 (J is not defined), when I - J is not positive
-    definite (psi = phi - |h|^2 / 2 is not concave at h, and there the
-    plain pass need not contract), or when h + delta leaves [0, 1].
+    lambda_m = lambda_m+1 (J is not defined) or when h + delta leaves
+    [0, 1]; raises NotPositiveDefinite when I - J is not positive definite
+    (psi = phi - |h|^2 / 2 is not concave at h, and there the plain pass
+    need not contract).
     """
     if not lam[m - 1] > max(lam[m], 0.0):
         return None
-    try:
-        delta = cholesky_solve(np.eye(h2.size) - _paf_jacobian(lam, vectors, m), f - h2)
-    except NotPositiveDefinite:
-        return None
+    delta = cholesky_solve(np.eye(h2.size) - _paf_jacobian(lam, vectors, m), f - h2)
     h2 = h2 + delta
     return h2 if 0.0 <= h2.min() and h2.max() <= 1.0 else None
 

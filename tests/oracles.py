@@ -11,7 +11,6 @@ reconstruction, the reproduced matrix and the threshold-implied category
 moments are the defining formulas, applied to the package's results. The
 Jacobi and CSV oracles are likewise the package's earlier round and per-cell parser,
 kept so that the faster paths can be held to the same bits and errors, the
-Cholesky oracle is the earlier per-entry loop of ``cholesky_lower``, the
 sign oracle is the earlier per-column loop of ``sort_and_sign`` and the
 assignment oracle the earlier per-row loop of ``assign_items``. The
 PAF oracle is the package's earlier extraction loop, which decomposes the
@@ -32,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from psychoval.core_stats import SymMatrix, inverse, sym_eigen
+from psychoval.core_stats import SymMatrix, cholesky_lower, inverse, sym_eigen
 from psychoval.efa import FactorSolution
 from psychoval.errors import (
     DuplicateId,
@@ -281,34 +280,13 @@ def assign_items_per_row(loadings, cutoff: float) -> list[tuple[int | None, str]
     return out
 
 
-def cholesky_per_entry(a) -> np.ndarray:
-    """Lower Cholesky factor, one entry at a time: the earlier ``cholesky_lower``.
-
-    Each entry subtracts the sum of one contiguous row of products, as the
-    column-at-a-time version does, so the two agree bit for bit.
-    """
-    a = np.asarray(a, dtype=float)
-    m = a.shape[0]
-    L = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1):
-            s = a[i, j] - (L[i, :j] * L[j, :j]).sum()
-            if i == j:
-                if s <= 0.0:
-                    raise ValueError(f"pivot {s:.3e} at row {i}")
-                L[i, j] = math.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    return L
-
-
 def generate_rowwise(spec) -> np.ndarray:
     """Cells of ``generate(spec)``, one respondent and one scalar draw at a time.
 
     Draw order per respondent: m factor normals, then p unique normals.
     """
     rng = Rng(spec.seed)
-    chol = cholesky_per_entry(spec.phi)
+    chol = cholesky_lower(spec.phi)
     unique_sd = np.sqrt(np.clip(1.0 - spec.communalities, 0.0, None))
     n, p, m = spec.n, spec.p, spec.m
     values = np.empty((n, p))

@@ -29,7 +29,6 @@ from psychoval.core_stats import (
     _cold_eigen,
     _jacobi_sweeps,
     _seat_move,
-    cholesky_lower,
     cholesky_solve,
     fmatmul,
 )
@@ -575,16 +574,6 @@ class TestLogDeterminant:
 
 
 class TestCholeskySolve:
-    @pytest.mark.parametrize("p", [1, 2, 7, 8, 9, 20, 40])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_factor_has_the_per_entry_bits(self, p, order):
-        rng = np.random.default_rng(100 + p)
-        for _ in range(20):
-            x = rng.normal(size=(p, p)) * rng.uniform(0.01, 100.0)
-            a = np.array(x @ x.T + rng.uniform(1e-6, 1.0) * np.eye(p), order=order)
-            expected = oracles.cholesky_per_entry(a)
-            assert np.array_equal(cholesky_lower(a).view(np.uint64), expected.view(np.uint64))
-
     @pytest.mark.parametrize("p", [2, 6, 15, 20])
     def test_matches_numpy_solve(self, p):
         rng = np.random.default_rng(p)

@@ -571,15 +571,16 @@ def rotate_varimax(solution: FactorSolution) -> FactorSolution:
 def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSolution:
     """Direct oblimin rotation by oblique gradient projection.
 
-    Minimizes the oblimin criterion (gamma = 0 is direct quartimin) over
-    oblique rotation matrices with unit-length columns, via projected
-    gradient steps with doubling/backtracking line search, until the
-    projected gradient norm drops below OBLIMIN_GTOL; OBLIMIN_MAX_ITER
-    steps without that raise NoConvergence. Returns the pattern matrix,
-    factor correlations phi = T'T, and structure = pattern @ phi.
-    Rotation never changes the reproduced matrix
-    pattern @ phi @ pattern' + diag(uniqueness). It starts from orthogonal
-    loadings, so an oblique solution raises DomainError.
+    Minimizes the oblimin criterion tr(L2' X) / 4 with L2 = L * L and
+    X = (I - gamma 11'/p) L2 (11' - I), whose first factor is applied as a
+    column-mean shift (gamma = 0 is direct quartimin), over oblique
+    rotations with unit-length columns by projected gradient steps with
+    doubling/backtracking line search, until the projected gradient norm
+    drops below OBLIMIN_GTOL; OBLIMIN_MAX_ITER steps without that raise
+    NoConvergence. Returns the pattern matrix, phi = T'T and structure =
+    pattern @ phi; the reproduced matrix pattern @ phi @ pattern' +
+    diag(uniqueness) does not change. It starts from orthogonal loadings,
+    so an oblique solution raises DomainError.
     """
     _check_orthogonal(solution, "oblimin")
     if solution.m < 2:
@@ -587,13 +588,12 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     A = solution.loadings
     p, m = A.shape
     neutral = np.ones((m, m)) - np.eye(m)
-    penalty = np.eye(p) - gamma * np.ones((p, p)) / p
 
     def criterion(L: np.ndarray) -> tuple[float, np.ndarray]:
         # an overflow shows as a non-finite gradient norm, which stops the loop
         with np.errstate(over="ignore", invalid="ignore"):
             L2 = L * L
-            X = L2 @ neutral if gamma == 0.0 else penalty @ L2 @ neutral
+            X = (L2 - gamma * L2.mean(axis=0)) @ neutral
             return float((L2 * X).sum() / 4.0), L * X
 
     T = np.eye(m)
@@ -604,7 +604,7 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     al = 1.0
     s = math.inf
     for iterations in range(OBLIMIN_MAX_ITER):
-        Gp = G - T @ np.diag((T * G).sum(axis=0))
+        Gp = G - T * (T * G).sum(axis=0)
         with np.errstate(over="ignore"):  # an overflow shows as s = inf
             s = float(np.sqrt((Gp * Gp).sum()))
         if s < OBLIMIN_GTOL or not math.isfinite(s):  # no step recovers from NaN or inf

@@ -16,7 +16,7 @@ Full-line ``#`` comments and blank lines are ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,8 @@ class FactorModelSpec:
     ``thresholds`` may be omitted (equal-probability cuts), given once for
     all items, or given per item; each item needs exactly
     likert_max - likert_min strictly increasing cut points. The bounds
-    span at most MAX_CATEGORIES categories.
+    span at most MAX_CATEGORIES categories. ``communalities``, stored
+    read-only, are the row sums of (loadings @ phi) * loadings.
     """
 
     loadings: np.ndarray
@@ -70,6 +71,7 @@ class FactorModelSpec:
     thresholds: tuple | None = None
     seed: int = 0
     items: tuple[str, ...] | None = None
+    communalities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L = as_float_array(self.loadings, "loadings")
@@ -94,6 +96,7 @@ class FactorModelSpec:
 
         items = item_labels(self.items, p)
 
+        L, phi = L.copy(), phi.copy()
         h2 = (fmatmul(L, phi) * L).sum(axis=1)
         for j, value in enumerate(h2):
             if value > 1.0 + 1e-12:
@@ -101,16 +104,15 @@ class FactorModelSpec:
 
         cuts = self._normalized_thresholds(p)
 
-        L = L.copy()
-        L.flags.writeable = False
-        phi = phi.copy()
-        phi.flags.writeable = False
+        for a in (L, phi, h2):
+            a.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "loadings", L)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "thresholds", cuts)
+        object.__setattr__(self, "communalities", h2)
 
     def _normalized_thresholds(self, p: int) -> tuple[tuple[float, ...], ...]:
         need = self.likert_max - self.likert_min
@@ -146,10 +148,6 @@ class FactorModelSpec:
     @property
     def m(self) -> int:
         return self.loadings.shape[1]
-
-    @property
-    def communalities(self) -> np.ndarray:
-        return (fmatmul(self.loadings, self.phi) * self.loadings).sum(axis=1)
 
 
 def population_correlation(spec: FactorModelSpec) -> SymMatrix:

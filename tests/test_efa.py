@@ -820,10 +820,11 @@ class TestObliqueInput:
 
 
 class TestOblimin:
-    def test_reproduction_invariant_under_rotation(self, two_factor_dataset):
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_reproduction_invariant_under_rotation(self, two_factor_dataset, gamma):
         R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))
         sol = extract_paf(R, 2, items=ITEMS6)
-        rotated = rotate_oblimin(sol)
+        rotated = rotate_oblimin(sol, gamma=gamma)
         assert np.max(np.abs(oracles.reproduced_matrix(rotated) - oracles.reproduced_matrix(sol))) < 1e-8
 
     def test_structure_is_pattern_times_phi(self, two_factor_dataset):
@@ -855,9 +856,10 @@ class TestOblimin:
         rotated = rotate_oblimin(extract_paf(R, 2, items=ITEMS6))
         assert abs(rotated.phi[0, 1] - ATTENUATED_PHI) < 0.1
 
-    def test_phi_unit_diagonal_symmetric(self, two_factor_dataset):
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_phi_unit_diagonal_symmetric(self, two_factor_dataset, gamma):
         R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))
-        rotated = rotate_oblimin(extract_paf(R, 2, items=ITEMS6))
+        rotated = rotate_oblimin(extract_paf(R, 2, items=ITEMS6), gamma=gamma)
         assert np.allclose(np.diag(rotated.phi), 1.0, atol=1e-10)
         assert np.allclose(rotated.phi, rotated.phi.T, atol=1e-12)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from psychoval import (
 )
 from psychoval import simulate
 from psychoval.cli import main
+from psychoval.core_stats import fmatmul
 from psychoval.errors import ConfigError, NotPositiveDefinite, UniquenessNegative
 from psychoval.simulate import MAX_CATEGORIES
 from psychoval.rng import SPLITMIX_GAMMA
@@ -202,6 +204,38 @@ class TestPopulationCorrelation:
         assert R[0, 3] == pytest.approx(0.8 * 0.5 * 0.8, abs=1e-15)
         assert R[0, 1] == pytest.approx(0.64, abs=1e-15)
         assert np.all(np.diag(R) == 1.0)
+
+
+class TestSpecCommunalities:
+    @staticmethod
+    def oblique_spec(seed: int) -> FactorModelSpec:
+        rng = np.random.default_rng(seed)
+        phi = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
+        return FactorModelSpec(loadings=rng.uniform(-0.45, 0.45, (9, 3)), phi=phi, n=10)
+
+    @staticmethod
+    def formula(spec: FactorModelSpec) -> np.ndarray:
+        return (fmatmul(spec.loadings, spec.phi) * spec.loadings).sum(axis=1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stored_bits_are_the_formula(self, seed):
+        spec = self.oblique_spec(seed)
+        assert spec.communalities.tobytes() == self.formula(spec).tobytes()
+
+    def test_read_only(self):
+        spec = self.oblique_spec(0)
+        assert not spec.communalities.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            spec.communalities[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            spec.communalities = np.zeros(spec.p)
+
+    def test_replace_recomputes(self):
+        spec = self.oblique_spec(0)
+        halved = replace(spec, loadings=spec.loadings / 2)
+        assert halved.communalities.tobytes() == self.formula(halved).tobytes()
+        assert np.array_equal(halved.communalities, spec.communalities / 4)
+        assert not halved.communalities.flags.writeable
 
 
 class TestSpecValidation:

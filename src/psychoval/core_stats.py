@@ -103,7 +103,7 @@ def check_symmetric(a: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} is not symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
@@ -295,9 +295,16 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
     move = _seat_move(p)
     sqrt, copysign = math.sqrt, math.copysign
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(JACOBI_MAX_SWEEPS):
-            if _off_diagonal_max(work[:n]) < JACOBI_TOL:
+        for sweep in range(JACOBI_MAX_SWEEPS + 1):
+            off = _off_diagonal_max(work[:n])
+            if off < JACOBI_TOL:
                 break
+            if sweep == JACOBI_MAX_SWEEPS:
+                raise NoConvergence(
+                    f"Jacobi: {JACOBI_MAX_SWEEPS} sweeps exhausted "
+                    f"(off-diagonal max {off:.3e})",
+                    residual=off,
+                )
             for _ in range(n - 1):
                 cs, ns, ss = [], [], []
                 for aij, aii, ajj in zip(*flat.take(gather).tolist()):
@@ -326,15 +333,6 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray):
                 np.add(cols * cos, cols[:, ::-1] * sin, out=cols)
                 flat[zero] = 0.0
                 np.take(flat, move, out=flat)
-        else:
-            # budget exhausted: the final sweep may still have converged
-            off = _off_diagonal_max(work[:n])
-            if off >= JACOBI_TOL:
-                raise NoConvergence(
-                    f"Jacobi: {JACOBI_MAX_SWEEPS} sweeps exhausted "
-                    f"(off-diagonal max {off:.3e})",
-                    residual=off,
-                )
     back = np.argsort(order)
     return work[:p, :p][np.ix_(back, back)], work[n:, :p][:, back]
 

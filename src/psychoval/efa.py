@@ -172,11 +172,12 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     The two eigen steps differ only in these ways. With p >= 2b items,
     b = m + PAF_RITZ_EXTRA, the passes first take the subspace step
     (``_ritz_step``): a b x b Ritz matrix per pass, started from R's top b
-    eigenvectors, at most PAF_RITZ_MAX_ITER passes, and a stop stands
-    only if the top m Ritz vectors are within PAF_RITZ_ANGLE * PAF_TOL of
-    an invariant subspace (p >= 2b also puts it above Ledermann's bound).
-    A run it gives up starts over from the SMC communalities with the full
-    step (``_full_step``), so it gives that step's bits: all p eigenpairs
+    eigenvectors, at most PAF_RITZ_MAX_ITER passes, and a pass stops only
+    if, besides the small step, the top m Ritz vectors are within
+    PAF_RITZ_ANGLE * PAF_TOL of an invariant subspace (p >= 2b also puts
+    it above Ledermann's bound). A run it gives up (its budget spent, or a
+    block that loses rank) starts over from the SMC communalities with the
+    full step (``_full_step``), so it gives that step's bits: all p eigenpairs
     of the p x p reduced matrix per pass (which Newton's step needs),
     warm-started from the last pass's eigenvectors, at most PAF_MAX_ITER
     passes, every stop standing; a run it gives up raises NoConvergence.
@@ -193,7 +194,7 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     if p >= 2 * b:
         block = spectrum.eigenvectors[:, :b]
         budget = min(PAF_RITZ_MAX_ITER, PAF_MAX_ITER)
-        fit, passes, _ = _paf_passes(R.values, h2, m, _ritz_step, block, budget)
+        fit, passes, delta = _paf_passes(R.values, h2, m, _ritz_step, block, budget)
     if fit is None:
         fit, full_passes, delta = _paf_passes(R.values, h2, m, _full_step, None, PAF_MAX_ITER)
         if fit is None:
@@ -203,7 +204,7 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
                 residual=delta,
             )
         passes += full_passes
-    loadings, heywood, delta = fit
+    loadings, heywood = fit
     return FactorSolution(
         items=names,
         extraction="paf",
@@ -217,16 +218,16 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
 
 
 def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budget: int):
-    """At most ``budget`` PAF passes from h2: (fit or None, passes, last delta).
+    """At most ``budget`` PAF passes from h2: ((loadings, heywood) or None, passes, last delta).
 
     ``step(reduced, vectors, m)`` gives eigenvalues (descending),
     eigenvectors started from the last pass's ``vectors`` and the sine of
-    their angle to an invariant subspace, or None to give the run up. The
-    run is also given up by the budget or by a second stop whose angle
-    fails the check; the first such stop takes one plain pass, which
-    refines the vectors (a subspace step tracks the eigenvalues largest in
-    magnitude, so on an over-extracted model, whose m-th eigenvalue is
-    small and close to the next, the block lags the matrix it stops on).
+    their angle to an invariant subspace, or None to give the run up. A
+    pass stops the run when its step is below PAF_TOL and that angle below
+    PAF_RITZ_ANGLE * PAF_TOL; a subspace step tracks the eigenvalues
+    largest in magnitude, so on an over-extracted model, whose m-th
+    eigenvalue is small and close to the next, the block can lag the
+    matrix after a small step, and the passes go on until it catches up.
     Above Ledermann's bound, a pass whose step gave all p eigenpairs and
     clamped no row takes Newton's step if it has one, and the Anderson
     history restarts after each Newton step taken. A Newton step that
@@ -240,7 +241,7 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
     p = values.shape[0]
     mix = (p - m) ** 2 > p + m
     reduced = values.copy()
-    heywood = refined = False
+    heywood = False
     last = undo = None
     passes, delta = 0, math.inf
     for passes in range(1, budget + 1):
@@ -260,12 +261,8 @@ def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budge
                     (h2, last), undo = _anderson(*undo), None
                     continue
         heywood = heywood or clamped
-        if delta < PAF_TOL:
-            if angle < PAF_RITZ_ANGLE * PAF_TOL:
-                return (loadings, heywood, delta), passes, delta
-            if refined:
-                return None, passes, delta
-            refined, last = True, None
+        if delta < PAF_TOL and angle < PAF_RITZ_ANGLE * PAF_TOL:
+            return (loadings, heywood), passes, delta
         if newton is not None and not clamped:
             undo, h2, last = (h2, new_h2, last), newton, None
         else:
@@ -432,10 +429,15 @@ def check_options(
         raise ConfigError(f"unknown extraction {extraction!r}")
     if rotation not in ROTATIONS:
         raise ConfigError(f"unknown rotation {rotation!r}")
+    check_gamma(gamma)
+    return fixed_count(retention)
+
+
+def check_gamma(gamma: float) -> None:
+    """Reject an oblimin gamma that is not a finite real number."""
     check_real(gamma, "gamma")
     if not math.isfinite(gamma):
         raise ConfigError("gamma must be finite")
-    return fixed_count(retention)
 
 
 def check_cutoff(cutoff: float) -> None:
@@ -580,8 +582,10 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     NoConvergence. Returns the pattern matrix, phi = T'T and structure =
     pattern @ phi; the reproduced matrix pattern @ phi @ pattern' +
     diag(uniqueness) does not change. It starts from orthogonal loadings,
-    so an oblique solution raises DomainError.
+    so an oblique solution raises DomainError, and a gamma that is not a
+    finite real number raises ConfigError.
     """
+    check_gamma(gamma)
     _check_orthogonal(solution, "oblimin")
     if solution.m < 2:
         return solution
@@ -602,13 +606,18 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     f, Gq = criterion(L)
     G = -(L.T @ Gq @ Ti).T
     al = 1.0
-    s = math.inf
-    for iterations in range(OBLIMIN_MAX_ITER):
+    for iterations in range(OBLIMIN_MAX_ITER + 1):
         Gp = G - T * (T * G).sum(axis=0)
         with np.errstate(over="ignore"):  # an overflow shows as s = inf
             s = float(np.sqrt((Gp * Gp).sum()))
-        if s < OBLIMIN_GTOL or not math.isfinite(s):  # no step recovers from NaN or inf
+        if s < OBLIMIN_GTOL:
             break
+        # no step recovers from NaN or inf
+        if iterations == OBLIMIN_MAX_ITER or not math.isfinite(s):
+            raise NoConvergence(
+                f"oblimin: gradient norm {s:.3e} after {iterations} iterations",
+                residual=s,
+            )
         al *= 2.0
         Tt, Tti, Lt, ft = T, Ti, L, f
         for _ in range(OBLIMIN_MAX_HALVINGS):
@@ -631,13 +640,6 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
             al /= 2.0
         T, Ti, L, f = Tt, Tti, Lt, ft
         G = -(L.T @ Gq @ Ti).T
-    else:
-        iterations = OBLIMIN_MAX_ITER
-    if not s < OBLIMIN_GTOL:
-        raise NoConvergence(
-            f"oblimin: gradient norm {s:.3e} after {iterations} iterations",
-            residual=s,
-        )
     rotated = replace(
         solution,
         rotation=f"oblimin({gamma:g})",

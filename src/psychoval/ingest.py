@@ -39,7 +39,7 @@ DEFAULT_LIKERT = (1, 7)
 LIKERT_LIMIT = 2**53  # every integer cell within ±2^53 is exact as a float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyDataset:
     """Rectangular respondents x items table of bounded Likert responses.
 
@@ -111,7 +111,7 @@ class ScaleDefinition:
             raise UnknownItem(self.name, unknown)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisView:
     """A dataset seen through a missing-data policy.
 

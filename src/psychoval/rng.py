@@ -46,7 +46,9 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as a Python int, numpy integers included; ConfigError otherwise."""
+    """``value`` as a Python int, numpy integers included; ConfigError otherwise, a bool included."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -60,15 +62,11 @@ def check_real(value, what: str) -> None:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Child seed for stream number ``index``: splitmix64 run index+1 steps."""
+    """Child seed for stream number ``index``: splitmix64's step index+1 from seed, in closed form."""
     index = as_int(index, "stream index")
     if index < 0:
         raise ConfigError("stream index must be nonnegative")
-    state = as_int(seed, "seed") & MASK64
-    out = 0
-    for _ in range(index + 1):
-        state, out = splitmix64(state)
-    return out
+    return splitmix64((as_int(seed, "seed") + index * SPLITMIX_GAMMA) & MASK64)[1]
 
 
 class Rng:

@@ -52,7 +52,7 @@ def equal_probability_thresholds(likert_min: int, likert_max: int) -> tuple[floa
     return tuple(inv_cdf(c / k) for c in range(1, k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorModelSpec:
     """A population factor model plus the sampling frame for simulation.
 

@@ -12,7 +12,8 @@ moments are the defining formulas, applied to the package's results. The
 Jacobi and CSV oracles are likewise the package's earlier round and per-cell parser,
 kept so that the faster paths can be held to the same bits and errors, the
 sign oracle is the earlier per-column loop of ``sort_and_sign`` and the
-assignment oracle the earlier per-row loop of ``assign_items``. The
+assignment oracle the earlier per-row loop of ``assign_items``, and the
+child-seed oracle the earlier loop of ``derive_seed``. The
 PAF oracle is the package's earlier extraction loop, which decomposes the
 full p x p reduced matrix on every pass, with an Anderson(1) step written
 from its residual-minimizing definition (``mix=False`` gives the plain
@@ -41,7 +42,7 @@ from psychoval.errors import (
     RangeError,
 )
 from psychoval.ingest import SurveyDataset
-from psychoval.rng import Rng
+from psychoval.rng import MASK64, Rng, splitmix64
 
 
 def pearson_definitional(x, y) -> float:
@@ -521,3 +522,11 @@ def paf_step(R: SymMatrix, h2, m: int) -> np.ndarray:
     top = np.argsort(lam)[::-1][:m]
     loadings = vectors[:, top] * np.sqrt(np.clip(lam[top], 0.0, None))
     return np.minimum((loadings**2).sum(axis=1), 1.0)
+
+
+def derive_seed_stepped(seed: int, index: int) -> int:
+    """derive_seed by running splitmix64 index + 1 steps from seed."""
+    state, out = seed & MASK64, 0
+    for _ in range(index + 1):
+        state, out = splitmix64(state)
+    return out

@@ -524,25 +524,29 @@ class TestPafMixing:
         # 20-item one (subspace path)
         assert extract_paf(R, m).convergence["iterations"] <= most
 
-    def test_failed_ritz_check_refines_once_and_stays_on_the_subspace_path(
-        self, monkeypatch, eigen_sizes
-    ):
-        # this run's first stop fails the Ritz check; one plain pass from
-        # its communalities refines the block, and the next stop stands
-        starts = []
-        step = efa._anderson
-
-        def counted(h2, f, last):
-            starts.append(last is None)
-            return step(h2, f, last)
-
-        monkeypatch.setattr(efa, "_anderson", counted)
+    def test_failed_ritz_check_stays_on_the_subspace_path(self, eigen_sizes):
+        # this run's first small step fails the Ritz check; the passes go on
+        # until the block catches up, and the stop they reach stands
         R = sample_matrix(600, 20, 4, seed=1)
         sol = extract_paf(R, 4)
-        assert starts.count(True) == 2
         assert eigen_sizes[2:] == [4 + efa.PAF_RITZ_EXTRA] * sol.convergence["iterations"]
         step_back = oracles.paf_step(R, sol.communalities, 4) - sol.communalities
         assert np.max(np.abs(step_back)) < efa.PAF_TOL
+
+    def test_over_extracted_run_ends_near_the_plain_limit(self, eigen_sizes):
+        # three factors extracted as four: the subspace passes go on past
+        # small steps whose block lags, and end within PAF_TOL of the limit
+        R = sample_matrix(600, 20, 3, seed=1)
+        sol = extract_paf(R, 4)
+        assert eigen_sizes[2:] == [4 + efa.PAF_RITZ_EXTRA] * sol.convergence["iterations"]
+        limit = sol.communalities
+        for _ in range(efa.PAF_MAX_ITER * 100):
+            limit, before = oracles.paf_step(R, limit, 4), limit
+            if np.max(np.abs(limit - before)) < 1e-12:
+                break
+        else:
+            pytest.fail("the plain iteration did not reach its limit")
+        assert np.max(np.abs(sol.communalities - limit)) < efa.PAF_TOL
 
     def test_zero_residual_change_gives_the_plain_step(self):
         h2 = np.array([0.2, 0.3])
@@ -881,6 +885,20 @@ class TestOblimin:
             rf"oblimin: gradient norm (inf|nan) after ({stopped}) iterations", str(exc.value)
         ).group(2)
         assert int(iterations) < OBLIMIN_MAX_ITER
+
+    def test_budget_tests_the_final_iterate(self, numerics, two_factor_dataset):
+        # a run that converges on its last budgeted step stands; one step
+        # short, it raises with the gradient norm of the iterate it ends on
+        R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))
+        sol = extract_paf(R, 2, items=ITEMS6)
+        done = rotate_oblimin(sol)
+        steps = done.convergence["iterations"]
+        numerics(efa, OBLIMIN_MAX_ITER=steps)
+        assert np.array_equal(rotate_oblimin(sol).loadings, done.loadings)
+        numerics(efa, OBLIMIN_MAX_ITER=steps - 1)
+        with pytest.raises(NoConvergence, match=f"after {steps - 1} iterations$") as exc:
+            rotate_oblimin(sol)
+        assert exc.value.residual >= efa.OBLIMIN_GTOL
 
     def test_rotation_label_carries_gamma(self, two_factor_dataset):
         R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))

@@ -14,14 +14,18 @@ import numpy as np
 import pytest
 
 from psychoval import (
+    EigenDecomposition,
     FactorModelSpec,
     FactorSolution,
     PipelineConfig,
+    Rng,
     SurveyDataset,
     alpha_from_covariance,
     bartlett_sphericity,
     chi_square_sf,
+    complete_cases,
     correlation_matrix,
+    derive_seed,
     equal_probability_thresholds,
     extract_paf,
     extract_pca,
@@ -30,6 +34,7 @@ from psychoval import (
     loads_csv,
     parse_model,
     retain_kaiser,
+    rotate_oblimin,
     sample_adequacy_advice,
     sym_eigen,
     varimax_criterion,
@@ -322,3 +327,44 @@ class TestScalarArguments:
     def test_fit_efa_retention_must_be_a_string(self):
         with pytest.raises(ConfigError, match="^retention must be a string, got 3$"):
             fit_efa(R4, retention=3)
+
+    @pytest.mark.parametrize("call,what", [
+        (lambda: extract_paf(R4, True), "factor count"),
+        (lambda: extract_pca(R4, True), "factor count"),
+        (lambda: Rng(1).normals(True), "normal count"),
+        (lambda: Rng(True), "seed"),
+        (lambda: derive_seed(1, True), "stream index"),
+        (lambda: bartlett_sphericity(R4, True), "sample size n"),
+    ], ids=["extract_paf", "extract_pca", "normals", "Rng", "derive_seed", "bartlett"])
+    def test_a_bool_is_not_an_integer(self, call, what):
+        with pytest.raises(ConfigError, match=f"^{what} must be an integer, got True$"):
+            call()
+
+    @pytest.mark.parametrize("gamma,message", [
+        ("x", "gamma must be a number, got 'x'"),
+        (None, "gamma must be a number, got None"),
+        (np.zeros((2, 2)), "gamma must be a number, got "),
+        (float("nan"), "gamma must be finite"),
+    ], ids=["str", "None", "array", "nan"])
+    def test_rotate_oblimin_checks_gamma(self, gamma, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            rotate_oblimin(LOW_COMMUNALITY, gamma=gamma)
+
+
+def _survey() -> SurveyDataset:
+    return SurveyDataset(("A", "B"), ("r1", "r2"), np.array([[1.0, 2.0], [2.0, 1.0]]), 1, 5)
+
+
+class TestArrayRecords:
+    """Frozen records holding arrays compare and hash by identity, as FactorSolution does."""
+
+    @pytest.mark.parametrize("build", [
+        _survey,
+        lambda: complete_cases(_survey()),
+        lambda: FactorModelSpec(loadings=np.full((3, 1), 0.6), n=10),
+        lambda: EigenDecomposition(np.ones(2), np.eye(2)),
+    ], ids=["SurveyDataset", "AnalysisView", "FactorModelSpec", "EigenDecomposition"])
+    def test_eq_and_hash_do_not_raise(self, build):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert hash(a) == hash(a)

@@ -31,7 +31,9 @@ from psychoval.simulate import MAX_CATEGORIES
 from psychoval.rng import SPLITMIX_GAMMA
 from tests.conftest import ITEMS6, two_block_loadings
 from tests.frozen import SIM_CORR_SEED
-from tests.oracles import category_probabilities, expected_item_means, generate_rowwise
+from tests.oracles import (
+    category_probabilities, derive_seed_stepped, expected_item_means, generate_rowwise,
+)
 
 MASK = (1 << 64) - 1
 # the one seed whose splitmix64 output is zero, so Rng takes ZERO_STATE_SUBSTITUTE
@@ -98,6 +100,17 @@ class TestRng:
         children = [derive_seed(123, i) for i in range(6)]
         assert len(set(children)) == 6
         assert derive_seed(123, 2) == children[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(1 << 70), 1 << 70), st.integers(0, 300))
+    def test_derive_seed_matches_the_stepped_stream(self, seed, index):
+        assert derive_seed(seed, index) == derive_seed_stepped(seed, index)
+
+    def test_derive_seed_takes_no_step_per_index(self):
+        # the stepped loop would not return for this index
+        index = 10**30
+        state = (7 + index * SPLITMIX_GAMMA) & MASK
+        assert derive_seed(7, index) == splitmix64(state)[1]
 
     @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
     def test_numpy_integer_seed_is_the_python_int(self, kind):

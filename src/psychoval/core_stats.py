@@ -423,21 +423,21 @@ def log_determinant(A: SymMatrix) -> float:
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor; fails on non-positive pivots."""
+    """Lower-triangular Cholesky factor, one column at a time; fails on non-positive pivots.
+
+    Column j subtracts the row sums of L[j:, :j] * L[j, :j] from a[j:, j],
+    so each entry gets the same sum, summed in the same order, as in the
+    entry-by-entry loop.
+    """
     a = np.asarray(a, dtype=float)
     m = a.shape[0]
     L = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1):
-            s = a[i, j] - (L[i, :j] * L[j, :j]).sum()
-            if i == j:
-                if s <= 0.0:
-                    raise NotPositiveDefinite(
-                        f"pivot {s:.3e} at row {i} during Cholesky"
-                    )
-                L[i, j] = math.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
+    for j in range(m):
+        s = a[j:, j] - (L[j:, :j] * L[j, :j]).sum(axis=1)
+        if s[0] <= 0.0:
+            raise NotPositiveDefinite(f"pivot {s[0]:.3e} at row {j} during Cholesky")
+        L[j, j] = math.sqrt(s[0])
+        L[j + 1:, j] = s[1:] / L[j, j]
     return L
 
 

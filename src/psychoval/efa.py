@@ -154,34 +154,18 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     """Principal axis factoring with iterated communalities.
 
     Initial communalities are squared multiple correlations
-    1 - 1/(R^-1)_jj. Each pass (``_paf_passes``) puts the communalities h
-    on diag(R), takes the top m eigenpairs of that reduced matrix, clamps
-    negative eigenvalues to zero, and recomputes communalities f(h) as row
-    sums of squared loadings; once max |f(h) - h| < PAF_TOL it returns
-    f(h) with its loadings. A communality exceeding 1 is clamped to 1 with
-    the row rescaled (Heywood case, flagged, never silent). Below
-    Ledermann's bound, (p - m)^2 <= p + m, every pass is plain. Above it,
-    a pass of the full step takes Newton's step (``_newton``) on
-    f(h) - h, which converges quadratically, and any other pass starts the
-    next one from the Anderson(1) step (``_anderson``) instead of f(h),
-    which about halves the plain passes: a subspace pass, a pass that
-    clamps a row, and one where Newton's step is not defined or its
-    Cholesky guard fails; when that guard fails right after a Newton step,
-    the step is undone. The stop rule is the same for all of them.
-
-    The two eigen steps differ only in these ways. With p >= 2b items,
-    b = m + PAF_RITZ_EXTRA, the passes first take the subspace step
-    (``_ritz_step``): a b x b Ritz matrix per pass, started from R's top b
-    eigenvectors, at most PAF_RITZ_MAX_ITER passes, and a pass stops only
-    if, besides the small step, the top m Ritz vectors are within
-    PAF_RITZ_ANGLE * PAF_TOL of an invariant subspace (p >= 2b also puts
-    it above Ledermann's bound). A run it gives up (its budget spent, or a
-    block that loses rank) starts over from the SMC communalities with the
-    full step (``_full_step``), so it gives that step's bits: all p eigenpairs
-    of the p x p reduced matrix per pass (which Newton's step needs),
-    warm-started from the last pass's eigenvectors, at most PAF_MAX_ITER
-    passes, every stop standing; a run it gives up raises NoConvergence.
-    ``convergence["iterations"]`` counts both.
+    1 - 1/(R^-1)_jj. A pass puts the communalities h on diag(R), takes
+    the top m eigenpairs of that reduced matrix, clamps negative
+    eigenvalues to zero, and recomputes communalities f(h) as row sums of
+    squared loadings; a communality exceeding 1 is clamped to 1 with the
+    row rescaled (Heywood case, flagged, never silent). The run returns
+    the last pass's clamped f(h) with its loadings. With p >= 2b items,
+    b = m + PAF_RITZ_EXTRA, the passes first take the b x b subspace step
+    (``_ritz_passes``); a run that gives up there, and every run with
+    fewer items, starts from the SMC communalities on ``_descent``, whose
+    every pass decomposes the p x p reduced matrix, and raises
+    NoConvergence if that gives up too. PAF calls ``sym_eigen`` twice on
+    R and once per pass; ``convergence["iterations"]`` counts every pass.
     """
     p = R.dim
     names = item_labels(items, p)
@@ -194,9 +178,9 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     if p >= 2 * b:
         block = spectrum.eigenvectors[:, :b]
         budget = min(PAF_RITZ_MAX_ITER, PAF_MAX_ITER)
-        fit, passes, delta = _paf_passes(R.values, h2, m, _ritz_step, block, budget)
+        fit, passes, delta = _ritz_passes(R.values, h2, m, block, budget)
     if fit is None:
-        fit, full_passes, delta = _paf_passes(R.values, h2, m, _full_step, None, PAF_MAX_ITER)
+        fit, full_passes, delta = _descent(R.values, h2, m, PAF_MAX_ITER)
         if fit is None:
             raise NoConvergence(
                 f"principal axis factoring: max |delta h2| = {delta:.3e} "
@@ -217,86 +201,100 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     )
 
 
-def _paf_passes(values: np.ndarray, h2: np.ndarray, m: int, step, vectors, budget: int):
-    """At most ``budget`` PAF passes from h2: ((loadings, heywood) or None, passes, last delta).
+def _ritz_passes(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray, budget: int):
+    """At most ``budget`` subspace PAF passes from h2: ((loadings, heywood) or None, passes, last delta).
 
-    ``step(reduced, vectors, m)`` gives eigenvalues (descending),
-    eigenvectors started from the last pass's ``vectors`` and the sine of
-    their angle to an invariant subspace, or None to give the run up. A
-    pass stops the run when its step is below PAF_TOL and that angle below
-    PAF_RITZ_ANGLE * PAF_TOL; a subspace step tracks the eigenvalues
-    largest in magnitude, so on an over-extracted model, whose m-th
-    eigenvalue is small and close to the next, the block can lag the
-    matrix after a small step, and the passes go on until it catches up.
-    Above Ledermann's bound, a pass whose step gave all p eigenpairs and
-    clamped no row takes Newton's step if it has one, and the Anderson
-    history restarts after each Newton step taken. A Newton step that
-    lands where the next pass's Cholesky guard fails, clamped or not, is
-    undone: that pass is dropped (it sets no Heywood flag) and the run
-    takes the Anderson step from the point before the Newton step. An
-    over-extracted model can have several fixed points, and from where
-    I - J is barely positive definite the step can cross into another
-    basin or into a region where the passes stall.
+    Each pass takes ``_ritz_step`` from the last pass's block, and the next
+    starts from the Anderson(1) step. A pass stops the run when its step is
+    below PAF_TOL and its angle below PAF_RITZ_ANGLE * PAF_TOL: the block
+    tracks the eigenvalues largest in magnitude, so on an over-extracted
+    model, whose m-th eigenvalue is small and close to the next, it can lag
+    the matrix after a small step. A step that returns None gives up.
     """
-    p = values.shape[0]
-    mix = (p - m) ** 2 > p + m
     reduced = values.copy()
     heywood = False
-    last = undo = None
+    last = None
     passes, delta = 0, math.inf
     for passes in range(1, budget + 1):
         np.fill_diagonal(reduced, h2)
-        found = step(reduced, vectors, m)
+        found = _ritz_step(reduced, block, m)
         if found is None:
             return None, passes - 1, delta
-        lam, vectors, angle = found
-        loadings, new_h2, clamped = _paf_loadings(lam, vectors, m)
+        lam, block, angle = found
+        loadings, f, over = _paf_loadings(lam, block, m)
+        new_h2 = np.minimum(f, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
-        newton = None
-        if mix and lam.size == p and delta >= PAF_TOL:
-            try:
-                newton = _newton(h2, new_h2, lam, vectors, m)
-            except NotPositiveDefinite:
-                if undo is not None:
-                    (h2, last), undo = _anderson(*undo), None
-                    continue
-        heywood = heywood or clamped
+        heywood = heywood or bool(over.any())
         if delta < PAF_TOL and angle < PAF_RITZ_ANGLE * PAF_TOL:
             return (loadings, heywood), passes, delta
-        if newton is not None and not clamped:
-            undo, h2, last = (h2, new_h2, last), newton, None
-        else:
-            undo = None
-            h2, last = _anderson(h2, new_h2, last) if mix else (new_h2, None)
+        h2, last = _anderson(h2, new_h2, last)
     return None, passes, delta
 
 
-def _full_step(a: np.ndarray, basis, m: int):
-    """One full eigen step on a, warm-started from the last pass's ``basis``.
+def _descent(values: np.ndarray, h2: np.ndarray, m: int, budget: int):
+    """Projected descent on the ULS discrepancy over [0, 1]^p from h2, at most ``budget`` passes.
 
-    Only the diagonal changed, so the basis nearly diagonalizes a; the
-    angle is 0, so every stop stands.
+    Returns ((loadings, heywood) or None, passes, the last plain step).
+    psi(h) = |h|^2 / 2 - 1/2 sum_{k<=m} max(lambda_k(h), 0)^2 is that
+    discrepancy up to a constant, with gradient h - f(h). A pass is one
+    ``sym_eigen``, warm-started from the last accepted point. An item at 1
+    whose f exceeds 1 is held. The direction is Newton's on the free
+    items, (I - J) d = f - h by ``_paf_jacobian`` and ``cholesky_solve``,
+    when (p - m)^2 > p + m (Ledermann's bound), lambda_m > max(lambda_m+1,
+    0) and the reduced I - J is positive definite; otherwise the plain
+    pass, whose unit step lands on the clamped f. A trial is h + t d
+    projected on the box, t = 1, 1/2, ..., each one pass, until psi falls
+    by 1e-4 of the slope along the step, less psi's rounding. The run
+    stops where the plain step and any Newton step are below PAF_TOL. A
+    plain pass never raises psi (it minimizes the same least-squares
+    objective over h, then over the loadings), so below the bound the
+    passes are the plain iteration's.
     """
-    eig = sym_eigen(SymMatrix(a), basis=basis)
-    return eig.eigenvalues, eig.eigenvectors, 0.0
+    p = values.shape[0]
+    newton = (p - m) ** 2 > p + m
+    reduced = values.copy()
+    h, passes = h2, 1
+    lam, vectors, loadings, f, over, psi = _descent_pass(reduced, h, m, None)
+    while True:
+        plain = np.minimum(f, 1.0)
+        delta = float(np.max(np.abs(plain - h)))
+        step, target = f - h, plain
+        if newton and lam[m - 1] > max(lam[m], 0.0):
+            free = ~(over & (h == 1.0))
+            jac = _paf_jacobian(lam, vectors, m)[np.ix_(free, free)]
+            try:
+                d = cholesky_solve(np.eye(jac.shape[0]) - jac, (f - h)[free])
+            except NotPositiveDefinite:
+                pass
+            else:
+                step = np.zeros(p)
+                step[free] = d
+                target = np.clip(h + step, 0.0, 1.0)
+        if delta < PAF_TOL and float(np.max(np.abs(target - h))) < PAF_TOL:
+            return (loadings, bool(over.any())), passes, delta
+        # psi's rounding: up to about 3 p eps (|h|^2 + lambda_1^2) between two passes
+        noise = 16.0 * p * np.finfo(float).eps * (float((h * h).sum()) + float(lam[0]) ** 2)
+        t, trial = 1.0, target
+        while True:
+            if passes >= budget:
+                return None, passes, delta
+            passes += 1
+            point = _descent_pass(reduced, trial, m, vectors)
+            if point[-1] <= psi + 1e-4 * float(((h - f) * (trial - h)).sum()) + noise:
+                break
+            t /= 2.0
+            trial = np.clip(h + t * step, 0.0, 1.0)
+        h, (lam, vectors, loadings, f, over, psi) = trial, point
 
 
-def _newton(h2: np.ndarray, f: np.ndarray, lam: np.ndarray, vectors: np.ndarray, m: int):
-    """Newton's step on g(h) = f(h) - h from the full spectrum of the reduced matrix at h.
-
-    f is the gradient of phi(h) = 1/2 sum_{k<=m} lambda_k(h)^2, so its
-    Jacobian J (``_paf_jacobian``) is symmetric, and (I - J) delta = g is
-    solved by Cholesky. Returns h + delta, or None when lambda_m <= 0 or
-    lambda_m = lambda_m+1 (J is not defined) or when h + delta leaves
-    [0, 1]; raises NotPositiveDefinite when I - J is not positive definite
-    (psi = phi - |h|^2 / 2 is not concave at h, and there the plain pass
-    need not contract).
-    """
-    if not lam[m - 1] > max(lam[m], 0.0):
-        return None
-    delta = cholesky_solve(np.eye(h2.size) - _paf_jacobian(lam, vectors, m), f - h2)
-    h2 = h2 + delta
-    return h2 if 0.0 <= h2.min() and h2.max() <= 1.0 else None
+def _descent_pass(reduced: np.ndarray, h: np.ndarray, m: int, basis):
+    """One pass of ``_descent`` at h: (lambda, vectors, loadings, f, over, psi)."""
+    np.fill_diagonal(reduced, h)
+    eig = sym_eigen(SymMatrix(reduced), basis=basis)
+    lam, vectors = eig.eigenvalues, eig.eigenvectors
+    loadings, f, over = _paf_loadings(lam, vectors, m)
+    psi = 0.5 * float((h * h).sum() - (np.clip(lam[:m], 0.0, None) ** 2).sum())
+    return lam, vectors, loadings, f, over, psi
 
 
 def _paf_jacobian(lam: np.ndarray, vectors: np.ndarray, m: int) -> np.ndarray:
@@ -338,14 +336,16 @@ def _anderson(h2: np.ndarray, f: np.ndarray, last):
 
 
 def _paf_loadings(lam: np.ndarray, vectors: np.ndarray, m: int):
-    """Loadings of the top m eigenpairs, Heywood rows clamped: (loadings, h2, clamped)."""
+    """Loadings of the top m eigenpairs, rows with f > 1 (``over``) rescaled: (loadings, f, over).
+
+    f is the row sums of squared loadings before the rescale.
+    """
     loadings = vectors[:, :m] * np.sqrt(np.clip(lam[:m], 0.0, None))
-    h2 = (loadings**2).sum(axis=1)
-    over = h2 > 1.0
-    if not np.any(over):
-        return loadings, h2, False
-    loadings[over] /= np.sqrt(h2[over])[:, None]
-    return loadings, np.minimum(h2, 1.0), True
+    f = (loadings**2).sum(axis=1)
+    over = f > 1.0
+    if np.any(over):
+        loadings[over] /= np.sqrt(f[over])[:, None]
+    return loadings, f, over
 
 
 def _ritz_step(a: np.ndarray, block: np.ndarray, m: int):

@@ -12,13 +12,14 @@ moments are the defining formulas, applied to the package's results. The
 Jacobi and CSV oracles are likewise the package's earlier round and per-cell parser,
 kept so that the faster paths can be held to the same bits and errors, the
 sign oracle is the earlier per-column loop of ``sort_and_sign`` and the
-assignment oracle the earlier per-row loop of ``assign_items``, and the
-child-seed oracle the earlier loop of ``derive_seed``. The
+assignment oracle the earlier per-row loop of ``assign_items``, the
+child-seed oracle the earlier loop of ``derive_seed``, and the Cholesky
+oracle the earlier entry-by-entry loop of ``cholesky_lower``. The
 PAF oracle is the package's earlier extraction loop, which decomposes the
 full p x p reduced matrix on every pass, with an Anderson(1) step written
 from its residual-minimizing definition (``mix=False`` gives the plain
 iteration); ``paf_step`` is one such pass written from the definition
-with numpy's ``eigh``.
+with numpy's ``eigh``, and ``paf_plain_limit`` iterates it to its limit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from psychoval.errors import (
     DuplicateId,
     EmptyDataset,
     NoConvergence,
+    NotPositiveDefinite,
     ParseError,
     RangeError,
 )
@@ -522,6 +524,38 @@ def paf_step(R: SymMatrix, h2, m: int) -> np.ndarray:
     top = np.argsort(lam)[::-1][:m]
     loadings = vectors[:, top] * np.sqrt(np.clip(lam[top], 0.0, None))
     return np.minimum((loadings**2).sum(axis=1), 1.0)
+
+
+def cholesky_lower_rowwise(a) -> np.ndarray:
+    """Lower-triangular Cholesky factor, one entry at a time in row order."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    L = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1):
+            s = a[i, j] - (L[i, :j] * L[j, :j]).sum()
+            if i == j:
+                if s <= 0.0:
+                    raise NotPositiveDefinite(
+                        f"pivot {s:.3e} at row {i} during Cholesky"
+                    )
+                L[i, j] = math.sqrt(s)
+            else:
+                L[i, j] = s / L[j, j]
+    return L
+
+
+def paf_plain_limit(R: SymMatrix, m: int, tol: float = 1e-12, max_iter: int = 10**5) -> np.ndarray:
+    """Communalities where ``paf_step`` passes from the SMC move none by tol.
+
+    A Heywood limit holds its clamped communalities at exactly 1.
+    """
+    h2 = np.clip(1.0 - 1.0 / np.diag(np.linalg.inv(R.values)), 0.0, 1.0)
+    for _ in range(max_iter):
+        h2, before = paf_step(R, h2, m), h2
+        if np.max(np.abs(h2 - before)) < tol:
+            return h2
+    raise NoConvergence(f"plain PAF passes: no {tol:g} limit in {max_iter}")
 
 
 def derive_seed_stepped(seed: int, index: int) -> int:

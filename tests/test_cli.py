@@ -12,10 +12,12 @@ import sys
 from itertools import groupby
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from psychoval import PipelineConfig
+from psychoval import PipelineConfig, correlation_matrix, load_csv
 from psychoval.cli import SEED_ENV, build_parser, main
+from tests import oracles
 from tests.frozen import NOISE_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +148,24 @@ class TestValidate:
         assert code == 0
         doc = json.loads(out)
         assert any("force" in w for w in doc["warnings"])
+
+    def test_wide_over_extraction_ends_at_the_plain_limit(self, capsys, data_dir):
+        # m = 6 on the 18 items left after pruning; the limit of the plain
+        # passes clamps W09 at 1, and the run ends 1.9e-7 from it (the
+        # Anderson passes with Newton steps and undos: 4.6e-2, no flag)
+        path = data_dir / "wide_survey.csv"
+        code, out, _ = run(capsys, "validate", "-i", str(path), "--retention", "fixed:6",
+                           "-f", "json")
+        assert code == 0
+        doc = json.loads(out)
+        items = doc["dataset"]["items_retained"]
+        ds = load_csv(path, 1, 7)
+        R = correlation_matrix(ds.values[:, [ds.items.index(item) for item in items]])
+        limit = oracles.paf_plain_limit(R, 6)
+        got = np.array([doc["solution"]["communalities"][item] for item in items])
+        assert np.max(np.abs(got - limit)) < 1e-5
+        assert np.any(limit == 1.0)
+        assert any(w.startswith("HeywoodCase: ") for w in doc["warnings"])
 
     def test_config_choices_echoed(self, capsys, demo_csv):
         code, out, _ = run(capsys, "validate", "-i", demo_csv,

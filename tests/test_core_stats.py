@@ -29,6 +29,7 @@ from psychoval.core_stats import (
     _cold_eigen,
     _jacobi_sweeps,
     _seat_move,
+    cholesky_lower,
     cholesky_solve,
     fmatmul,
 )
@@ -594,6 +595,36 @@ class TestCholeskySolve:
     def test_not_positive_definite(self, a):
         with pytest.raises(NotPositiveDefinite, match="during Cholesky"):
             cholesky_solve(np.array(a), np.ones(len(a)))
+
+
+class TestCholeskyLower:
+    @staticmethod
+    def outcome(factor, a):
+        try:
+            return factor(a)
+        except NotPositiveDefinite as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("p", [*range(1, 30), 40, 64, 80, 120])
+    def test_same_bits_and_errors_as_the_entry_loop(self, p):
+        # a positive definite matrix, one shifted by its middle eigenvalue
+        # (an indefinite one, which fails at some pivot) and one with a zero
+        # row, which fails at that row's pivot
+        rng = np.random.default_rng(7000 + p)
+        x = rng.normal(size=(p, p))
+        spd = x @ x.T + 0.1 * np.eye(p)
+        zero_row = spd.copy()
+        zero_row[p // 2, :] = zero_row[:, p // 2] = 0.0
+        cases = [spd, spd - np.linalg.eigvalsh(spd)[p // 2] * np.eye(p), zero_row]
+        for a in cases:
+            got = self.outcome(cholesky_lower, a)
+            want = self.outcome(oracles.cholesky_lower_rowwise, a)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert isinstance(self.outcome(cholesky_lower, spd), np.ndarray)
+        assert isinstance(self.outcome(cholesky_lower, zero_row), str)
 
 
 class TestChiSquareTail:

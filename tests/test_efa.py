@@ -355,6 +355,28 @@ def cyclic_matrix(n: int, p: int, m: int, seed: int) -> SymMatrix:
     return correlation_matrix(generate(spec).values)
 
 
+def certificate(R: SymMatrix, h2: np.ndarray, m: int) -> tuple[float, float]:
+    """Largest plain and projected Newton step at h2, from numpy's eigh and solve.
+
+    Items at 1 whose f exceeds 1 are held; NotPositiveDefinite unless the
+    I - J of the other items passes ``cholesky_lower``. A clamped row's
+    communality is 1 up to the rounding of its rescale, so it is set to 1.
+    """
+    h2 = np.where(h2 > 1.0 - 1e-12, 1.0, h2)
+    reduced = R.values.copy()
+    np.fill_diagonal(reduced, h2)
+    lam, vectors = np.linalg.eigh(reduced)
+    lam, vectors = lam[::-1], vectors[:, ::-1]
+    f = ((vectors[:, :m] * np.sqrt(np.clip(lam[:m], 0.0, None))) ** 2).sum(axis=1)
+    free = ~((h2 == 1.0) & (f > 1.0))
+    hessian = np.eye(R.dim) - efa._paf_jacobian(lam, vectors, m)
+    core_stats.cholesky_lower(hessian[np.ix_(free, free)])
+    newton = h2.copy()
+    newton[free] += np.linalg.solve(hessian[np.ix_(free, free)], (f - h2)[free])
+    plain_step = np.max(np.abs(np.minimum(f, 1.0) - h2))
+    return plain_step, np.max(np.abs(np.clip(newton, 0.0, 1.0) - h2))
+
+
 @pytest.fixture
 def eigen_sizes(monkeypatch):
     """The dimension of every sym_eigen call made through efa and core_stats."""
@@ -401,7 +423,7 @@ class TestPafSubspace:
     @pytest.mark.parametrize(
         "R, h2_bound, projector_bound",
         [(cyclic_matrix(600, 20, 4, seed=4), 3e-4, 5e-4),
-         (cyclic_matrix(600, 20, 4, seed=18), 8e-4, 1.5e-3),
+         (cyclic_matrix(600, 20, 4, seed=18), None, None),
          (sample_matrix(600, 20, 4, seed=4), 1e-5, 5e-5)],
         ids=["cyclic-4", "cyclic-18", "cluster-4"],
     )
@@ -417,22 +439,19 @@ class TestPafSubspace:
         ritz = passes.count(10)
         assert ritz > 0
         assert passes == [10] * ritz + [20] * (sol.convergence["iterations"] - ritz)
-        # the answer is a stop of the plain iteration: one more pass from it
-        # moves no communality by PAF_TOL
-        step = oracles.paf_step(R, sol.communalities, 6) - sol.communalities
-        assert np.max(np.abs(step)) < efa.PAF_TOL
+        # the answer is a certified stop: the plain step and Newton's step
+        # are below PAF_TOL, and the reduced I - J is positive definite
+        assert max(certificate(R, sol.communalities, 6)) < efa.PAF_TOL
+        if h2_bound is None:
+            # cyclic-18 ends at another strict local minimum of the ULS
+            # discrepancy, 0.46 from the plain limit in a communality (its
+            # off-diagonal ULS 3.685e-2, against 3.522e-2 at the limit)
+            return
         plain = oracles.extract_paf_full(R, 6, 1e-12, 10 * efa.PAF_MAX_ITER, mix=False)
-        # Each stop is a step below PAF_TOL, which on these slowly
-        # contracting maps lies up to a few PAF_TOL from the limit: 1.5e-4
-        # (cyclic-4; 7.9e-5 under OPENBLAS_CORETYPE=Prescott, whose rounding
-        # takes another path), 3.7e-4 (cyclic-18) and 5.2e-6 (cluster-4) in a
-        # communality, 2.4e-4, 6.8e-4 and 2.5e-5 in the projector, and each
-        # bound is about twice that (the Anderson passes: 2.7e-4, 2.6e-3 and
-        # 3.1e-4 in a communality). An over-extracted model can have several
-        # fixed points: on cyclic-18, whose plain iteration needs 4891 passes
-        # to reach 1e-12, a Newton step that is not undone when it lands
-        # where I - J is not positive definite ends at another one, 0.46
-        # from this limit.
+        # the full path ends 1.0e-5 (cyclic-4) and 2.0e-6 (cluster-4) from
+        # the plain limit in a communality, 1.6e-5 and 9.4e-6 in the
+        # projector; the bounds are kept from the earlier loop, which
+        # stopped farther away
         assert np.max(np.abs(sol.communalities - plain.communalities)) < h2_bound
         assert np.max(np.abs(projector(sol.loadings) - projector(plain.loadings))) < projector_bound
         assert sol.heywood == plain.heywood
@@ -491,11 +510,16 @@ class TestPafMixing:
         "R, m",
         [(sample_matrix(600, 20, 4, 5), 4), (sample_matrix(1000, 20, 4, 20), 4),
          (sample_matrix(2000, 40, 5, 40), 5), (sample_matrix(800, 15, 4, 3), 4),
-         (demo_matrix(), 2)],
-        ids=["subspace-20", "subspace-20b", "subspace-40", "below-guard", "demo"],
+         (demo_matrix(), 2), (cyclic_matrix(600, 8, 1, 1001), 2),
+         (cyclic_matrix(600, 12, 3, 1000), 3)],
+        ids=["subspace-20", "subspace-20b", "subspace-40", "below-guard", "demo",
+             "cyclic-8", "cyclic-12"],
     )
     def test_tight_tolerance_matches_plain_iteration(self, numerics, R, m):
-        # mixing changes the path to the fixed point, not the fixed point
+        # mixing changes the path to the fixed point, not the fixed point;
+        # on the two cyclic models the descent's Armijo test needs its
+        # allowance for psi's rounding, without which their steps below
+        # rounding are halved until the pass budget runs out
         numerics(efa, PAF_TOL=1e-10, PAF_RITZ_MAX_ITER=efa.PAF_MAX_ITER)
         sol = extract_paf(R, m)
         plain = oracles.extract_paf_full(R, m, 1e-10, efa.PAF_MAX_ITER, mix=False)
@@ -576,7 +600,7 @@ def smc(R: SymMatrix) -> np.ndarray:
 
 
 class TestPafNewton:
-    """Newton passes on the full spectrum: the Jacobian and the guards."""
+    """The full-spectrum descent: its Jacobian, held items, projected trials and limits."""
 
     @pytest.mark.parametrize(
         "R, m",
@@ -601,59 +625,98 @@ class TestPafNewton:
         assert np.max(np.abs(jac - np.array(columns).T)) < 1e-7
         assert np.max(np.abs(jac - jac.T)) < 1e-12
 
-    def test_not_concave_takes_the_anderson_step(self):
+    def test_plain_passes_where_psi_is_not_convex(self):
         # From the SMC, I - J is not positive definite on the demo matrix at
-        # m = 1, so the plain pass need not contract there; Newton without
-        # the Cholesky guard ends at the fixed point where the plain
-        # iteration is repelled, 0.43 from its limit in a communality.
+        # m = 1, so the descent takes plain passes there; Newton's step,
+        # once taken there regardless, ended at the fixed point where the
+        # plain iteration is repelled, 0.43 from its limit in a communality.
         R = demo_matrix()
         sol = extract_paf(R, 1)
         plain = oracles.extract_paf_full(R, 1, 1e-13, efa.PAF_MAX_ITER, mix=False)
         assert np.max(np.abs(sol.communalities - plain.communalities)) < 1e-6
 
     @pytest.mark.parametrize(
-        "R",
-        [cyclic_matrix(1000, 10, 3, seed=104321), sample_matrix(300, 12, 3, seed=124300)],
-        ids=["cyclic", "cluster"],
+        "R, m, most",
+        [(cyclic_matrix(1000, 10, 3, seed=104321), 4, 60),
+         (sample_matrix(300, 12, 3, seed=124300), 4, 260),
+         (cyclic_matrix(300, 8, 4, seed=83401), 3, 180),
+         (cyclic_matrix(600, 9, 4, seed=93411), 3, 30)],
+        ids=["cyclic", "cluster", "under-8", "under-9"],
     )
-    def test_step_into_a_not_concave_region_is_undone(self, R):
-        # Four factors where three exist, on the full path. A Newton step
-        # taken where I - J is barely positive definite lands where it is
-        # not, and the Anderson passes from there stall above PAF_TOL until
-        # the pass budget runs out. The run undoes that step and takes the
-        # Anderson step from the point before it, and converges.
-        sol = extract_paf(R, 4)
-        assert sol.convergence["iterations"] < 50
-        step = oracles.paf_step(R, sol.communalities, 4) - sol.communalities
-        assert np.max(np.abs(step)) < efa.PAF_TOL
+    def test_full_path_reaches_the_plain_limit(self, R, m, most):
+        # Full-path runs above Ledermann's bound: four factors where three
+        # exist, and three where four exist. The Anderson passes with
+        # Newton steps and undos ended 0.55 from the plain limit (cluster)
+        # or raised NoConvergence after 1000 passes (both under-extracted
+        # runs). The descent takes 31, 132, 89 and 15 eigen steps and ends
+        # within PAF_TOL of the limit, and both Heywood flags agree.
+        sol = extract_paf(R, m)
+        limit = oracles.paf_plain_limit(R, m)
+        assert sol.convergence["iterations"] <= most
+        assert np.max(np.abs(sol.communalities - limit)) < efa.PAF_TOL
+        assert sol.heywood == bool(np.any(limit == 1.0))
 
-    @pytest.mark.parametrize(
-        "lam",
-        [[2.0, 0.5, 0.5, 0.1], [2.0, -0.1, -0.2, -0.3]],
-        ids=["tied", "negative"],
-    )
-    def test_undefined_jacobian_gives_no_step(self, lam):
-        # lambda_m = lambda_m+1 or lambda_m <= 0
-        h2 = np.full(4, 0.5)
-        assert efa._newton(h2, h2 + 0.01, np.array(lam), np.eye(4), 2) is None
+    def test_item_at_one_whose_gradient_points_out_is_held(self, monkeypatch):
+        # this run ends with two communalities at 1: Newton's system drops
+        # both items, and the other six pass the Cholesky factorization
+        R = cyclic_matrix(300, 8, 4, seed=83401)
+        sizes = []
 
-    def test_step_out_of_the_unit_interval_gives_no_step(self):
-        # f is set so that (I - J) delta = f - h2 has a chosen solution delta
-        R = demo_matrix()
-        h2 = smc(R)
+        def solved(a, b):
+            x = core_stats.cholesky_solve(a, b)
+            sizes.append(len(b))
+            return x
+
+        monkeypatch.setattr(efa, "cholesky_solve", solved)
+        sol = extract_paf(R, 3)
+        held = int(np.sum(sol.communalities > 1.0 - 1e-12))
+        assert sol.heywood and held == 2
+        assert sizes[0] == R.dim and sizes[-1] == R.dim - held
+
+    def test_trial_outside_the_box_is_projected(self, monkeypatch):
+        # From communalities capped at 0.99, Newton's step takes two items
+        # above 1; the first trial is that step projected on [0, 1]^p.
+        R = cyclic_matrix(300, 8, 4, seed=83401)
+        h2 = np.minimum(extract_paf(R, 3).communalities, 0.99)
+        diagonals = []
+
+        def recorded(A, basis=None):
+            diagonals.append(np.diag(A.values).copy())
+            return sym_eigen(A, basis=basis)
+
+        monkeypatch.setattr(efa, "sym_eigen", recorded)
+        assert efa._descent(R.values, h2, 3, 2)[0] is None
         reduced = R.values.copy()
         np.fill_diagonal(reduced, h2)
-        eig = sym_eigen(SymMatrix(reduced))
-        lam, vectors = eig.eigenvalues, eig.eigenvectors
-        a = np.eye(R.dim) - efa._paf_jacobian(lam, vectors, 2)
-        for d in (0.01, 1.0, -1.0):
-            delta = np.zeros(R.dim)
-            delta[0] = d
-            nxt = efa._newton(h2, h2 + a @ delta, lam, vectors, 2)
-            if 0.0 <= h2[0] + d <= 1.0:
-                assert np.max(np.abs(nxt - (h2 + delta))) < 1e-12
-            else:
-                assert nxt is None
+        lam, vectors = np.linalg.eigh(reduced)
+        lam, vectors = lam[::-1], vectors[:, ::-1]
+        f = ((vectors[:, :3] * np.sqrt(lam[:3])) ** 2).sum(axis=1)
+        jac = efa._paf_jacobian(lam, vectors, 3)
+        newton = h2 + np.linalg.solve(np.eye(R.dim) - jac, f - h2)
+        assert np.sum(newton > 1.0) == 2
+        assert np.array_equal(diagonals[0], h2)
+        assert np.max(np.abs(diagonals[1] - np.clip(newton, 0.0, 1.0))) < 1e-10
+        assert np.array_equal(diagonals[1] == 1.0, newton > 1.0)
+
+    def test_warm_start_rounding_moves_no_communality(self, monkeypatch):
+        # sym_eigen's warm start basis.T @ A @ basis takes the BLAS kernel's
+        # rounding; summed by fmatmul instead, it moved a communality of
+        # cyclic-4 by 0.65 under the Newton steps and undos, and now by at
+        # most 7.3e-13 on these five runs
+        cases = [(cyclic_matrix(600, 20, 4, seed=4), 6), (cyclic_matrix(600, 20, 4, seed=18), 6),
+                 (sample_matrix(600, 20, 4, seed=4), 6), (cyclic_matrix(300, 8, 4, seed=83401), 3),
+                 (cyclic_matrix(600, 9, 4, seed=93411), 3)]
+        before = [extract_paf(R, m).communalities for R, m in cases]
+
+        def fmatmul_start(A, basis=None):
+            if basis is None:
+                return sym_eigen(A)
+            a = core_stats.fmatmul(basis.T, core_stats.fmatmul(A.values, basis))
+            return core_stats._diagonalize((a + a.T) / 2.0, basis)
+
+        monkeypatch.setattr(efa, "sym_eigen", fmatmul_start)
+        for (R, m), h2 in zip(cases, before):
+            assert np.max(np.abs(extract_paf(R, m).communalities - h2)) < 1e-10
 
 
 class TestRetention:

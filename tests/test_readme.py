@@ -1,7 +1,9 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its constants table is the code's."""
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import re
 from pathlib import Path
 
@@ -17,3 +19,17 @@ def test_python_blocks_run_in_order(monkeypatch, capsys):
     for k, code in enumerate(blocks):
         exec(compile(code, f"README.md python block {k + 1}", "exec"), namespace)
     assert "msa" in namespace and "solution" in namespace
+
+
+def test_constants_table_matches_the_modules():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| setting | value | on a breach |") + 2  # past the rule
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    assert len(rows) >= 10
+    for row in rows:
+        match = re.match(r"\| `(\w+)\.([A-Z_]+)` \| ([^|]+) \|", row)
+        assert match, row
+        module, name, text = match.group(1), match.group(2), match.group(3).strip()
+        base, caret, power = text.partition("^")
+        value = int(base) ** int(power) if caret else float(text)
+        assert getattr(importlib.import_module(f"psychoval.{module}"), name) == value, row

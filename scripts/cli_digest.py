@@ -161,6 +161,10 @@ def _invocations() -> list[tuple[str, ...]]:
     # item c has r = 0 to a and b, so its MSA would be 0/0
     for command in ("kmo", "validate"):
         runs.append((command, "-i", UNCORRELATED, "-f", "json"))
+    # ten items: alpha-if-deleted on remainders of nine
+    for fmt in ("text", "json"):
+        runs.append(("alpha", "-i", WIDE, "--items", ",".join(f"W{j:02d}" for j in range(1, 11)),
+                     "-f", fmt))
     return runs
 
 

@@ -158,8 +158,9 @@ def extract_paf(R: SymMatrix, m: int, items=None) -> FactorSolution:
     the top m eigenpairs of that reduced matrix, clamps negative
     eigenvalues to zero, and recomputes communalities f(h) as row sums of
     squared loadings; a communality exceeding 1 is clamped to 1 with the
-    row rescaled (Heywood case, flagged, never silent). The run returns
-    the last pass's clamped f(h) with its loadings. With p >= 2b items,
+    row rescaled. The run returns the last pass's clamped f(h) with its
+    loadings, flagged ``heywood`` when that pass clamped a row (on either
+    path; an earlier clamp is not flagged). With p >= 2b items,
     b = m + PAF_RITZ_EXTRA, the passes first take the b x b subspace step
     (``_ritz_passes``); a run that gives up there, and every run with
     fewer items, starts from the SMC communalities on ``_descent``, whose
@@ -205,14 +206,14 @@ def _ritz_passes(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray, 
     """At most ``budget`` subspace PAF passes from h2: ((loadings, heywood) or None, passes, last delta).
 
     Each pass takes ``_ritz_step`` from the last pass's block, and the next
-    starts from the Anderson(1) step. A pass stops the run when its step is
-    below PAF_TOL and its angle below PAF_RITZ_ANGLE * PAF_TOL: the block
-    tracks the eigenvalues largest in magnitude, so on an over-extracted
-    model, whose m-th eigenvalue is small and close to the next, it can lag
-    the matrix after a small step. A step that returns None gives up.
+    starts from the Anderson(1) step; ``heywood`` is whether the returned
+    pass clamped a row. A pass stops the run when its step is below
+    PAF_TOL and its angle below PAF_RITZ_ANGLE * PAF_TOL: the block tracks
+    the eigenvalues largest in magnitude, so on an over-extracted model,
+    whose m-th eigenvalue is small and close to the next, it can lag the
+    matrix after a small step. A step that returns None gives up.
     """
     reduced = values.copy()
-    heywood = False
     last = None
     passes, delta = 0, math.inf
     for passes in range(1, budget + 1):
@@ -224,9 +225,8 @@ def _ritz_passes(values: np.ndarray, h2: np.ndarray, m: int, block: np.ndarray, 
         loadings, f, over = _paf_loadings(lam, block, m)
         new_h2 = np.minimum(f, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
-        heywood = heywood or bool(over.any())
         if delta < PAF_TOL and angle < PAF_RITZ_ANGLE * PAF_TOL:
-            return (loadings, heywood), passes, delta
+            return (loadings, bool(over.any())), passes, delta
         h2, last = _anderson(h2, new_h2, last)
     return None, passes, delta
 
@@ -583,7 +583,9 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
     pattern @ phi; the reproduced matrix pattern @ phi @ pattern' +
     diag(uniqueness) does not change. It starts from orthogonal loadings,
     so an oblique solution raises DomainError, and a gamma that is not a
-    finite real number raises ConfigError.
+    finite real number raises ConfigError. A trial T - al Gp fails, and al
+    is halved, when it cannot be normalized or inverted; Gp's column k is
+    orthogonal to T's unit column k, so only rounding can zero a column.
     """
     check_gamma(gamma)
     _check_orthogonal(solution, "oblimin")
@@ -622,14 +624,11 @@ def rotate_oblimin(solution: FactorSolution, gamma: float = 0.0) -> FactorSoluti
         Tt, Tti, Lt, ft = T, Ti, L, f
         for _ in range(OBLIMIN_MAX_HALVINGS):
             X = T - al * Gp
-            norms = np.sqrt((X * X).sum(axis=0))
-            if np.any(norms == 0.0):
-                al /= 2.0
-                continue
-            Tt = X / norms
             try:
+                with np.errstate(divide="raise", invalid="raise"):
+                    Tt = X / np.sqrt((X * X).sum(axis=0))
                 Tti = np.linalg.inv(Tt)
-            except np.linalg.LinAlgError:
+            except (FloatingPointError, np.linalg.LinAlgError):
                 al /= 2.0
                 continue
             Lt = A @ Tti.T

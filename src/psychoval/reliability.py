@@ -61,26 +61,25 @@ def _not_psd(detail: str) -> DomainError:
     return DomainError(f"covariance matrix is not positive semidefinite: {detail}")
 
 
-def _alpha(cov: np.ndarray, what: str, trace: float | None = None) -> tuple[float, float]:
-    """Cronbach's alpha k/(k-1) (1 - trace/total) of cov and total, the variance of its sum.
+def _alpha(total, trace, k: int, what: str):
+    """Alpha k/(k-1) (1 - trace/total) of k items from the sum and the trace of their covariances.
 
-    ``trace`` defaults to cov's. ZeroVariance at a relative zero total,
-    DomainError below it; one item has no alpha (NaN).
+    ``total`` and ``trace`` are floats, or arrays with one entry per item
+    set. The first entry in order at a relative zero total raises
+    ZeroVariance, one below it DomainError; one item has no alpha (NaN).
     """
-    k = cov.shape[0]
-    total = float(cov.sum())
-    trace = float(np.trace(cov)) if trace is None else trace
     # a relative zero: population input carries rounding in its entries
-    if abs(total) < SINGULARITY_RTOL * trace:
-        raise ZeroVariance(what)
-    if total < 0.0:
+    zero = np.abs(total) < SINGULARITY_RTOL * trace
+    for j in np.flatnonzero(zero | (total < 0.0))[:1]:
+        if zero.flat[j]:
+            raise ZeroVariance(what)
         raise _not_psd(f"{what} has a negative variance")
     if k < 2:
-        return math.nan, total
+        return np.full_like(total, math.nan)
     # one quotient: on exact sums identical items give 1. With every |r| <= 1,
     # Cauchy-Schwarz gives total <= (sum sd)^2 <= k trace, so alpha <= 1 and
     # any excess is rounding (|r| beyond that is refused upstream)
-    return min(1.0, k * (total - trace) / ((k - 1.0) * total)), total
+    return np.minimum(1.0, k * (total - trace) / ((k - 1.0) * total))
 
 
 def alpha_from_covariance(
@@ -115,20 +114,21 @@ def alpha_from_covariance(
     corr = cov / np.sqrt(np.outer(variances, variances))
     for i, j in np.argwhere(np.abs(corr) > 1.0 + SINGULARITY_RTOL)[:1]:
         raise _not_psd(f"items {names[i]!r} and {names[j]!r} have r = {corr[i, j]:.4g}")
-    alpha_raw, _ = _alpha(cov, "total score")
+    total, trace = float(cov.sum()), float(variances.sum())
+    alpha_raw = float(_alpha(total, trace, k, "total score"))
     # the standardized items' covariances are R, whose trace is k
-    alpha_std, _ = _alpha(np.clip(corr, -1.0, 1.0), "standardized total score", trace=k)
+    alpha_std = float(_alpha(np.clip(corr, -1.0, 1.0).sum(), k, k, "standardized total score"))
 
-    item_total: dict[str, float] = {}
-    if_deleted: dict[str, float] = {}
-    for j, name in enumerate(names):
-        rest = [i for i in range(k) if i != j]
-        if_deleted[name], rest_total = _alpha(cov[np.ix_(rest, rest)], "remainder score")
-        # corrected item-total: item vs sum of the remaining items
-        r = float(cov[j, rest].sum()) / math.sqrt(variances[j] * rest_total)
-        if abs(r) > 1.0 + SINGULARITY_RTOL:
-            raise _not_psd(f"item {name!r} has r = {r:.4g} with the remainder score")
-        item_total[name] = min(1.0, max(-1.0, r))
+    # c_j = row_j - v_j, item j's covariance with the rest, whose sum has variance total - 2c_j - v_j
+    c = cov.sum(axis=1) - variances
+    rest_total, rest_trace = total - 2.0 * c - variances, trace - variances
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = c / np.sqrt(variances * rest_total)
+    # in item order, each remainder is refused before its item-total r
+    for j in np.flatnonzero(np.abs(r) > 1.0 + SINGULARITY_RTOL)[:1]:
+        _alpha(rest_total[: j + 1], rest_trace[: j + 1], k - 1, "remainder score")
+        raise _not_psd(f"item {names[j]!r} has r = {r[j]:.4g} with the remainder score")
+    if_deleted = _alpha(rest_total, rest_trace, k - 1, "remainder score")
 
     return AlphaReport(
         scale=scale_name,
@@ -136,8 +136,8 @@ def alpha_from_covariance(
         n=n,
         alpha_raw=alpha_raw,
         alpha_standardized=alpha_std,
-        item_total_correlations=item_total,
-        alpha_if_deleted=if_deleted,
+        item_total_correlations=dict(zip(names, np.clip(r, -1.0, 1.0).tolist())),
+        alpha_if_deleted=dict(zip(names, if_deleted.tolist())),
     )
 
 

@@ -649,7 +649,7 @@ class TestBlasKernelIndependence:
     def test_same_bytes_as_the_default_kernel(self, default_outputs, coretype, feature):
         if not _cpu_has(feature):
             pytest.skip(f"the {coretype} kernel needs {feature}")
-        assert len(RELIABILITY_JSON) == 4 and len(SIMULATE) == 5
+        assert len(RELIABILITY_JSON) == 5 and len(SIMULATE) == 5
         assert _outputs_under(coretype) == default_outputs
 
 

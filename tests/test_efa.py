@@ -481,6 +481,30 @@ class TestPafSubspace:
         assert eigen_sizes[2:] == [8, 8, 20, 20]
 
     @pytest.mark.parametrize(
+        "R, m, heywood",
+        [(cyclic_matrix(300, 20, 3, seed=2), 4, False), (sample_matrix(100, 20, 3, seed=2), 4, True)],
+        ids=["earlier-clamp", "returned-clamp"],
+    )
+    def test_heywood_flags_the_returned_pass(self, monkeypatch, eigen_sizes, R, m, heywood):
+        # heywood says whether the returned pass clamped a row, as on the
+        # descent. The first run clamps at its 33rd subspace pass only and
+        # returns the 34th, which was once flagged for the earlier clamp.
+        clamps = []
+
+        def recorded(lam, vectors, m):
+            loadings, f, over = paf_loadings(lam, vectors, m)
+            clamps.append(bool(over.any()))
+            return loadings, f, over
+
+        paf_loadings = efa._paf_loadings
+        monkeypatch.setattr(efa, "_paf_loadings", recorded)
+        sol = extract_paf(R, m)
+        assert eigen_sizes[2:] == [m + efa.PAF_RITZ_EXTRA] * sol.convergence["iterations"]
+        assert any(clamps) and clamps[-1] is heywood
+        assert sol.heywood is heywood
+        assert heywood == bool(np.any(sol.communalities > 1.0 - 1e-12))
+
+    @pytest.mark.parametrize(
         "R, m, ritz",
         [
             (sample_matrix(600, 20, 4, seed=5), 4, True),
@@ -962,6 +986,30 @@ class TestOblimin:
         with pytest.raises(NoConvergence, match=f"after {steps - 1} iterations$") as exc:
             rotate_oblimin(sol)
         assert exc.value.residual >= efa.OBLIMIN_GTOL
+
+    @given(data=st.data(), m=st.integers(2, 8), al=st.floats(2.0**-11, 2.0**20))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_trial_columns_keep_norm_one(self, data, m, al):
+        # Gp's column k is orthogonal to T's unit column k, so no trial
+        # column T - al Gp is shorter than 1 in exact arithmetic. In
+        # floating point the component of al gp_k along t_k is rounding of
+        # at most about (m + 3) eps al |g_k|, which bounds the shortfall.
+        def square(elements):
+            return np.array(data.draw(st.lists(
+                st.lists(elements, min_size=m, max_size=m), min_size=m, max_size=m)))
+
+        # T's columns are normalized as a trial's are; a column too small for that is e_k
+        X = square(st.floats(-1e3, 1e3))
+        tiny = np.max(np.abs(X), axis=0) < 1e-100
+        X[:, tiny] = np.eye(m)[:, tiny]
+        T = X / np.sqrt((X * X).sum(axis=0))
+        G = square(st.floats(-1e150, 1e150))
+        with np.errstate(over="ignore"):
+            Gp = G - T * (T * G).sum(axis=0)
+            trial = T - al * Gp
+            norms = np.sqrt((trial * trial).sum(axis=0))
+            slack = 2.0 * (m + 3) * np.finfo(float).eps * al * np.sqrt((G * G).sum(axis=0))
+        assert np.all(norms >= 1.0 - 1e-12 - slack)
 
     def test_rotation_label_carries_gamma(self, two_factor_dataset):
         R = correlation_matrix(two_factor_dataset.values, list(ITEMS6))

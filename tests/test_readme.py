@@ -1,4 +1,4 @@
-"""The README's Python examples run as written, and its constants table is the code's."""
+"""The README's Python examples run as written, and its constants table and warning kinds are the code's."""
 
 from __future__ import annotations
 
@@ -33,3 +33,13 @@ def test_constants_table_matches_the_modules():
         base, caret, power = text.partition("^")
         value = int(base) ** int(power) if caret else float(text)
         assert getattr(importlib.import_module(f"psychoval.{module}"), name) == value, row
+
+
+def test_warning_kinds_match_the_pipeline():
+    row = next(line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `warnings` |"))
+    source = (ROOT / "src" / "psychoval" / "pipeline.py").read_text(encoding="utf-8")
+    # the Kind of each "Kind: detail" string run_validation appends, in source order
+    kinds = re.findall(r'warnings\.append\(\s*f?"(\w+): ', source)
+    assert len(kinds) == source.count("warnings.append(")
+    assert re.findall(r"`(\w+)`", row.partition(" | ")[2]) == kinds

@@ -10,18 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psychoval import (
+    FactorModelSpec,
     ScaleDefinition,
     SurveyDataset,
     SymMatrix,
     alpha_from_covariance,
     cronbach_alpha,
+    load_csv,
+    load_scales,
     loads_csv,
+    population_correlation,
 )
 from psychoval import test_retest as retest
+from psychoval.core_stats import gram_covariances
 from psychoval.errors import (
     DomainError, InsufficientRows, NoOverlap, TooFewItems, ZeroVariance,
 )
 from tests import oracles
+from tests.conftest import DATA_DIR
 
 
 def likert_dataset(values, items=None, likert=(1, 7)) -> SurveyDataset:
@@ -259,6 +265,66 @@ class TestAlphaSamplePath:
         ds = loads_csv("id,A,B\nr1,1,2\nr2,2,3\nr3,NA,4\nr4,4,5\nr5,6,6\n", 1, 7)
         rep = cronbach_alpha(ds, ScaleDefinition("s", ("A", "B")))
         assert rep.n == 4
+
+
+def remainders(k: int):
+    """Each of k items' index and the indices of the other items."""
+    return [(j, [i for i in range(k) if i != j]) for j in range(k)]
+
+
+WIDE_ITEMS = tuple(f"W{j:02d}" for j in range(1, 11))
+
+
+class TestAlphaIfDeleted:
+    """Alpha-if-deleted and the item-total r from the row sums, against each remainder block."""
+
+    @pytest.mark.parametrize("path, items", [
+        *(("demo_survey.csv", s.item_ids) for s in load_scales(DATA_DIR / "demo_scales.txt")),
+        ("demo_survey.csv", tuple("ABCDEF")),
+        ("wide_survey.csv", WIDE_ITEMS),
+    ], ids=["practice", "attitude", "demo-6", "wide-10"])
+    def test_gram_sums_give_the_remainder_blocks_bits(self, path, items):
+        ds = load_csv(DATA_DIR / path, 1, 7)
+        block = ds.values[:, [ds.items.index(it) for it in items]]
+        block = block[~np.isnan(block).any(axis=1)]
+        _, _, cov = gram_covariances(block)
+        rep = alpha_from_covariance(cov, items=list(items))
+        for j, rest in remainders(len(items)):
+            # the Gram sums are exact integers, so no rounding separates the two
+            assert rep.alpha_if_deleted[items[j]] == alpha_from_covariance(
+                cov[np.ix_(rest, rest)]).alpha_raw
+            want = np.corrcoef(block[:, j], block[:, rest].sum(axis=1))[0, 1]
+            assert abs(rep.item_total_correlations[items[j]] - want) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_population_matrix_agrees_with_the_remainder_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        p, m = 8, 2
+        L = np.zeros((p, m))
+        L[np.arange(p), np.arange(p) % m] = rng.uniform(0.3, 0.9, size=p)
+        phi = np.array([[1.0, 0.3], [0.3, 1.0]])
+        R = population_correlation(FactorModelSpec(loadings=L, phi=phi, seed=seed)).values
+        rep = alpha_from_covariance(R)
+        for j, rest in remainders(p):
+            sub = R[np.ix_(rest, rest)]
+            assert abs(rep.alpha_if_deleted[f"item{j + 1}"]
+                       - alpha_from_covariance(sub).alpha_raw) <= 1e-15
+            want = R[j, rest].sum() / math.sqrt(R[j, j] * sub.sum())
+            assert abs(rep.item_total_correlations[f"item{j + 1}"] - want) <= 1e-15
+
+    @pytest.mark.parametrize("cov, refused, refusal", [
+        ([[4, -2.8, 4, -2.8], [-2.8, 4, -2.4, -3.2], [4, -2.4, 4, 1.6], [-2.8, -3.2, 1.6, 4]],
+         DomainError, "covariance matrix is not positive semidefinite: "
+         "item 'item2' has r = -1.001 with the remainder score"),
+        ([[100, 100, -70, -18], [100, 100, 90, -18], [-70, 90, 100, -14], [-18, -18, -14, 4]],
+         ZeroVariance, "remainder score has zero variance"),
+    ], ids=["item-total-first", "remainder-first"])
+    def test_first_refusal_in_item_order(self, cov, refused, refusal):
+        # item 2's item-total r comes before item 3's negative remainder, and
+        # item 2's zero remainder before item 4's item-total r
+        with pytest.raises(refused) as info:
+            alpha_from_covariance(cov)
+        assert str(info.value) == refusal
 
 
 class TestRetest:
